@@ -219,15 +219,37 @@ class SPMInstance:
 
         ``assignment`` maps request id -> chosen path index (or ``None`` for
         declined).  Returns an array of shape ``(num_edges, num_slots)``.
+
+        One ``np.bincount`` scatter-adds every (edge, slot) cell of every
+        chosen path, keyed ``edge * T + slot`` in assignment order.
+        ``bincount`` adds its weights in input order starting from 0.0, so
+        each cell holds the bits of adding the requests' rates one by one
+        in that order.
         """
-        loads = np.zeros((self.num_edges, self.num_slots))
+        num_slots = self.num_slots
+        edges, starts, spans, rates = [], [], [], []
         for req_id, path_idx in assignment.items():
             if path_idx is None:
                 continue
             req = self.requests[req_id]
-            edge_idx = self.path_edges[req_id][path_idx]
-            loads[edge_idx, req.start : req.end + 1] += req.rate
-        return loads
+            edges.append(self.path_edges[req_id][path_idx])
+            starts.append(req.start)
+            spans.append(req.end - req.start + 1)
+            rates.append(req.rate)
+        if not edges:
+            return np.zeros((self.num_edges, num_slots))
+        hops = np.fromiter(map(len, edges), dtype=np.intp, count=len(edges))
+        # One entry per (request, edge), expanded to one per covered slot.
+        base = np.concatenate(edges) * num_slots + np.repeat(starts, hops)
+        width = np.repeat(spans, hops)
+        first = np.cumsum(width) - width
+        slot = np.arange(int(width.sum())) - np.repeat(first, width)
+        keys = np.repeat(base, width) + slot
+        weights = np.repeat(np.repeat(rates, hops), width)
+        cells = np.bincount(
+            keys, weights=weights, minlength=self.num_edges * num_slots
+        )
+        return cells.reshape(self.num_edges, num_slots)
 
     def __repr__(self) -> str:
         return (

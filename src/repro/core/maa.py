@@ -28,6 +28,7 @@ from repro.core.fastform import FormulationCompiler
 from repro.core.formulations import build_rl_spm, fractional_x
 from repro.core.instance import SPMInstance
 from repro.core.schedule import Schedule
+from repro.core.sweep import RunSums, run_sweep, window_rates
 from repro.exceptions import InfeasibleError, SolverError
 from repro.lp.result import SolveStatus
 from repro.lp.solvers import solve_compiled_raw
@@ -43,6 +44,15 @@ __all__ = [
 
 #: Fractional bandwidth below this is treated as zero when computing alpha.
 _ALPHA_TOL = 1e-9
+
+#: ``Generator.choice``'s tolerance on a probability vector's sum.
+_PROB_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+#: Peak loads this close to an integer are charged as that integer.
+_CEIL_TOL = 1e-9
+
+#: A move must lower the charged cost by more than this to be taken.
+_MIN_GAIN = 1e-12
 
 
 @dataclass
@@ -83,17 +93,50 @@ def round_paths(
     weights sum to zero (possible only for degenerate inputs) falls back to
     its cheapest path, preserving RL-SPM's "every request satisfied"
     invariant.
+
+    Sampling is one ``gen.random(m)`` draw for the ``m`` requests with
+    positive total weight, in request order.  ``Generator.choice(n, p=p)``
+    picks ``searchsorted(cumsum(p) / cumsum(p)[-1], gen.random(),
+    side="right")`` and ``gen.random(m)`` yields the doubles of ``m``
+    scalar draws, so the picks and the generator's state afterwards are
+    those of one ``choice`` call per request.  ``choice``'s checks are
+    kept: NaN or negative probabilities raise :class:`ValueError`.
     """
     gen = ensure_rng(rng)
-    assignment: dict[int, int | None] = {}
-    for req in instance.requests:
-        w = np.asarray(weights[req.request_id], dtype=float)
-        total = w.sum()
-        if total <= 0:
-            assignment[req.request_id] = 0
-            continue
-        assignment[req.request_id] = int(gen.choice(len(w), p=w / total))
-    return assignment
+    ids = instance.requests.request_ids
+    rows = [np.asarray(weights[rid], dtype=float) for rid in ids]
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    flat = np.concatenate(rows) if rows else np.zeros(0)
+    totals = RunSums(lengths)(flat)
+    draw = ~(totals <= 0)
+    picks = np.zeros(len(ids), dtype=np.intp)
+    if draw.any():
+        # Zero padding leaves each row's cumulative sums unchanged and its
+        # padded cdf entries at 1.0, which no draw in [0, 1) reaches.
+        padded = np.zeros((len(ids), int(lengths.max())))
+        padded[np.arange(padded.shape[1]) < lengths[:, None]] = flat
+        probs = padded[draw] / totals[draw][:, None]
+        _check_probabilities(probs)
+        cdf = probs.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        u = gen.random(int(draw.sum()))
+        picks[draw] = (cdf <= u[:, None]).sum(axis=1)
+    return dict(zip(ids, picks.tolist()))
+
+
+def _check_probabilities(probs: np.ndarray) -> None:
+    """``Generator.choice``'s checks on its ``p``, one row per request."""
+    bad_nan = np.isnan(probs).any(axis=1)
+    bad_neg = (probs < 0).any(axis=1)
+    bad_sum = np.abs(probs.sum(axis=1) - 1.0) > _PROB_ATOL
+    bad = np.flatnonzero(bad_nan | bad_neg | bad_sum)
+    if bad.size:
+        row = int(bad[0])
+        if bad_nan[row]:
+            raise ValueError("Probabilities contain NaN")
+        if bad_neg[row]:
+            raise ValueError("Probabilities are not non-negative")
+        raise ValueError("Probabilities do not sum to 1")
 
 
 def solve_maa(
@@ -179,54 +222,84 @@ def solve_maa(
     )
 
 
-class ImproveMemo:
-    """Cross-call static caches for :func:`improve_paths`.
+class _RequestMoves:
+    """One request's move tables, built on first use (see ImproveMemo)."""
 
-    Two things about a request never change between improve calls: the
-    sorted edge union of any (current, candidate) path pair — and where
-    each path's edges land inside it — and the union of *all* its
-    candidate-path edges (the only loads a re-evaluation of that request
-    can read).  Metis calls ``improve_paths`` ``maa_rounds * theta`` times
-    over shrinking subsets of one request population, so a memo shared
-    across those calls pays the ``np.unique``/``searchsorted`` cost once
-    per (request, path-pair) ever.
+    __slots__ = ("path_edges", "touch", "tables")
 
-    Passing a memo also switches on dirty-edge skipping *within* a call
-    (see :func:`improve_paths`).  A memo is only valid across instances
-    that share ``path_edges`` arrays by identity — exactly what
-    :meth:`~repro.core.instance.SPMInstance.restrict` chains guarantee;
-    never share one across unrelated instances.
-    """
+    def __init__(self, path_edges: list[np.ndarray]) -> None:
+        self.path_edges = path_edges
+        #: Every edge any candidate path uses: all a move evaluation reads.
+        self.touch = np.unique(np.concatenate(path_edges))
+        self.tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    __slots__ = ("_unions", "_touch")
+    def table(self, current: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(edges, codes, lengths)`` of every move away from ``current``.
 
-    def __init__(self) -> None:
-        self._unions: dict[tuple, tuple] = {}
-        self._touch: dict[int, np.ndarray] = {}
-
-    def union(self, instance: SPMInstance, rid: int, cur: int, cand: int):
-        """``(affected, cur_pos, cand_pos)`` for a path-pair evaluation."""
-        key = (rid, cur, cand)
-        entry = self._unions.get(key)
+        Candidates are every other path in index order.  For each, the
+        sorted union of its and the current path's edges is appended to
+        ``edges`` (its size to ``lengths``) with a code per edge: bit 0
+        set when the current path uses it, bit 1 when the candidate does.
+        """
+        entry = self.tables.get(current)
         if entry is None:
-            cur_edges = instance.path_edges[rid][cur]
-            cand_edges = instance.path_edges[rid][cand]
-            affected = np.unique(np.concatenate([cur_edges, cand_edges]))
+            on_cur = set(self.path_edges[current].tolist())
+            edges: list[int] = []
+            codes: list[int] = []
+            lengths: list[int] = []
+            for idx, path in enumerate(self.path_edges):
+                if idx == current:
+                    continue
+                on_cand = set(path.tolist())
+                union = sorted(on_cur | on_cand)
+                edges.extend(union)
+                codes.extend((e in on_cur) | (e in on_cand) << 1 for e in union)
+                lengths.append(len(union))
             entry = (
-                affected,
-                np.searchsorted(affected, cur_edges),
-                np.searchsorted(affected, cand_edges),
+                np.array(edges, dtype=np.intp),
+                np.array(codes, dtype=np.int8),
+                np.array(lengths, dtype=np.intp),
             )
-            self._unions[key] = entry
+            self.tables[current] = entry
         return entry
 
-    def touch_edges(self, instance: SPMInstance, rid: int) -> np.ndarray:
-        """Every edge any candidate path of ``rid`` can load."""
-        arr = self._touch.get(rid)
-        if arr is None:
-            arr = np.unique(np.concatenate(instance.path_edges[rid]))
-            self._touch[rid] = arr
-        return arr
+
+class ImproveMemo:
+    """Cross-call move tables for :func:`improve_paths`.
+
+    What a move evaluation needs besides the loads never changes for a
+    request: for each (current path, candidate) pair, the sorted union of
+    the two paths' edges and which path uses each.  Metis calls
+    ``improve_paths`` ``maa_rounds * theta`` times over shrinking subsets
+    of one request population, so a memo shared across those calls builds
+    each request's tables once per solve.  Without one, every call builds
+    its own.
+
+    Tables are keyed by request id, so a memo is only valid across
+    instances that share each request's ``path_edges`` list by identity —
+    exactly what :meth:`~repro.core.instance.SPMInstance.restrict` and
+    :meth:`~repro.core.instance.SPMInstance.reprice` views guarantee.  The
+    memo records each list it saw and raises :class:`ValueError` when an
+    instance brings a different one for the same request id.
+    """
+
+    __slots__ = ("_requests",)
+
+    def __init__(self) -> None:
+        self._requests: dict[int, _RequestMoves] = {}
+
+    def moves(self, instance: SPMInstance, rid: int) -> _RequestMoves:
+        """Request ``rid``'s move tables, checked against ``instance``."""
+        path_edges = instance.path_edges[rid]
+        entry = self._requests.get(rid)
+        if entry is None:
+            entry = self._requests[rid] = _RequestMoves(path_edges)
+        elif entry.path_edges is not path_edges:
+            raise ValueError(
+                f"ImproveMemo reused across unrelated instances: request "
+                f"{rid} has different path_edges than when it was memoized"
+            )
+        return entry
 
 
 def improve_paths(
@@ -240,107 +313,94 @@ def improve_paths(
 
     Not part of Algorithm 1 — a practical post-pass used inside Metis: for
     each assigned request in turn, try each alternate candidate path and
-    keep the move iff the total integer-charged cost strictly decreases.
-    Loops until a fixpoint or ``max_passes`` full sweeps.  Returns a new
-    assignment; the input is not mutated.
+    keep the best move iff the total integer-charged cost strictly
+    decreases.  Loops until a fixpoint or ``max_passes`` full sweeps.
+    Returns a new assignment; the input is not mutated.
 
-    Candidate moves are evaluated *without mutating* the shared load
-    matrix: the affected rows are copied, the move applied to the copy in
-    the same operation order a real move uses, and the charged costs
-    compared.  Only an accepted move touches ``loads``.  Evaluations
-    therefore depend solely on the current loads of the request's own
-    candidate edges — which makes the following sound:
+    Each sweep is replayed in batches by
+    :func:`~repro.core.sweep.run_sweep`: one numpy pass evaluates every
+    remaining request's candidates against the current loads, and a
+    request is re-evaluated only after an accepted move changed an edge
+    one of its candidates uses.  A candidate's cost delta is computed as
+    the scalar descent computed it — the affected rows with the move
+    applied in the same operation order (``(x - rate) + rate`` on edges
+    both paths share), ``ceil(peak - 1e-9)`` charged per edge, and each
+    sum in numpy's 1-D order — so every move, sweep and final assignment
+    is the scalar descent's, bit for bit.  The cost before a move comes
+    from a per-edge charged-cost vector updated on each accepted move.
 
-    With a ``memo``, requests whose candidate-edge neighborhood has not
-    changed since their last evaluation are skipped.  A skipped request
-    would re-derive byte-for-byte the same deltas from byte-for-byte the
-    same loads and reach the same "no move" decision, so the descent
-    trajectory — every move, every sweep, the final assignment — is
-    identical to the exhaustive scan.  In the typical Metis profile the
-    final sweep is a full no-op, and dirty-skipping eliminates almost all
-    of it.
-
-    Complexity is ``O(max_passes * K * L * h * T)`` where ``h`` bounds path
-    length — the dominant non-LP cost of the Metis inner loop.
+    ``memo`` carries the per-request move tables across calls (see
+    :class:`ImproveMemo`).
     """
     if max_passes < 1:
         raise ValueError(f"max_passes must be >= 1, got {max_passes}")
+    if memo is None:
+        memo = ImproveMemo()
     assignment = dict(assignment)
-    loads = instance.loads(assignment)
+    live, moves = [], []
+    for req in instance.requests:
+        if assignment[req.request_id] is not None:
+            entry = memo.moves(instance, req.request_id)
+            if len(entry.path_edges) >= 2:
+                live.append(req)
+                moves.append(entry)
+    if not live:
+        return assignment
+    current = np.array([assignment[req.request_id] for req in live])
     prices = instance.prices
+    loads = instance.loads(assignment).T.copy()
+    charged = prices * np.ceil(loads.max(axis=0) - _CEIL_TOL).clip(min=0)
 
-    def cost_of(edge_indices: np.ndarray) -> float:
-        peaks = loads[edge_indices].max(axis=1)
-        return float(
-            (prices[edge_indices] * np.ceil(peaks - 1e-9).clip(min=0)).sum()
-        )
+    def apply(q: int, best: int) -> np.ndarray:
+        req = live[q]
+        paths = moves[q].path_edges
+        old_edges = paths[current[q]]
+        new_edges = paths[best]
+        window = slice(req.start, req.end + 1)
+        loads[window, old_edges] -= req.rate
+        loads[window, new_edges] += req.rate
+        assignment[req.request_id] = best
+        current[q] = best
+        changed = np.concatenate([old_edges, new_edges])
+        charged[changed] = prices[changed] * np.ceil(
+            loads[:, changed].max(axis=0) - _CEIL_TOL
+        ).clip(min=0)
+        return changed
 
-    track = memo is not None
-    if track:
-        # Edge-modification clock: version[e] is the tick of the last move
-        # touching edge e; stamps[rid] is the clock when rid was last
-        # evaluated.  A request is clean iff none of its candidate edges
-        # moved since — its own accepted move bumps its edges, so a moved
-        # request always re-evaluates next sweep.
-        version = np.zeros(instance.num_edges, dtype=np.int64)
-        stamps: dict[int, int] = {}
-        tick = 0
-
+    touches = [entry.touch for entry in moves]
     for _ in range(max_passes):
-        changed = False
-        for req in instance.requests:
-            rid = req.request_id
-            current = assignment[rid]
-            if current is None or instance.num_paths(rid) < 2:
-                continue
-            if track:
-                stamp = stamps.get(rid)
-                if stamp is not None:
-                    touch = memo.touch_edges(instance, rid)
-                    if not touch.size or version[touch].max() <= stamp:
-                        continue
-                stamps[rid] = tick
-            window = slice(req.start, req.end + 1)
-            cur_edges = instance.path_edges[rid][current]
-            rate = req.rate
-            best_path = current
-            best_delta = -1e-12
-            for candidate in range(instance.num_paths(rid)):
-                if candidate == current:
-                    continue
-                if memo is not None:
-                    affected, cur_pos, cand_pos = memo.union(
-                        instance, rid, current, candidate
-                    )
-                else:
-                    cand_edges = instance.path_edges[rid][candidate]
-                    affected = np.unique(
-                        np.concatenate([cur_edges, cand_edges])
-                    )
-                    cur_pos = np.searchsorted(affected, cur_edges)
-                    cand_pos = np.searchsorted(affected, cand_edges)
-                before = cost_of(affected)
-                block = loads[affected]
-                block[cur_pos, window] -= rate
-                block[cand_pos, window] += rate
-                peaks = block.max(axis=1)
-                after = float(
-                    (prices[affected] * np.ceil(peaks - 1e-9).clip(min=0)).sum()
-                )
-                delta = after - before
-                if delta < best_delta:
-                    best_delta = delta
-                    best_path = candidate
-            if best_path != current:
-                new_edges = instance.path_edges[rid][best_path]
-                loads[cur_edges, window] -= rate
-                loads[new_edges, window] += rate
-                assignment[rid] = best_path
-                changed = True
-                if track:
-                    tick += 1
-                    version[cur_edges] = tick
-                    version[new_edges] = tick
-        if not changed:
+        tables = [entry.table(c) for entry, c in zip(moves, current.tolist())]
+        edges = np.concatenate([t[0] for t in tables])
+        codes = np.concatenate([t[1] for t in tables])
+        sums = RunSums(np.concatenate([t[2] for t in tables]))
+        rows_per = np.array([t[0].size for t in tables])
+        cands_per = np.array([t[2].size for t in tables])
+        # Each candidate's request position and rank among its candidates.
+        owner = np.repeat(np.arange(len(live)), cands_per)
+        rank = np.arange(owner.size) - np.repeat(
+            np.cumsum(cands_per) - cands_per, cands_per
+        )
+        # The move as per-cell addends: the request's rate inside its
+        # window on edges the current path leaves / the candidate enters.
+        # A shared edge still gets ``(x - rate) + rate``.
+        rated = window_rates(live, rows_per, instance.num_slots)
+        leave = np.where((codes & 1).astype(bool), rated, 0.0)
+        enter = np.where((codes & 2).astype(bool), rated, 0.0)
+        edge_prices = prices[edges]
+        delta = np.full((len(live), int(cands_per.max())), np.inf)
+
+        def evaluate() -> np.ndarray:
+            block = loads.take(edges, axis=1)
+            block -= leave
+            block += enter
+            peaks = block.max(axis=0)
+            after = edge_prices * np.ceil(peaks - _CEIL_TOL).clip(min=0)
+            totals = sums(np.stack([after, charged[edges]]))
+            delta[owner, rank] = totals[0] - totals[1]
+            pick = delta.argmin(axis=1)
+            gain = delta.min(axis=1)
+            return np.where(gain < -_MIN_GAIN, pick + (pick >= current), -1)
+
+        if not run_sweep(touches, instance.num_edges, evaluate, apply):
             break
     return assignment

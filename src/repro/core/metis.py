@@ -40,6 +40,7 @@ import numpy as np
 from repro.core.instance import SPMInstance
 from repro.core.maa import ImproveMemo, improve_paths, solve_maa
 from repro.core.schedule import Schedule
+from repro.core.sweep import RunSums, run_sweep, window_rates
 from repro.core.taa import solve_taa
 from repro.util.rng import ensure_rng
 
@@ -65,19 +66,19 @@ def prune_unprofitable(instance: SPMInstance, schedule: Schedule) -> Schedule:
     marginal cost exceeds its bid.  Returns a new schedule; the input is
     untouched.  Profit never decreases: each removal changes profit by
     ``saving - value > 0``.
+
+    Each pass is replayed in batches by
+    :func:`~repro.core.sweep.run_sweep`: one numpy pass computes every
+    remaining request's saving from the current loads, and a request is
+    re-evaluated only after a removal changed an edge of its path.  A
+    saving is derived without touching the working loads (the load with
+    the request removed is ``x - rate`` inside its window), each sum in
+    numpy's 1-D order, so the removals are those of examining one request
+    at a time.
     """
     assignment = dict(schedule.assignment)
-    loads = schedule.loads.copy()
+    loads = schedule.loads.T.copy()
     prices = instance.prices
-
-    def marginal_saving(req, path_idx: int) -> float:
-        window = slice(req.start, req.end + 1)
-        edge_indices = instance.path_edges[req.request_id][path_idx]
-        before = np.ceil(loads[edge_indices].max(axis=1) - 1e-9).clip(min=0)
-        loads[edge_indices, window] -= req.rate
-        after = np.ceil(loads[edge_indices].max(axis=1) - 1e-9).clip(min=0)
-        loads[edge_indices, window] += req.rate
-        return float((prices[edge_indices] * (before - after)).sum())
 
     # Sort once; later passes walk the same order skipping removed
     # entries.  Stable sort of the survivors equals the survivor
@@ -92,18 +93,34 @@ def prune_unprofitable(instance: SPMInstance, schedule: Schedule) -> Schedule:
         key=lambda r: r.value,
     )
     while True:
-        removed_any = False
-        for req in order:
-            path_idx = assignment[req.request_id]
-            if path_idx is None:
-                continue
-            if marginal_saving(req, path_idx) > req.value:
-                window = slice(req.start, req.end + 1)
-                edge_indices = instance.path_edges[req.request_id][path_idx]
-                loads[edge_indices, window] -= req.rate
-                assignment[req.request_id] = None
-                removed_any = True
-        if not removed_any:
+        live = [req for req in order if assignment[req.request_id] is not None]
+        if not live:
+            return Schedule(instance, assignment)
+        paths = [
+            instance.path_edges[req.request_id][assignment[req.request_id]]
+            for req in live
+        ]
+        hops = np.array([path.size for path in paths])
+        edges = np.concatenate(paths)
+        edge_prices = prices[edges]
+        values = np.array([req.value for req in live])
+        sums = RunSums(hops)
+        own = window_rates(live, hops, instance.num_slots)
+
+        def evaluate() -> np.ndarray:
+            block = loads.take(edges, axis=1)
+            before = np.ceil(block.max(axis=0) - 1e-9).clip(min=0)
+            after = np.ceil((block - own).max(axis=0) - 1e-9).clip(min=0)
+            saving = sums(edge_prices * (before - after))
+            return np.where(saving > values, 0, -1)
+
+        def remove(q: int, _action: int) -> np.ndarray:
+            req = live[q]
+            loads[req.start : req.end + 1, paths[q]] -= req.rate
+            assignment[req.request_id] = None
+            return paths[q]
+
+        if not run_sweep(paths, instance.num_edges, evaluate, remove):
             return Schedule(instance, assignment)
 
 EdgeKey = tuple
