@@ -29,7 +29,6 @@ from repro.core.online import (
     IncrementalBatchCompiler,
     OnlineOutcome,
     OnlineScheduler,
-    decide_batch,
     solve_batch,
 )
 from repro.core.flexible import FlexibleResult, flexibility_gain, solve_flexible_spm
@@ -65,7 +64,6 @@ __all__ = [
     "OnlineScheduler",
     "BatchDecision",
     "IncrementalBatchCompiler",
-    "decide_batch",
     "solve_batch",
     "FlexibleResult",
     "solve_flexible_spm",

@@ -57,7 +57,6 @@ __all__ = [
     "IncrementalBatchCompiler",
     "build_incremental_spm",
     "solve_batch",
-    "decide_batch",
     "commit_decision",
 ]
 
@@ -316,7 +315,12 @@ def solve_batch(
     fast_path: bool = True,
     lp_screen: bool = False,
 ) -> BatchDecision:
-    """Decide one arrival batch; the full-provenance form of :func:`decide_batch`.
+    """Decide one arrival batch: a chosen path (or ``None``) per position.
+
+    State arrays are not mutated — apply the returned decision with
+    :func:`commit_decision`.  The pure state-in/decision-out shape is
+    what lets :mod:`repro.service` cache decisions and ship them across
+    solver worker processes.
 
     With ``fast_path`` (default) the MILP is assembled by the instance's
     cached :class:`IncrementalBatchCompiler`; otherwise by the reference
@@ -412,41 +416,6 @@ def _choices_from_values(
                 break
         choices.append(chosen)
     return tuple(choices)
-
-
-def decide_batch(
-    instance: SPMInstance,
-    batch_ids: list[int],
-    committed_loads: np.ndarray,
-    charged: np.ndarray,
-    *,
-    time_limit: float | None = None,
-    check_cancelled=None,
-    accept_feasible: bool = True,
-    fast_path: bool = True,
-    lp_screen: bool = False,
-) -> list[int | None]:
-    """Decide one arrival batch; chosen path index (or ``None``) per position.
-
-    Thin list-returning wrapper over :func:`solve_batch` (same keyword
-    semantics, including the sound ``lp_screen`` relaxation-bound skip).
-    State arrays are not mutated — apply the returned decision
-    with :func:`commit_decision`.  The pure state-in/decision-out shape is
-    what lets :mod:`repro.service` cache decisions and ship them across
-    solver worker processes.
-    """
-    decision = solve_batch(
-        instance,
-        batch_ids,
-        committed_loads,
-        charged,
-        time_limit=time_limit,
-        check_cancelled=check_cancelled,
-        accept_feasible=accept_feasible,
-        fast_path=fast_path,
-        lp_screen=lp_screen,
-    )
-    return list(decision.choices)
 
 
 def commit_decision(

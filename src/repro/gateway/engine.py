@@ -1,146 +1,36 @@
-"""The live cycle engine: ``run_cycle``'s core, fed one window at a time.
+"""The live cycle engine: the gateway's :class:`CycleEngine`.
 
-The broker's :func:`~repro.service.broker.run_cycle` assumes the whole
-cycle's :class:`RequestSet` exists up front — it keys arrivals by start
-slot and walks a clock.  A live gateway only learns what arrived when a
-real window closes, so :class:`LiveCycleEngine` inverts the control flow:
-the server pushes each window's drained batch into :meth:`decide` and the
-engine maintains exactly the state ``run_cycle`` would — committed loads,
-charged integer units, the assignment, per-batch telemetry records —
-using the *same* primitives (:func:`solve_batch` / :func:`commit_decision`
-and the shared :class:`~repro.service.cache.DecisionCache`).  Edge
-indexing is derived from the topology alone, so per-batch
-:class:`SPMInstance`\\ s all agree on the ledger arrays.
+A live gateway only learns what arrived when a real window closes, so
+it pushes each window's drained batch into
+:meth:`LiveCycleEngine.decide` — the same
+:class:`~repro.service.broker.CycleEngine` kernel the broker's
+:func:`~repro.service.broker.run_cycle` drives.  :meth:`close_cycle`
+returns an ordinary :class:`~repro.service.broker.CycleResult`, which is
+what lets the durability layer journal gateway cycles through the exact
+same ``batch``/``cycle`` records — and the WAL crash matrix — as broker
+runs.
 
-:meth:`close_cycle` returns an ordinary
-:class:`~repro.service.broker.CycleResult`, which is what lets the
-durability layer journal gateway cycles through the exact same
-``batch``/``cycle`` records — and the WAL crash matrix — as broker runs.
+What is gateway-specific is input from outside the program: a bid id
+already decided this cycle is refused with a :class:`GatewayError`.
 """
 
 from __future__ import annotations
 
-import hashlib
-import time
-
-import numpy as np
-
-from repro.core.instance import SPMInstance
-from repro.core.online import commit_decision, solve_batch
-from repro.exceptions import GatewayError, SolverTimeoutError
-from repro.lp.result import SolveStatus
-from repro.net.topology import Topology
-from repro.resilience import CircuitBreaker, CycleBudget, DegradationLadder
-from repro.service.broker import CycleResult
-from repro.service.cache import DecisionCache
-from repro.service.telemetry import BatchRecord
-from repro.workload.request import Request, RequestSet
+# Both names stay bound here for perfbench/spans.py, which wraps them.
+from repro.core.online import commit_decision, solve_batch  # noqa: F401
+from repro.exceptions import GatewayError
+from repro.service.broker import CycleEngine
+from repro.workload.request import Request
 
 __all__ = ["LiveCycleEngine"]
 
 
-class LiveCycleEngine:
+class LiveCycleEngine(CycleEngine):
     """Streaming admission state for one gateway (cycle after cycle)."""
 
-    def __init__(
-        self,
-        topology: Topology,
-        slots_per_cycle: int,
-        *,
-        k_paths: int = 3,
-        time_limit: float | None = None,
-        cache: DecisionCache | None = None,
-        max_batch: int | None = None,
-        fast_path: bool = True,
-        on_batch=None,
-        budget: CycleBudget | None = None,
-        breaker: CircuitBreaker | None = None,
-        check_cancelled=None,
-    ) -> None:
-        if slots_per_cycle < 1:
-            raise ValueError(f"slots_per_cycle must be >= 1, got {slots_per_cycle}")
-        if max_batch is not None and max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1 or None, got {max_batch}")
-        self.topology = topology
-        self.slots_per_cycle = slots_per_cycle
-        self.k_paths = k_paths
-        self.time_limit = time_limit
-        self.cache = cache
-        self.max_batch = max_batch
-        self.fast_path = fast_path
-        #: Shared wall-clock deadline for each cycle's solves; re-armed by
-        #: :meth:`start_cycle`.  With a budget (or breaker) set, decisions
-        #: route through a :class:`DegradationLadder` instead of the bare
-        #: exact solve, so every window commits before the deadline.
-        self.budget = budget
-        self.breaker = breaker
-        self.check_cancelled = check_cancelled
-        self.ladder: DegradationLadder | None = None
-        if budget is not None or breaker is not None:
-            self.ladder = DegradationLadder(
-                budget=budget,
-                breaker=breaker,
-                time_limit=time_limit,
-                fast_path=fast_path,
-            )
-        #: Invoked with each committed :class:`BatchRecord` — the same
-        #: write-ahead hook ``run_cycle`` offers the durability layer.
-        self.on_batch = on_batch
-
-        self.edges = [e.key for e in topology.edges]
-        self.prices = np.array([topology.price(*key) for key in self.edges])
-        #: Optional per-edge dual surcharge: when set (by the sharded
-        #: gateway's bandwidth ledger), decisions are solved against the
-        #: effective prices ``prices + dual_prices`` while revenue, cost
-        #: and the charged ledger stay on the true prices — the same
-        #: steering contract as ``run_cycle(dual_prices=...)``.
-        self.dual_prices: np.ndarray | None = None
-        #: (source, dest) -> candidate paths, shared across every batch
-        #: instance this engine ever builds.
-        self._path_cache: dict[tuple, list] = {}
-        self.cycle = -1
-        self.start_cycle(0)
-
-    # ------------------------------------------------------------- lifecycle
-
-    def start_cycle(self, cycle_index: int) -> None:
-        """Open a fresh billing cycle: empty ledgers, empty assignment."""
-        if cycle_index <= self.cycle:
-            raise GatewayError(
-                f"cycles must advance: {cycle_index} after {self.cycle}"
-            )
-        self.cycle = cycle_index
-        if self.budget is not None:
-            self.budget.restart()
-        num_edges = len(self.edges)
-        self.committed = np.zeros((num_edges, self.slots_per_cycle))
-        self.charged = np.zeros(num_edges)
-        self.assignment: dict[int, int | None] = {}
-        self.requests: list[Request] = []
-        self.batches: list[BatchRecord] = []
-        self.revenue = 0.0
-        self.shed = 0
-        self._opened_at = time.perf_counter()
-
     def seen(self, request_id: int) -> bool:
-        """Was ``request_id`` already decided (or pending) this cycle?"""
+        """Was ``request_id`` already decided this cycle?"""
         return request_id in self.assignment
-
-    # -------------------------------------------------------------- deciding
-
-    def _batch_instance(self, batch: list[Request]) -> SPMInstance:
-        requests = RequestSet(batch, self.slots_per_cycle)
-        paths = {}
-        for req in batch:
-            key = (req.source, req.dest)
-            cached = self._path_cache.get(key)
-            if cached is None:
-                cached = self.topology.candidate_paths(
-                    req.source, req.dest, k=self.k_paths
-                )
-                self._path_cache[key] = cached
-            paths[req.request_id] = cached
-        return SPMInstance(self.topology, requests, paths)
 
     def decide(
         self,
@@ -149,175 +39,15 @@ class LiveCycleEngine:
         window_start: int,
         window_shed: int = 0,
     ) -> list[int | None]:
-        """Decide one closed window's arrivals; returns a choice per bid.
-
-        Splits the window into ``max_batch``-bounded MILPs exactly like
-        ``run_cycle``, attaches ``window_shed`` to the window's first
-        record (or a shed-only record when everything was shed), commits
-        every acceptance into the cycle ledgers, and fires ``on_batch``
-        per record the moment it is decided.
-        """
-        self.shed += window_shed
-        choices: list[int | None] = []
-        drained_any = False
-        offset = 0
-        while offset < len(batch):
-            limit = len(batch) if self.max_batch is None else self.max_batch
-            chunk = batch[offset : offset + limit]
-            offset += len(chunk)
-            chunk_ids = [req.request_id for req in chunk]
-            for req in chunk:
-                if req.request_id in self.assignment:
-                    raise GatewayError(
-                        f"request_id {req.request_id} already decided in "
-                        f"cycle {self.cycle}"
-                    )
-            instance = self._batch_instance(chunk)
-            decision_instance = instance
-            dual_digest = b""
-            if self.dual_prices is not None and np.any(self.dual_prices):
-                decision_instance = instance.reprice(
-                    instance.prices + self.dual_prices
+        """Decide one closed window; refuses bid ids already decided."""
+        fresh: set[int] = set()
+        for req in batch:
+            if req.request_id in self.assignment or req.request_id in fresh:
+                raise GatewayError(
+                    f"request_id {req.request_id} already decided in "
+                    f"cycle {self.cycle}"
                 )
-                dual_digest = hashlib.blake2b(
-                    np.ascontiguousarray(self.dual_prices).tobytes(),
-                    digest_size=16,
-                ).digest()
-            solver_start = time.perf_counter()
-            decision = None
-            hit = False
-            timed_out = False
-            suboptimal = False
-            rung = "cache"
-            key = None
-            if self.cache is not None:
-                key = self.cache.make_key(
-                    instance, chunk_ids, self.committed, self.charged
-                )
-                if dual_digest:
-                    key = (key[0] + dual_digest, key[1])
-                decision = self.cache.get(key)
-                hit = decision is not None
-            if decision is None and self.ladder is not None:
-                outcome = self.ladder.decide(
-                    decision_instance,
-                    chunk_ids,
-                    self.committed,
-                    self.charged,
-                    check_cancelled=self.check_cancelled,
-                )
-                decision = list(outcome.choices)
-                timed_out = outcome.timed_out
-                suboptimal = outcome.suboptimal
-                rung = outcome.rung
-                if self.cache is not None and outcome.cacheable:
-                    self.cache.put(key, decision)
-            elif decision is None:
-                rung = "exact"
-                try:
-                    outcome = solve_batch(
-                        decision_instance,
-                        chunk_ids,
-                        self.committed,
-                        self.charged,
-                        time_limit=self.time_limit,
-                        check_cancelled=self.check_cancelled,
-                        fast_path=self.fast_path,
-                    )
-                except SolverTimeoutError:
-                    decision = [None] * len(chunk_ids)
-                    timed_out = True
-                else:
-                    decision = list(outcome.choices)
-                    suboptimal = outcome.suboptimal
-                    if self.cache is not None and outcome.status is SolveStatus.OPTIMAL:
-                        self.cache.put(key, decision)
-            solver_seconds = time.perf_counter() - solver_start
-
-            cost_before = float(self.prices @ self.charged)
-            accepted = commit_decision(
-                instance, chunk_ids, decision, self.committed, self.charged
-            )
-            cost_after = float(self.prices @ self.charged)
-            self.assignment.update(zip(chunk_ids, decision))
-            self.requests.extend(chunk)
-            revenue = sum(
-                req.value
-                for req, path in zip(chunk, decision)
-                if path is not None
-            )
-            self.revenue += revenue
-            record = BatchRecord(
-                cycle=self.cycle,
-                window_start=window_start,
-                size=len(chunk_ids),
-                accepted=accepted,
-                declined=len(chunk_ids) - accepted,
-                shed=0 if drained_any else window_shed,
-                revenue=revenue,
-                incremental_cost=cost_after - cost_before,
-                solver_seconds=solver_seconds,
-                cache_hit=hit,
-                timed_out=timed_out,
-                suboptimal=suboptimal,
-                rung=rung,
-            )
-            self._commit_record(record)
-            drained_any = True
-            choices.extend(decision)
-        if window_shed and not drained_any:
-            # Every arrival of the window was shed: record it anyway,
-            # mirroring run_cycle's shed-only records.
-            self._commit_record(
-                BatchRecord(
-                    cycle=self.cycle,
-                    window_start=window_start,
-                    size=0,
-                    accepted=0,
-                    declined=0,
-                    shed=window_shed,
-                    revenue=0.0,
-                    incremental_cost=0.0,
-                    solver_seconds=0.0,
-                    cache_hit=False,
-                    rung="shed",
-                )
-            )
-        return choices
-
-    def _commit_record(self, record: BatchRecord) -> None:
-        self.batches.append(record)
-        if self.on_batch is not None:
-            self.on_batch(record)
-
-    # --------------------------------------------------------------- closing
-
-    def close_cycle(self) -> CycleResult:
-        """Finalize the open cycle into a :class:`CycleResult`.
-
-        Revenue is the sum of accepted bids and cost is ``prices ·
-        charged`` — identical to the Schedule-based accounting of
-        ``run_cycle`` because :func:`commit_decision` already ratchets
-        ``charged`` to the ceiling of every realized peak.
-        """
-        accepted = sum(1 for path in self.assignment.values() if path is not None)
-        declined = len(self.assignment) - accepted
-        cost = float(self.prices @ self.charged)
-        return CycleResult(
-            cycle=self.cycle,
-            num_requests=len(self.assignment) + self.shed,
-            accepted=accepted,
-            declined=declined,
-            shed=self.shed,
-            revenue=self.revenue,
-            cost=cost,
-            profit=self.revenue - cost,
-            wall_seconds=time.perf_counter() - self._opened_at,
-            batches=list(self.batches),
-            assignment=dict(self.assignment),
-            purchased={
-                int(edge): float(units)
-                for edge, units in enumerate(self.charged)
-                if units
-            },
+            fresh.add(req.request_id)
+        return super().decide(
+            batch, window_start=window_start, window_shed=window_shed
         )

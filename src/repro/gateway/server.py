@@ -10,10 +10,11 @@ architecture is one event loop with three kinds of actors:
   full — shed it with an immediate response;
 * **one decision loop** sleeps to :class:`~repro.gateway.WallClock`
   deadlines; at each admission-window close it drains the queue and
-  decides the batch exactly through :class:`LiveCycleEngine` (the same
-  incremental MILP, decision cache and integer-unit charging as the
-  offline-clocked broker), then routes each verdict back through its
-  connection's bounded :class:`ResponseChannel`;
+  decides the batch through :class:`LiveCycleEngine` (the broker's
+  :class:`~repro.service.broker.CycleEngine`: the same decision cache,
+  degradation ladder and integer-unit charging), then routes each
+  verdict back through its connection's bounded
+  :class:`ResponseChannel`;
 * **connection writers** (one per client) pump responses with real
   ``drain()`` backpressure; a reader too slow to keep up overflows its
   channel and is disconnected rather than allowed to stall decisions.
@@ -106,7 +107,6 @@ class GatewayConfig:
     max_batch: int | None = 16
     cache_size: int = 1024
     conn_buffer: int = 4096
-    fast_path: bool = True
     wal_path: str | Path | None = None
     snapshot_every: int = 1
     fsync: str = "batch"
@@ -201,7 +201,6 @@ class GatewayConfig:
             time_limit=self.time_limit,
             queue_capacity=self.queue_capacity,
             max_batch=self.max_batch,
-            fast_path=self.fast_path,
             wal_path=self.wal_path,
             snapshot_every=self.snapshot_every,
             fsync=self.fsync,
@@ -281,6 +280,8 @@ class GatewayServer:
         self.arrivals = PushSource(self.config.slots_per_cycle)
         self.crashed: BaseException | None = None
         self._engine: LiveCycleEngine | None = None
+        self._budget: CycleBudget | None = None
+        self._breakers: list[CircuitBreaker | None] = []
         self._clock: WallClock | None = None
         self._queue = AdmissionQueue(self.config.queue_capacity)
         self._pending_ids: set[int] = set()
@@ -358,7 +359,7 @@ class GatewayServer:
         cache = (
             DecisionCache(config.cache_size) if config.cache_size > 0 else None
         )
-        budget = (
+        self._budget = (
             CycleBudget(config.cycle_budget)
             if config.cycle_budget is not None
             else None
@@ -370,6 +371,15 @@ class GatewayServer:
             def check_cancelled() -> None:
                 faults.maybe_hang_solver()
 
+        options = dict(
+            k_paths=config.k_paths,
+            time_limit=config.time_limit,
+            cache=cache,
+            max_batch=config.max_batch,
+            on_batch=self._on_batch,
+            budget=self._budget,
+            check_cancelled=check_cancelled,
+        )
         if config.shards > 1:
             from repro.shard.live import ShardedLiveEngine
 
@@ -378,17 +388,11 @@ class GatewayServer:
                 config.slots_per_cycle,
                 shards=config.shards,
                 partition=config.partition,
-                k_paths=config.k_paths,
-                time_limit=config.time_limit,
-                cache=cache,
-                max_batch=config.max_batch,
-                fast_path=config.fast_path,
-                on_batch=self._on_batch,
-                budget=budget,
                 breaker_failures=config.breaker_failures,
                 breaker_reset=config.breaker_reset,
-                check_cancelled=check_cancelled,
+                **options,
             )
+            self._breakers = self._engine.breakers
         else:
             breaker = (
                 CircuitBreaker(
@@ -399,18 +403,9 @@ class GatewayServer:
                 else None
             )
             self._engine = LiveCycleEngine(
-                self.topology,
-                config.slots_per_cycle,
-                k_paths=config.k_paths,
-                time_limit=config.time_limit,
-                cache=cache,
-                max_batch=config.max_batch,
-                fast_path=config.fast_path,
-                on_batch=self._on_batch,
-                budget=budget,
-                breaker=breaker,
-                check_cancelled=check_cancelled,
+                self.topology, config.slots_per_cycle, breaker=breaker, **options
             )
+            self._breakers = [breaker]
         if next_cycle > 0:
             self._engine.start_cycle(next_cycle)
 
@@ -485,6 +480,8 @@ class GatewayServer:
                     return
                 cycle += 1
                 if config.num_cycles is None or cycle < config.num_cycles:
+                    if self._budget is not None:
+                        self._budget.restart()
                     self._engine.start_cycle(cycle)
         except SimulatedCrash as exc:
             # The fault harness "killed" us: leave everything un-flushed
@@ -592,21 +589,12 @@ class GatewayServer:
         self.telemetry.wal_bytes = (
             self._journal.size_bytes if self._journal is not None else 0
         )
-        engine = self._engine
-        if engine is not None:
-            fleet_counters = getattr(engine, "breaker_counters", None)
-            breaker = getattr(engine, "breaker", None)
-            if fleet_counters is not None:
-                totals = fleet_counters()
-                self.telemetry.breaker_opens = totals["opens"]
-                self.telemetry.breaker_failures = totals["failures"]
-                self.telemetry.breaker_probes = totals["probes"]
-                self.telemetry.breaker_short_circuits = totals["short_circuits"]
-            elif breaker is not None:
-                self.telemetry.breaker_opens = breaker.opens
-                self.telemetry.breaker_failures = breaker.failures
-                self.telemetry.breaker_probes = breaker.probes
-                self.telemetry.breaker_short_circuits = breaker.short_circuits
+        for breaker in self._breakers:
+            if breaker is not None:
+                self.telemetry.breaker_opens += breaker.opens
+                self.telemetry.breaker_failures += breaker.failures
+                self.telemetry.breaker_probes += breaker.probes
+                self.telemetry.breaker_short_circuits += breaker.short_circuits
         self.telemetry.snapshot_seconds = (
             self._writer.snapshot_seconds if self._writer is not None else 0.0
         )

@@ -17,6 +17,12 @@ the rungs above it no longer fit:
    non-negative margin.  No solver, microseconds, and by construction
    link-feasible and never worse than declining the batch.
 
+The two degraded rungs are armed only when a budget or a breaker is
+set.  Unarmed, the ladder has a fifth, bottom rung: **decline** — a
+limit-hit solve with no incumbent declines the whole batch, the
+unbudgeted serving behaviour.  Every serving engine decides through a
+ladder, so this is the only place a batch is decided.
+
 Every rung emits decisions in the same shape (`choices` tuple aligned
 with the batch), so :func:`repro.core.online.commit_decision` applies
 them identically and the WAL/telemetry layers only learn *which* rung
@@ -54,8 +60,9 @@ __all__ = [
 
 #: Rung names, best first.  ``exact`` and ``incumbent`` share the MILP
 #: dispatch (they differ only in solve status); ``lp_round`` and
-#: ``greedy`` are the degraded rungs.
-RUNGS = ("exact", "incumbent", "lp_round", "greedy")
+#: ``greedy`` are the degraded rungs; ``decline`` is the unarmed ladder's
+#: answer to a limit-hit solve with no incumbent.
+RUNGS = ("exact", "incumbent", "lp_round", "greedy", "decline")
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,6 @@ class LadderDecision:
     timed_out: bool = False
     suboptimal: bool = False
     cacheable: bool = False
-    objective: float | None = None
     #: The exact rung answered from the LP relaxation bound alone (a sound
     #: certificate — see ``lp_screen`` in :func:`repro.core.online.solve_batch`);
     #: the decision is still certified-optimal and cacheable.
@@ -130,7 +136,7 @@ def greedy_admission(
     minus incremental charged-unit cost) is non-negative; everyone else
     is declined.  The input state arrays are **not** mutated — the
     returned decision has the same shape as
-    :func:`repro.core.online.decide_batch` and is applied with
+    :func:`repro.core.online.solve_batch`'s choices and is applied with
     :func:`repro.core.online.commit_decision`.
 
     Guarantees (property-tested): the decision is link-feasible on any
@@ -236,6 +242,11 @@ class DegradationLadder:
     MILP dispatch.  ``time_limit`` is the static per-solve cap and keeps
     its meaning under a budget (the granted slice is clipped to it).
 
+    The degraded rungs are *armed* iff a budget or a breaker is set.  An
+    unarmed ladder answers a limit-hit solve with no incumbent by
+    declining the whole batch (rung ``decline``), so an unbudgeted run
+    never trades exactness for a heuristic answer.
+
     Per-rung decision counts accumulate in :attr:`counts` for telemetry.
     """
 
@@ -245,26 +256,24 @@ class DegradationLadder:
         budget: CycleBudget | None = None,
         breaker: CircuitBreaker | None = None,
         time_limit: float | None = None,
-        fast_path: bool = True,
         lp_screen: bool = False,
     ) -> None:
         self.budget = budget
         self.breaker = breaker
         self.time_limit = time_limit
-        self.fast_path = fast_path
         self.lp_screen = lp_screen
+        self.armed = budget is not None or breaker is not None
         self.counts: dict[str, int] = dict.fromkeys(RUNGS, 0)
-        #: Exact-rung decisions answered by the LP screen alone.
-        self.screened = 0
 
-    def _count(self, rung: str) -> None:
-        self.counts[rung] = self.counts.get(rung, 0) + 1
-
-    def solve_limit(self, *, shares: int = 1) -> float | None:
+    def solve_limit(self) -> float | None:
         """The time limit the exact rung would get right now."""
         if self.budget is None:
             return self.time_limit
-        return self.budget.solve_limit(shares=shares, cap=self.time_limit)
+        return self.budget.solve_limit(cap=self.time_limit)
+
+    def _decided(self, choices, rung: str, **flags) -> LadderDecision:
+        self.counts[rung] += 1
+        return LadderDecision(choices=tuple(choices), rung=rung, **flags)
 
     def decide(
         self,
@@ -273,93 +282,64 @@ class DegradationLadder:
         committed_loads: np.ndarray,
         charged: np.ndarray,
         *,
-        shares: int = 1,
         check_cancelled=None,
-        start: str = "exact",
     ) -> LadderDecision:
-        """Decide one batch, starting at ``start`` and degrading as needed.
+        """Decide one batch at the best rung that fits, degrading as needed."""
+        solve = True
+        if self.breaker is not None and not self.breaker.allow():
+            solve = False
+        elif self.budget is not None and not self.budget.affords_solver():
+            # Not enough budget for any solver dispatch: the answer must
+            # come from the microsecond rung.
+            solve = False
 
-        ``start="exact"`` is the normal entry; callers that already know
-        the exact rung failed (a pooled solve timed out, a worker died)
-        re-enter at ``start="lp_round"`` to skip straight to degraded
-        rungs.  ``shares`` forwards to the budget so sibling solves
-        (shards, price rounds) split the slice fairly.
-        """
-        if start not in RUNGS:
-            raise ValueError(f"unknown rung {start!r}, expected one of {RUNGS}")
-        rung_at = RUNGS.index(start)
         timed_out = False
-
-        if rung_at <= RUNGS.index("incumbent"):
-            if self.breaker is not None and not self.breaker.allow():
-                rung_at = RUNGS.index("greedy")
-            elif self.budget is not None and not self.budget.affords_solver(
-                shares=shares
-            ):
-                # Not enough budget for any solver dispatch: the answer
-                # must come from the microsecond rung.
-                rung_at = RUNGS.index("greedy")
-
-        if rung_at <= RUNGS.index("incumbent"):
+        if solve:
             try:
                 decided = solve_batch(
                     instance,
                     batch_ids,
                     committed_loads,
                     charged,
-                    time_limit=self.solve_limit(shares=shares),
+                    time_limit=self.solve_limit(),
                     check_cancelled=check_cancelled,
                     accept_feasible=True,
-                    fast_path=self.fast_path,
                     lp_screen=self.lp_screen,
                 )
             except SolverTimeoutError:
                 if self.breaker is not None:
                     self.breaker.record_failure()
                 timed_out = True
-                rung_at = RUNGS.index("lp_round")
             else:
                 if self.breaker is not None:
                     self.breaker.record_success()
                 exact = decided.status is SolveStatus.OPTIMAL
-                rung = "exact" if exact else "incumbent"
-                self._count(rung)
-                if decided.screened:
-                    self.screened += 1
-                return LadderDecision(
-                    choices=decided.choices,
-                    rung=rung,
+                return self._decided(
+                    decided.choices,
+                    "exact" if exact else "incumbent",
                     suboptimal=decided.suboptimal,
                     cacheable=exact,
-                    objective=decided.objective,
                     screened=decided.screened,
                 )
-
-        if rung_at <= RUNGS.index("lp_round") and (
-            self.budget is None or not self.budget.expired
-        ):
-            choices = lp_round_admission(
-                instance,
-                batch_ids,
-                committed_loads,
-                charged,
-                time_limit=self.solve_limit(shares=shares),
-                check_cancelled=check_cancelled,
-            )
-            if choices is not None:
-                self._count("lp_round")
-                return LadderDecision(
-                    choices=tuple(choices),
-                    rung="lp_round",
-                    timed_out=timed_out,
-                    suboptimal=True,
+            if not self.armed:
+                return self._decided(
+                    (None,) * len(batch_ids), "decline", timed_out=True
                 )
+            if self.budget is None or not self.budget.expired:
+                choices = lp_round_admission(
+                    instance,
+                    batch_ids,
+                    committed_loads,
+                    charged,
+                    time_limit=self.solve_limit(),
+                    check_cancelled=check_cancelled,
+                )
+                if choices is not None:
+                    return self._decided(
+                        choices, "lp_round", timed_out=True, suboptimal=True
+                    )
 
         choices = greedy_admission(instance, batch_ids, committed_loads, charged)
-        self._count("greedy")
-        return LadderDecision(
-            choices=tuple(choices),
-            rung="greedy",
-            timed_out=timed_out,
-            suboptimal=True,
+        return self._decided(
+            choices, "greedy", timed_out=timed_out, suboptimal=True
         )

@@ -11,6 +11,12 @@ and decides every batch *exactly* with the incremental MILP of
 charging the offline solutions use, so broker profit is directly
 comparable to (and upper-bounded by) offline OPT on the same instance.
 
+:class:`CycleEngine` is the single place a batch is decided: every
+serving path (this broker, the live gateway, both sharded engines)
+pushes windows into one, and its
+:class:`~repro.resilience.ladder.DegradationLadder` is the only
+decision path.
+
 Scaling levers, all orthogonal to the decision logic:
 
 * a bounded :class:`~repro.service.cache.DecisionCache` short-circuits
@@ -38,13 +44,17 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.instance import SPMInstance
-from repro.core.online import commit_decision, solve_batch
+from repro.core.online import commit_decision
+from repro.core.online import solve_batch  # noqa: F401  (bound for perfbench/spans.py)
 from repro.core.schedule import Schedule
-from repro.exceptions import SolverTimeoutError
-from repro.lp.result import SolveStatus
 from repro.net.topologies import abilene, b4, sub_b4
 from repro.net.topology import Topology
-from repro.resilience import CircuitBreaker, CycleBudget, DegradationLadder
+from repro.resilience import (
+    CircuitBreaker,
+    CycleBudget,
+    DegradationLadder,
+    LadderDecision,
+)
 from repro.service import pool as pool_mod
 from repro.service.cache import DecisionCache
 from repro.service.clock import SimClock
@@ -65,12 +75,13 @@ from repro.state import (
 )
 from repro.state.journal import FSYNC_POLICIES
 from repro.workload.generator import WorkloadConfig
-from repro.workload.request import RequestSet
+from repro.workload.request import Request, RequestSet
 from repro.workload.value_models import FlatRateValueModel, ValueModel
 
 __all__ = [
     "BrokerConfig",
     "CycleResult",
+    "CycleEngine",
     "BrokerReport",
     "Broker",
     "run_cycle",
@@ -110,9 +121,7 @@ class BrokerConfig:
     into admission windows; ``workers >= 2`` enables the process pool;
     ``cache_size=0`` disables the decision cache; ``queue_capacity`` and
     ``max_batch`` bound the admission queue and per-MILP batch size
-    (``None`` = unbounded).  ``fast_path`` selects the array-native batch
-    model build (default; decision-identical to the expression build,
-    kept as the reference).  ``lp_screen`` enables the LP relaxation-bound
+    (``None`` = unbounded).  ``lp_screen`` enables the LP relaxation-bound
     screen for exact batch solves (:func:`repro.core.online.solve_batch`):
     hopeless batches are declined with a certificate instead of paying
     for an integer solve — decisions and profit are unchanged.
@@ -154,7 +163,6 @@ class BrokerConfig:
     cache_size: int = 1024
     queue_capacity: int | None = None
     max_batch: int | None = None
-    fast_path: bool = True
     lp_screen: bool = False
     wal_path: str | Path | None = None
     snapshot_every: int = 1
@@ -235,255 +243,351 @@ class CycleResult:
     purchased: dict[int, float] = field(default_factory=dict)
 
 
+class CycleEngine:
+    """The one batch-decision kernel: a billing cycle fed window by window.
+
+    Every serving path decides through this engine — :func:`run_cycle`
+    pushes each simulated window into it, the live gateway pushes real
+    closed windows (:class:`~repro.gateway.engine.LiveCycleEngine`), and
+    both sharded engines run one per shard.  Per batch it does the same
+    five steps: decision-cache lookup, a
+    :class:`~repro.resilience.ladder.DegradationLadder` decision,
+    :func:`commit_decision` into the cycle ledgers, a
+    :class:`BatchRecord`, and the ``on_batch`` write-ahead hook.
+
+    The engine owns the committed loads, the charged integer units, the
+    assignment and the batch records of the open cycle, plus a
+    (source, dest) path cache that lives as long as the engine.  Edge
+    indexing comes from the topology alone, so every per-batch
+    :class:`SPMInstance` agrees on the ledger arrays.
+
+    The ladder is built here from ``budget``/``breaker``/``time_limit``/
+    ``lp_screen``; whoever creates ``budget`` re-arms it at each cycle
+    open (a sharded fleet shares one budget across its shard engines).
+    ``dual_prices`` steers the *decisions* only: batch MILPs solve
+    against ``u_e + dual_prices`` (a zero-copy :meth:`SPMInstance.reprice`
+    view) while revenue, cost and purchased units stay on the true
+    prices.  Cache keys fold a digest of the duals, so decisions made
+    under different prices never alias.
+    """
+
+    def __init__(
+        self,
+        topology: Topology,
+        slots_per_cycle: int,
+        *,
+        k_paths: int = 3,
+        time_limit: float | None = None,
+        cache: DecisionCache | None = None,
+        max_batch: int | None = None,
+        lp_screen: bool = False,
+        budget: CycleBudget | None = None,
+        breaker: CircuitBreaker | None = None,
+        check_cancelled=None,
+        on_batch=None,
+        dual_prices: np.ndarray | None = None,
+    ) -> None:
+        if max_batch is not None and max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1 or None, got {max_batch}")
+        self.topology = topology
+        self.k_paths = k_paths
+        self.cache = cache
+        self.max_batch = max_batch
+        self.check_cancelled = check_cancelled
+        #: Invoked with each :class:`BatchRecord` the moment its decision
+        #: is committed — the durability layer's write-ahead hook.
+        self.on_batch = on_batch
+        self.ladder = DegradationLadder(
+            budget=budget,
+            breaker=breaker,
+            time_limit=time_limit,
+            lp_screen=lp_screen,
+        )
+        self.edges = [e.key for e in topology.edges]
+        self.prices = np.array([topology.price(*key) for key in self.edges])
+        self.dual_prices = dual_prices
+        self._path_cache: dict[tuple, list] = {}
+        #: The last closed cycle's :class:`Schedule`.
+        self.schedule: Schedule | None = None
+        self.start_cycle(0, slots_per_cycle)
+
+    @property
+    def dual_prices(self) -> np.ndarray | None:
+        return self._duals
+
+    @dual_prices.setter
+    def dual_prices(self, duals: np.ndarray | None) -> None:
+        self._duals = None
+        self._dual_digest = b""
+        if duals is not None and np.any(duals):
+            self._duals = np.asarray(duals, dtype=float)
+            self._dual_digest = hashlib.blake2b(
+                np.ascontiguousarray(self._duals).tobytes(), digest_size=16
+            ).digest()
+
+    def start_cycle(self, cycle_index: int, slots: int | None = None) -> None:
+        """Open a fresh billing cycle: empty ledgers, empty assignment.
+
+        ``slots`` changes the cycle length (default: keep the last one).
+        """
+        if slots is not None:
+            if slots < 1:
+                raise ValueError(f"slots_per_cycle must be >= 1, got {slots}")
+            self.slots_per_cycle = slots
+        self.cycle = cycle_index
+        num_edges = len(self.edges)
+        self.committed = np.zeros((num_edges, self.slots_per_cycle))
+        self.charged = np.zeros(num_edges)
+        self.assignment: dict[int, int | None] = {}
+        self.requests: list[Request] = []
+        self.batches: list[BatchRecord] = []
+        self.shed = 0
+        self._opened_at = time.perf_counter()
+
+    def _instance(self, requests: list[Request]) -> SPMInstance:
+        paths = {}
+        for req in requests:
+            key = (req.source, req.dest)
+            cached = self._path_cache.get(key)
+            if cached is None:
+                cached = self._path_cache[key] = self.topology.candidate_paths(
+                    req.source, req.dest, k=self.k_paths
+                )
+            paths[req.request_id] = cached
+        requests = RequestSet(requests, self.slots_per_cycle)
+        return SPMInstance(self.topology, requests, paths)
+
+    def decide(
+        self,
+        batch: list[Request],
+        *,
+        window_start: int,
+        window_shed: int = 0,
+    ) -> list[int | None]:
+        """Decide one closed window's arrivals; returns a choice per bid.
+
+        Splits the window into ``max_batch``-bounded MILPs, attaches
+        ``window_shed`` to the window's first record (or to a shed-only
+        record when everything was shed), and commits every acceptance
+        into the cycle ledgers.
+        """
+        self.shed += window_shed
+        choices: list[int | None] = []
+        step = self.max_batch or max(len(batch), 1)
+        for offset in range(0, len(batch), step):
+            choices.extend(
+                self._decide_batch(
+                    batch[offset : offset + step],
+                    window_start,
+                    window_shed if offset == 0 else 0,
+                )
+            )
+        if window_shed and not batch:
+            self._record(
+                BatchRecord(
+                    cycle=self.cycle,
+                    window_start=window_start,
+                    size=0,
+                    accepted=0,
+                    declined=0,
+                    shed=window_shed,
+                    revenue=0.0,
+                    incremental_cost=0.0,
+                    solver_seconds=0.0,
+                    cache_hit=False,
+                    rung="shed",
+                )
+            )
+        return choices
+
+    def _decide_batch(
+        self, batch: list[Request], window_start: int, shed: int
+    ) -> list[int | None]:
+        batch_ids = [req.request_id for req in batch]
+        instance = self._instance(batch)
+        solver_start = time.perf_counter()
+        key = decision = None
+        if self.cache is not None:
+            key = self.cache.make_key(
+                instance, batch_ids, self.committed, self.charged
+            )
+            if self._dual_digest:
+                key = (key[0] + self._dual_digest, key[1])
+            decision = self.cache.get(key)
+        if decision is not None:
+            outcome = LadderDecision(choices=decision, rung="cache")
+        else:
+            decision_instance = instance
+            if self._duals is not None:
+                decision_instance = instance.reprice(
+                    instance.prices + self._duals
+                )
+            outcome = self.ladder.decide(
+                decision_instance,
+                batch_ids,
+                self.committed,
+                self.charged,
+                check_cancelled=self.check_cancelled,
+            )
+            decision = list(outcome.choices)
+            if key is not None and outcome.cacheable:
+                self.cache.put(key, decision)
+        solver_seconds = time.perf_counter() - solver_start
+
+        cost_before = float(self.prices @ self.charged)
+        accepted = commit_decision(
+            instance, batch_ids, decision, self.committed, self.charged
+        )
+        cost_after = float(self.prices @ self.charged)
+        self.assignment.update(zip(batch_ids, decision))
+        self.requests.extend(batch)
+        self._record(
+            BatchRecord(
+                cycle=self.cycle,
+                window_start=window_start,
+                size=len(batch_ids),
+                accepted=accepted,
+                declined=len(batch_ids) - accepted,
+                shed=shed,
+                revenue=sum(
+                    req.value
+                    for req, path in zip(batch, decision)
+                    if path is not None
+                ),
+                incremental_cost=cost_after - cost_before,
+                solver_seconds=solver_seconds,
+                cache_hit=outcome.rung == "cache",
+                timed_out=outcome.timed_out,
+                suboptimal=outcome.suboptimal,
+                rung=outcome.rung,
+                screened=outcome.screened,
+            )
+        )
+        return decision
+
+    def _record(self, record: BatchRecord) -> None:
+        self.batches.append(record)
+        if self.on_batch is not None:
+            self.on_batch(record)
+
+    def close_cycle(self) -> CycleResult:
+        """Account the open cycle through a :class:`Schedule`.
+
+        The schedule is built over the decided requests (paths from the
+        engine's cache) and kept as :attr:`schedule`; ``purchased`` is
+        the charged-unit ledger :func:`commit_decision` ratcheted.
+        """
+        self.schedule = schedule = Schedule(
+            self._instance(self.requests), self.assignment
+        )
+        accepted = schedule.num_accepted
+        return CycleResult(
+            cycle=self.cycle,
+            num_requests=len(self.assignment) + self.shed,
+            accepted=accepted,
+            declined=len(self.assignment) - accepted,
+            shed=self.shed,
+            revenue=schedule.revenue,
+            cost=schedule.cost,
+            profit=schedule.profit,
+            wall_seconds=time.perf_counter() - self._opened_at,
+            batches=list(self.batches),
+            assignment=dict(self.assignment),
+            purchased={
+                int(edge): float(units)
+                for edge, units in enumerate(self.charged)
+                if units
+            },
+        )
+
+
 def run_cycle(
     topology: Topology,
     requests: RequestSet,
     *,
     cycle_index: int = 0,
     window: int = 1,
-    k_paths: int = 3,
-    time_limit: float | None = None,
-    cache: DecisionCache | None = None,
     queue_capacity: int | None = None,
-    max_batch: int | None = None,
-    check_cancelled=None,
-    fast_path: bool = True,
-    lp_screen: bool = False,
-    on_batch=None,
     clock=None,
-    instance: SPMInstance | None = None,
-    dual_prices: np.ndarray | None = None,
-    budget: CycleBudget | None = None,
-    ladder: DegradationLadder | None = None,
+    engine: CycleEngine | None = None,
+    **engine_options,
 ) -> CycleResult:
     """Serve one billing cycle end to end; the broker's core loop.
 
-    Deterministic given its inputs: batches form in arrival order, every
-    decision is an exact MILP (or an exact cache replay), and the final
-    accounting charges the ceiling of each edge's realized peak load.
+    A clock and an :class:`AdmissionQueue` in front of a
+    :class:`CycleEngine`: each window's arrivals are offered to the
+    queue, what it held is drained into :meth:`CycleEngine.decide`, and
+    the cycle closes through :meth:`CycleEngine.close_cycle`.  Shed bids
+    are recorded as ``None`` in the assignment, in arrival order.
+
+    ``engine`` reuses a long-lived engine (and its path cache) across
+    cycles; otherwise a fresh one is built over ``topology`` from
+    ``engine_options`` (``k_paths``, ``time_limit``, ``cache``,
+    ``max_batch``, ``lp_screen``, ``check_cancelled``, ``on_batch``,
+    ``dual_prices``, ...).  ``time_limit`` caps each batch solve in
+    seconds; ``None`` means *unlimited* (the config-level default is
+    :data:`DEFAULT_TIME_LIMIT`).
 
     ``clock`` injects any :class:`~repro.service.clock.CycleClock`
     implementation for the window cadence (default: a fresh
     :class:`SimClock` over the cycle's slots — ``window`` is ignored when
     a clock is passed, since the clock owns the window structure).
-
-    ``time_limit`` caps each batch solve in seconds; ``None`` means
-    *unlimited* (the config-level default is
-    :data:`DEFAULT_TIME_LIMIT` — see ``BrokerConfig.time_limit``).
-    Degrades gracefully under ``time_limit`` pressure instead of crashing
-    the serving loop: a limit-hit solve with a feasible incumbent keeps
-    the incumbent (recorded ``suboptimal``); a limit-hit solve with no
-    incumbent declines the whole batch (recorded ``timed_out``).  Only
-    proven-optimal decisions enter the cache.
-
-    Resilience: passing ``budget`` (restarted at cycle entry) or a
-    prebuilt ``ladder`` (budget lifecycle owned by the caller — the
-    sharded broker shares one budget across shard ladders) routes every
-    batch through the :class:`~repro.resilience.ladder.DegradationLadder`
-    instead: solves get shrinking budget slices, and a limit-hit or
-    budget-starved batch is decided by a degraded rung (LP rounding,
-    then greedy value-density) rather than declined.  Each record's
-    ``rung`` says which rung answered.
-
-    ``on_batch`` (when given) is invoked with each :class:`BatchRecord`
-    the moment its decision is committed — the write-ahead hook the
-    durability layer uses to journal decisions as they are made rather
-    than at cycle end.
-
-    ``instance`` (when given) must be the prebuilt
-    :class:`SPMInstance` over exactly ``topology``/``requests`` — callers
-    that need the instance afterwards (the sharded broker posts its loads
-    to the bandwidth ledger) pass it in to avoid a second path
-    enumeration.  ``dual_prices`` steers the *decisions* only: batch
-    MILPs solve against ``u_e + dual_prices`` (a zero-copy
-    :meth:`~SPMInstance.reprice` view) while every ledger figure —
-    revenue, cost, profit, purchased units — stays on the true prices.
-    Cache keys fold a digest of the duals, so decisions made under
-    different prices never alias.
     """
-    t0 = time.perf_counter()
-    if ladder is None and budget is not None:
-        budget.restart()
-        ladder = DegradationLadder(
-            budget=budget,
-            time_limit=time_limit,
-            fast_path=fast_path,
-            lp_screen=lp_screen,
-        )
-    if instance is None:
-        instance = SPMInstance.build(topology, requests, k_paths=k_paths)
-    decision_instance = instance
-    dual_digest = b""
-    if dual_prices is not None:
-        dual_prices = np.asarray(dual_prices, dtype=float)
-        if np.any(dual_prices):
-            decision_instance = instance.reprice(instance.prices + dual_prices)
-            dual_digest = hashlib.blake2b(
-                np.ascontiguousarray(dual_prices).tobytes(), digest_size=16
-            ).digest()
+    if engine is None:
+        engine = CycleEngine(topology, requests.num_slots, **engine_options)
+    engine.start_cycle(cycle_index, requests.num_slots)
     if clock is None:
         clock = SimClock(requests.num_slots, window=window)
-    committed = np.zeros((instance.num_edges, instance.num_slots))
-    charged = np.zeros(instance.num_edges)
-    assignment: dict[int, int | None] = {}
     queue = AdmissionQueue(queue_capacity)
-    batches: list[BatchRecord] = []
-    prices = instance.prices
-
     by_start: dict[int, list] = {}
     for req in requests:
         by_start.setdefault(req.start, []).append(req)
 
+    assignment: dict[int, int | None] = {}
     for tick in clock.windows(0):
         shed_before = queue.shed
         for slot in tick.slots:
             for req in by_start.get(slot, ()):
                 if not queue.offer(req):
                     assignment[req.request_id] = None
-        window_shed = queue.shed - shed_before
+        batch = queue.drain()
+        choices = engine.decide(
+            batch,
+            window_start=tick.window_start,
+            window_shed=queue.shed - shed_before,
+        )
+        assignment.update(zip((req.request_id for req in batch), choices))
+    return replace(engine.close_cycle(), assignment=assignment)
 
-        drained_any = False
-        while queue:
-            batch = queue.drain(max_batch)
-            batch_ids = [r.request_id for r in batch]
-            solver_start = time.perf_counter()
-            decision = None
-            hit = False
-            timed_out = False
-            suboptimal = False
-            screened = False
-            rung = "cache"
-            key = None
-            if cache is not None:
-                key = cache.make_key(instance, batch_ids, committed, charged)
-                if dual_digest:
-                    key = (key[0] + dual_digest, key[1])
-                decision = cache.get(key)
-                hit = decision is not None
-            if decision is None and ladder is not None:
-                outcome = ladder.decide(
-                    decision_instance,
-                    batch_ids,
-                    committed,
-                    charged,
-                    check_cancelled=check_cancelled,
-                )
-                decision = list(outcome.choices)
-                timed_out = outcome.timed_out
-                suboptimal = outcome.suboptimal
-                screened = outcome.screened
-                rung = outcome.rung
-                if cache is not None and outcome.cacheable:
-                    cache.put(key, decision)
-            elif decision is None:
-                rung = "exact"
-                try:
-                    outcome = solve_batch(
-                        decision_instance,
-                        batch_ids,
-                        committed,
-                        charged,
-                        time_limit=time_limit,
-                        check_cancelled=check_cancelled,
-                        fast_path=fast_path,
-                        lp_screen=lp_screen,
-                    )
-                except SolverTimeoutError:
-                    # No incumbent within the limit: decline the batch and
-                    # keep serving — never crash the broker cycle.
-                    decision = [None] * len(batch_ids)
-                    timed_out = True
-                else:
-                    decision = list(outcome.choices)
-                    suboptimal = outcome.suboptimal
-                    screened = outcome.screened
-                    if cache is not None and outcome.status is SolveStatus.OPTIMAL:
-                        cache.put(key, decision)
-            solver_seconds = time.perf_counter() - solver_start
 
-            cost_before = float(prices @ charged)
-            accepted = commit_decision(
-                instance, batch_ids, decision, committed, charged
-            )
-            cost_after = float(prices @ charged)
-            assignment.update(zip(batch_ids, decision))
-            revenue = sum(
-                instance.request(rid).value
-                for rid, path in zip(batch_ids, decision)
-                if path is not None
-            )
-            record = BatchRecord(
-                cycle=cycle_index,
-                window_start=tick.window_start,
-                size=len(batch_ids),
-                accepted=accepted,
-                declined=len(batch_ids) - accepted,
-                shed=0 if drained_any else window_shed,
-                revenue=revenue,
-                incremental_cost=cost_after - cost_before,
-                solver_seconds=solver_seconds,
-                cache_hit=hit,
-                timed_out=timed_out,
-                suboptimal=suboptimal,
-                rung=rung,
-                screened=screened,
-            )
-            batches.append(record)
-            if on_batch is not None:
-                on_batch(record)
-            drained_any = True
-        if window_shed and not drained_any:
-            # Every arrival of the window was shed: record it anyway.
-            record = BatchRecord(
-                cycle=cycle_index,
-                window_start=tick.window_start,
-                size=0,
-                accepted=0,
-                declined=0,
-                shed=window_shed,
-                revenue=0.0,
-                incremental_cost=0.0,
-                solver_seconds=0.0,
-                cache_hit=False,
-                rung="shed",
-            )
-            batches.append(record)
-            if on_batch is not None:
-                on_batch(record)
+def _pool_check_cancelled(faults: FaultPlan | None, cycle_index: int):
+    """The pool's cancellation poll, with a fault plan's injections.
 
-    schedule = Schedule(instance, assignment)
-    shed_total = queue.shed
-    return CycleResult(
-        cycle=cycle_index,
-        num_requests=instance.num_requests,
-        accepted=schedule.num_accepted,
-        declined=instance.num_requests - schedule.num_accepted - shed_total,
-        shed=shed_total,
-        revenue=schedule.revenue,
-        cost=schedule.cost,
-        profit=schedule.profit,
-        wall_seconds=time.perf_counter() - t0,
-        batches=batches,
-        assignment=dict(assignment),
-        purchased={
-            int(edge): float(units)
-            for edge, units in enumerate(charged)
-            if units
-        },
-    )
+    A :class:`~repro.state.FaultPlan` riding on a worker payload is
+    consulted at the poll, so an injected worker death or solver hang
+    lands mid-cycle between solves — the crash points the pool's restart
+    path and the cycle budget must survive.
+    """
+    if faults is None:
+        return pool_mod.check_cancelled
+
+    def check_cancelled():
+        faults.maybe_kill_worker(cycle_index)
+        faults.maybe_hang_solver()
+        faults.maybe_slow_worker()
+        return pool_mod.check_cancelled()
+
+    return check_cancelled
 
 
 def _cycle_worker(payload: tuple) -> CycleResult:
     """Pool entry point: serve one cycle inside a worker process.
 
     Uses the worker's per-process decision cache and the pool's
-    cooperative-cancellation flag (both installed by the pool initializer).
-    A :class:`~repro.state.FaultPlan` riding on the payload is consulted
-    at the cancellation poll, so an injected worker death or solver hang
-    lands mid-cycle between solves — the crash points the pool's restart
-    path and the cycle budget must survive.  ``cycle_budget`` (seconds,
-    or ``None``) arms a fresh in-worker :class:`CycleBudget` so pooled
-    cycles are deadline-guaranteed too.
+    cooperative-cancellation flag (both installed by the pool
+    initializer).  ``cycle_budget`` (seconds, or ``None``) arms a fresh
+    in-worker :class:`CycleBudget` so pooled cycles are
+    deadline-guaranteed too.
     """
     (
         topology,
@@ -494,34 +598,23 @@ def _cycle_worker(payload: tuple) -> CycleResult:
         time_limit,
         queue_capacity,
         max_batch,
-        fast_path,
         lp_screen,
         faults,
         cycle_budget,
     ) = payload
-    check_cancelled = pool_mod.check_cancelled
-    if faults is not None:
-        def check_cancelled():
-            faults.maybe_kill_worker(cycle_index)
-            faults.maybe_hang_solver()
-            faults.maybe_slow_worker()
-            return pool_mod.check_cancelled()
     return run_cycle(
         topology,
         requests,
         cycle_index=cycle_index,
         window=window,
+        queue_capacity=queue_capacity,
         k_paths=k_paths,
         time_limit=time_limit,
         cache=pool_mod.worker_cache(),
-        queue_capacity=queue_capacity,
         max_batch=max_batch,
-        check_cancelled=check_cancelled,
-        fast_path=fast_path,
         lp_screen=lp_screen,
-        budget=(
-            CycleBudget(cycle_budget) if cycle_budget is not None else None
-        ),
+        check_cancelled=_pool_check_cancelled(faults, cycle_index),
+        budget=None if cycle_budget is None else CycleBudget(cycle_budget),
     )
 
 
@@ -776,15 +869,6 @@ class Broker:
             if config.breaker_failures > 0
             else None
         )
-        ladder = None
-        if budget is not None or breaker is not None:
-            ladder = DegradationLadder(
-                budget=budget,
-                breaker=breaker,
-                time_limit=config.time_limit,
-                fast_path=config.fast_path,
-                lp_screen=config.lp_screen,
-            )
         self._breaker = breaker
         check_cancelled = None
         if self.faults is not None:
@@ -794,6 +878,20 @@ class Broker:
                 faults.maybe_hang_solver()
                 return False
 
+        # One engine for the whole run: its path cache outlives the cycle.
+        engine = CycleEngine(
+            self.topology,
+            config.slots_per_cycle,
+            k_paths=config.k_paths,
+            time_limit=config.time_limit,
+            cache=cache,
+            max_batch=config.max_batch,
+            lp_screen=config.lp_screen,
+            budget=budget,
+            breaker=breaker,
+            check_cancelled=check_cancelled,
+            on_batch=writer.on_batch if writer is not None else None,
+        )
         results = []
         for index in range(start, config.num_cycles):
             if self._stop_requested:
@@ -805,16 +903,8 @@ class Broker:
                 self.source.cycle(index),
                 cycle_index=index,
                 window=config.window,
-                k_paths=config.k_paths,
-                time_limit=config.time_limit,
-                cache=cache,
                 queue_capacity=config.queue_capacity,
-                max_batch=config.max_batch,
-                check_cancelled=check_cancelled,
-                fast_path=config.fast_path,
-                lp_screen=config.lp_screen,
-                on_batch=writer.on_batch if writer is not None else None,
-                ladder=ladder,
+                engine=engine,
             )
             if writer is not None:
                 writer.commit_cycle(result)
@@ -835,7 +925,6 @@ class Broker:
                 config.time_limit,
                 config.queue_capacity,
                 config.max_batch,
-                config.fast_path,
                 config.lp_screen,
                 self.faults,
                 config.cycle_budget,

@@ -2,7 +2,7 @@
 
 The broker's unit of work — "decide this arrival batch given the current
 residual capacity" — is a pure function of (committed loads, charged
-bandwidth, batch contents): :func:`repro.core.online.decide_batch` solves a
+bandwidth, batch contents): :func:`repro.core.online.solve_batch` solves a
 MILP determined entirely by those inputs.  Recurring traffic therefore
 produces *identical* sub-instances across billing cycles (the first batch
 of every cycle starts from empty state; periodic traces repeat whole

@@ -191,10 +191,10 @@ class BatchRecord:
     rung) rather than declined wholesale.  ``suboptimal`` marks a batch
     decided without an optimality certificate (a limit-hit feasible
     incumbent, or any degraded rung).  ``rung`` records which ladder rung
-    produced the decision (see :data:`repro.resilience.ladder.RUNGS`);
-    ``"exact"`` is also the value for pre-ladder records, ``"cache"``
-    for decision-cache hits and ``"shed"`` for shed-only records, so old
-    WALs replay with the correct default.  ``screened`` marks an exact
+    produced the decision (see :data:`repro.resilience.ladder.RUNGS`),
+    ``"cache"`` for decision-cache hits and ``"shed"`` for shed-only
+    records; it defaults to ``"exact"`` so WALs written before the field
+    existed replay.  ``screened`` marks an exact
     decision answered by the LP relaxation bound alone (``lp_screen`` —
     certified-optimal, no integer solve dispatched); it defaults off so
     pre-screening WALs replay unchanged.

@@ -9,7 +9,7 @@ loop — in parallel across a :class:`~repro.service.pool.SolverPool` when
 :class:`~repro.decomp.ledger.BandwidthLedger`:
 
 * shard MILPs solve against the effective prices ``u_e + lambda_e``
-  (``run_cycle``'s ``dual_prices`` hook); all accounting stays on the
+  (the cycle engine's ``dual_prices`` hook); all accounting stays on the
   true prices, and each shard charges its own integer units, so a
   cycle's profit is the plain sum of shard profits — the composability
   the recovery path depends on;
@@ -38,6 +38,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,12 +47,15 @@ from repro.core.schedule import Schedule
 from repro.decomp.ledger import BandwidthLedger, make_step_schedule
 from repro.decomp.partition import PARTITION_MODES, partition_requests
 from repro.decomp.solver import _reconcile
-from repro.resilience import CircuitBreaker, CycleBudget, DegradationLadder
+from repro.net.topology import Topology
+from repro.resilience import CircuitBreaker, CycleBudget
 from repro.service import pool as pool_mod
 from repro.service.broker import (
     BrokerConfig,
+    CycleEngine,
     CycleResult,
     _make_topology,
+    _pool_check_cancelled,
     run_cycle,
 )
 from repro.service.cache import DecisionCache
@@ -68,6 +72,7 @@ from repro.shard.recovery import (
 from repro.state import FaultPlan, Journal, batch_to_record, cycle_to_record
 from repro.state.recovery import WAL_FORMAT, config_fingerprint
 from repro.workload.generator import WorkloadConfig
+from repro.workload.request import RequestSet
 
 __all__ = ["ShardConfig", "ShardedCycle", "ShardedReport", "ShardedBroker"]
 
@@ -218,57 +223,69 @@ class ShardedReport:
         self.telemetry.dump_json(path)
 
 
-def _shard_cycle_worker(payload: tuple):
-    """Pool entry point: serve one shard's slice of one billing cycle.
+class _ShardJob(NamedTuple):
+    """One shard's slice of one billing cycle, as shipped to a worker."""
+
+    shard_id: int
+    topology: Topology
+    requests: RequestSet
+    cycle_index: int
+    duals: np.ndarray
+    config: ShardConfig
+    faults: FaultPlan | None = None
+
+
+def _serve_shard(
+    job: _ShardJob,
+    *,
+    cache: DecisionCache | None,
+    budget: CycleBudget | None = None,
+    breaker: CircuitBreaker | None = None,
+    check_cancelled=None,
+):
+    """Serve one shard's slice of one billing cycle, in or out of process.
 
     Returns ``(shard_id, CycleResult, loads)`` — the realized (edge,
-    slot) loads ride along so the coordinator can post them to the
-    ledger without re-enumerating paths.
+    slot) loads of the close's :class:`Schedule` ride along so the
+    coordinator can post them to the ledger without re-enumerating
+    paths.  Decisions are identical wherever it runs (the cache is exact
+    and the loop deterministic); only cache residency and the budget
+    differ.
     """
-    (
-        shard_id,
-        topology,
-        requests,
-        cycle_index,
-        window,
-        k_paths,
-        time_limit,
-        queue_capacity,
-        max_batch,
-        fast_path,
-        lp_screen,
-        duals,
-        faults,
-        cycle_budget,
-    ) = payload
-    check_cancelled = pool_mod.check_cancelled
-    if faults is not None:
-        def check_cancelled():
-            faults.maybe_kill_worker(cycle_index)
-            faults.maybe_hang_solver()
-            faults.maybe_slow_worker()
-            return pool_mod.check_cancelled()
-    instance = SPMInstance.build(topology, requests, k_paths=k_paths)
-    result = run_cycle(
-        topology,
-        requests,
-        cycle_index=cycle_index,
-        window=window,
-        k_paths=k_paths,
-        time_limit=time_limit,
-        cache=pool_mod.worker_cache(),
-        queue_capacity=queue_capacity,
-        max_batch=max_batch,
+    config = job.config
+    engine = CycleEngine(
+        job.topology,
+        job.requests.num_slots,
+        k_paths=config.k_paths,
+        time_limit=config.time_limit,
+        cache=cache,
+        max_batch=config.max_batch,
+        lp_screen=config.lp_screen,
+        budget=budget,
+        breaker=breaker,
         check_cancelled=check_cancelled,
-        fast_path=fast_path,
-        lp_screen=lp_screen,
-        instance=instance,
-        dual_prices=duals,
-        budget=(
-            CycleBudget(cycle_budget) if cycle_budget is not None else None
-        ),
+        dual_prices=job.duals,
     )
-    return shard_id, result, instance.loads(result.assignment)
+    result = run_cycle(
+        job.topology,
+        job.requests,
+        cycle_index=job.cycle_index,
+        window=config.window,
+        queue_capacity=config.queue_capacity,
+        engine=engine,
+    )
+    return job.shard_id, result, engine.schedule.loads
+
+
+def _shard_cycle_worker(job: _ShardJob):
+    """Pool entry point: a worker's cache, cancellation poll and budget."""
+    cycle_budget = job.config.cycle_budget
+    return _serve_shard(
+        job,
+        cache=pool_mod.worker_cache(),
+        budget=None if cycle_budget is None else CycleBudget(cycle_budget),
+        check_cancelled=_pool_check_cancelled(job.faults, job.cycle_index),
+    )
 
 
 class _ShardJournals:
@@ -465,18 +482,6 @@ class ShardedBroker:
             else None
             for _ in range(config.shards)
         ]
-        self._ladders: list[DegradationLadder | None] = [
-            DegradationLadder(
-                budget=self._budget,
-                breaker=self._breakers[shard_id],
-                time_limit=config.time_limit,
-                fast_path=config.fast_path,
-                lp_screen=config.lp_screen,
-            )
-            if self._budget is not None or self._breakers[shard_id] is not None
-            else None
-            for shard_id in range(config.shards)
-        ]
         self._hedges = [0] * config.shards
 
         ledger = self._make_ledger()
@@ -622,22 +627,15 @@ class ShardedBroker:
         if self._budget is not None:
             self._budget.restart()
         duals = ledger.duals.copy()
-        payloads = [
-            (
+        jobs = [
+            _ShardJob(
                 shard_id,
                 self.topology,
                 requests.subset(ids),
                 index,
-                config.window,
-                config.k_paths,
-                config.time_limit,
-                config.queue_capacity,
-                config.max_batch,
-                config.fast_path,
-                config.lp_screen,
                 duals,
+                config,
                 self.faults if pool is not None else None,
-                config.cycle_budget,
             )
             for shard_id, ids in enumerate(shard_ids)
         ]
@@ -645,14 +643,11 @@ class ShardedBroker:
         shard_results: list[CycleResult | None] = [None] * config.shards
         ledger.begin_round()
         if pool is not None and self._budget is not None:
-            outcomes = self._serve_cycle_hedged(pool, payloads, caches)
+            outcomes = self._serve_cycle_hedged(pool, jobs, caches)
         elif pool is not None:
-            outcomes = pool.imap(_shard_cycle_worker, payloads)
+            outcomes = pool.imap(_shard_cycle_worker, jobs)
         else:
-            outcomes = (
-                self._serve_shard_serial(payload, caches)
-                for payload in payloads
-            )
+            outcomes = (self._serve_local(job, caches) for job in jobs)
         for shard_id, result, loads in outcomes:
             shard_results[shard_id] = result
             ledger.post(shard_id, loads)
@@ -674,7 +669,7 @@ class ShardedBroker:
             duals_after=ledger.duals.tolist(),
         )
 
-    def _serve_cycle_hedged(self, pool: SolverPool, payloads, caches):
+    def _serve_cycle_hedged(self, pool: SolverPool, jobs, caches):
         """Hedged pooled dispatch: one hung shard degrades alone.
 
         Every shard is submitted to the pool individually; each future is
@@ -687,19 +682,17 @@ class ShardedBroker:
         whose breaker is already open skip the pool entirely.
         """
         futures = []
-        for payload in payloads:
-            breaker = self._breakers[payload[0]]
+        for job in jobs:
+            breaker = self._breakers[job.shard_id]
             if breaker is not None and not breaker.allow():
-                futures.append((payload, None))
+                futures.append((job, None))
             else:
-                futures.append(
-                    (payload, pool.submit(_shard_cycle_worker, payload))
-                )
-        for payload, future in futures:
-            shard_id = payload[0]
+                futures.append((job, pool.submit(_shard_cycle_worker, job)))
+        for job, future in futures:
+            shard_id = job.shard_id
             breaker = self._breakers[shard_id]
             if future is None:
-                yield self._serve_shard_serial(payload, caches)
+                yield self._serve_local(job, caches)
                 continue
             timeout = max(self._budget.remaining(), self._budget.min_slice)
             try:
@@ -709,62 +702,31 @@ class ShardedBroker:
                 if breaker is not None:
                     breaker.record_failure()
                 future.cancel()
-                yield self._serve_shard_serial(payload, caches)
+                yield self._serve_local(job, caches)
             except BrokenProcessPool:
                 if breaker is not None:
                     breaker.record_failure()
                 pool.restart()
-                yield self._serve_shard_serial(payload, caches)
+                yield self._serve_local(job, caches)
             else:
                 if breaker is not None:
                     breaker.record_success()
                 yield outcome
 
-    def _serve_shard_serial(self, payload: tuple, caches):
-        """The in-process twin of :func:`_shard_cycle_worker`.
+    def _serve_local(self, job: _ShardJob, caches):
+        """Serve a shard in process with its cache, budget and breaker.
 
-        Identical decisions (the cache is exact and the loop
-        deterministic); only the cache residency differs — serial shards
-        keep one persistent cache per shard id instead of per process.
-        Doubles as the hedged path's local fallback: with resilience
-        configured the shard's ladder (shared budget, per-shard breaker)
-        decides every batch, so a budget already drained by a hung pool
+        The cache persists per shard id, the budget is the fleet's shared
+        one and the breaker is the shard's own.  Doubles as the hedged
+        path's local fallback — a budget already drained by a hung pool
         solve lands the whole shard on the greedy rung.
         """
-        (
-            shard_id,
-            topology,
-            requests,
-            cycle_index,
-            window,
-            k_paths,
-            time_limit,
-            queue_capacity,
-            max_batch,
-            fast_path,
-            lp_screen,
-            duals,
-            _faults,
-            _cycle_budget,
-        ) = payload
-        instance = SPMInstance.build(topology, requests, k_paths=k_paths)
-        result = run_cycle(
-            topology,
-            requests,
-            cycle_index=cycle_index,
-            window=window,
-            k_paths=k_paths,
-            time_limit=time_limit,
-            cache=caches[shard_id],
-            queue_capacity=queue_capacity,
-            max_batch=max_batch,
-            fast_path=fast_path,
-            lp_screen=lp_screen,
-            instance=instance,
-            dual_prices=duals,
-            ladder=self._ladders[shard_id],
+        return _serve_shard(
+            job,
+            cache=caches[job.shard_id],
+            budget=self._budget,
+            breaker=self._breakers[job.shard_id],
         )
-        return shard_id, result, instance.loads(result.assignment)
 
     def _reconcile_cycle(
         self,

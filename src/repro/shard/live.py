@@ -41,9 +41,8 @@ from repro.decomp.partition import (
 )
 from repro.gateway.engine import LiveCycleEngine
 from repro.net.topology import Topology
-from repro.resilience import CircuitBreaker, CycleBudget
+from repro.resilience import CircuitBreaker
 from repro.service.broker import CycleResult
-from repro.service.cache import DecisionCache
 from repro.service.telemetry import BatchRecord
 from repro.workload.request import Request
 
@@ -53,7 +52,17 @@ _TOL = 1e-9
 
 
 class ShardedLiveEngine:
-    """N per-shard cycle engines coordinated by one bandwidth ledger."""
+    """N per-shard cycle engines coordinated by one bandwidth ledger.
+
+    ``engine_options`` (``k_paths``, ``time_limit``, ``cache``,
+    ``max_batch``, ``budget``, ``check_cancelled``) configure every
+    shard's :class:`LiveCycleEngine` alike.  The decision cache is
+    shared: keys fold the per-shard committed state (and the dual digest
+    when steering), so entries never collide across shards.  A
+    ``budget`` is one wall-clock deadline for the whole fleet's cycle —
+    sequential shard decides split what remains of it — and its creator
+    re-arms it at each cycle open.
+    """
 
     def __init__(
         self,
@@ -62,19 +71,13 @@ class ShardedLiveEngine:
         *,
         shards: int,
         partition: str = "hash",
-        k_paths: int = 3,
-        time_limit: float | None = None,
-        cache: DecisionCache | None = None,
-        max_batch: int | None = None,
-        fast_path: bool = True,
         on_batch=None,
         step: str = "harmonic",
         step0: float | None = None,
         decay: float = 0.5,
-        budget: CycleBudget | None = None,
         breaker_failures: int = 0,
         breaker_reset: float = 5.0,
-        check_cancelled=None,
+        **engine_options,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -108,11 +111,6 @@ class ShardedLiveEngine:
             slots_per_cycle,
             schedule=make_step_schedule(step, step0, decay=decay),
         )
-        #: One wall-clock deadline for the whole fleet's cycle: every
-        #: shard engine shares it, so sequential shard decides naturally
-        #: split the shrinking remaining budget.  Each engine's
-        #: ``start_cycle`` re-arms it (idempotent within a cycle open).
-        self.budget = budget
         #: Per-shard breakers: one sick shard degrades alone while its
         #: siblings keep solving exactly.
         self.breakers: list[CircuitBreaker | None] = [
@@ -123,22 +121,13 @@ class ShardedLiveEngine:
             else None
             for _ in range(shards)
         ]
-        # The decision cache is shared: keys fold the per-shard committed
-        # state (and the dual digest when steering), so entries never
-        # collide across shards.
         self._engines = [
             LiveCycleEngine(
                 topology,
                 slots_per_cycle,
-                k_paths=k_paths,
-                time_limit=time_limit,
-                cache=cache,
-                max_batch=max_batch,
-                fast_path=fast_path,
                 on_batch=self._on_sub_batch,
-                budget=budget,
                 breaker=self.breakers[shard],
-                check_cancelled=check_cancelled,
+                **engine_options,
             )
             for shard in range(shards)
         ]
@@ -266,28 +255,6 @@ class ShardedLiveEngine:
                 counters[shard]["breaker_opens"] = breaker.opens
                 counters[shard]["breaker_failures"] = breaker.failures
         return counters
-
-    def rung_counts(self) -> dict[str, int]:
-        """Fleet-wide ladder rung counts (all zeros when resilience is off)."""
-        totals: dict[str, int] = {}
-        for engine in self._engines:
-            if engine.ladder is None:
-                continue
-            for rung, count in engine.ladder.counts.items():
-                totals[rung] = totals.get(rung, 0) + count
-        return totals
-
-    def breaker_counters(self) -> dict[str, int]:
-        """Fleet-wide breaker counters summed across shards."""
-        totals = {"opens": 0, "failures": 0, "probes": 0, "short_circuits": 0}
-        for breaker in self.breakers:
-            if breaker is None:
-                continue
-            totals["opens"] += breaker.opens
-            totals["failures"] += breaker.failures
-            totals["probes"] += breaker.probes
-            totals["short_circuits"] += breaker.short_circuits
-        return totals
 
     def __repr__(self) -> str:
         return (

@@ -292,24 +292,8 @@ class TestDegradationLadder:
         assert greedy_profit == pytest.approx(exact_profit)
         assert lp_profit == pytest.approx(exact_profit)
 
-    def test_start_rung_skips_the_exact_solve(self, diamond_instance):
-        ladder = DegradationLadder()
-        loads, charged = _fresh_state(diamond_instance)
-        outcome = ladder.decide(
-            diamond_instance, [0, 1, 2], loads, charged, start="lp_round"
-        )
-        assert outcome.rung in ("lp_round", "greedy")
-        assert ladder.counts["exact"] == 0
-
-    def test_unknown_start_rung_rejected(self, diamond_instance):
-        loads, charged = _fresh_state(diamond_instance)
-        with pytest.raises(ValueError):
-            DegradationLadder().decide(
-                diamond_instance, [0], loads, charged, start="psychic"
-            )
-
     def test_rungs_tuple_is_ordered_best_first(self):
-        assert RUNGS == ("exact", "incumbent", "lp_round", "greedy")
+        assert RUNGS == ("exact", "incumbent", "lp_round", "greedy", "decline")
 
     def test_greedy_declines_unprofitable_requests(self, diamond):
         # value 0.5 < cheapest-path cost 2: accepting would lose money.
