@@ -38,6 +38,10 @@ _EPS = 1e-9
 #: backend sees, and far below any meaningful reduced cost.
 _ENTER_EPS = 1e-7
 _MAX_PIVOTS = 50_000
+#: Primal feasibility tolerance, HiGHS's default: phase 1 may leave this
+#: much total artificial residue, and no basic value may sit further than
+#: this below zero once the artificials are pivoted out.
+_FEAS_TOL = 1e-7
 
 
 def simplex_solve_model(model: Model) -> Solution:
@@ -164,7 +168,7 @@ def _two_phase_simplex(c, a_rows, b):
         if status is not SolveStatus.OPTIMAL:
             raise SolverError("phase-1 simplex failed to terminate")
         phase1_value = phase1_c[basis] @ rhs
-        if phase1_value > 1e-7:
+        if phase1_value > _FEAS_TOL:
             return SolveStatus.INFEASIBLE, None, math.nan
         # Pivot any artificial still in the basis out (or drop its row).
         for i in range(m):
@@ -179,6 +183,11 @@ def _two_phase_simplex(c, a_rows, b):
                 )
                 if pivot_col is not None:
                     _pivot(tableau, rhs, basis, i, pivot_col)
+        # Pivoting out an artificial moves its residue into the variable it
+        # swaps in, scaled by 1/coefficient: a residue within tolerance in
+        # row space can still push a variable past its bound.
+        if rhs.min() < -_FEAS_TOL:
+            return SolveStatus.INFEASIBLE, None, math.nan
         # Freeze artificial columns at zero.
         tableau[:, n + slack_count :] = 0.0
 
@@ -332,7 +341,7 @@ class WarmSimplex:
             status = _optimize(tableau, rhs, basis, phase1_c)
             if status is not SolveStatus.OPTIMAL:
                 raise SolverError("phase-1 simplex failed to terminate")
-            if phase1_c[basis] @ rhs > 1e-7:
+            if phase1_c[basis] @ rhs > _FEAS_TOL:
                 return RawSolution(SolveStatus.INFEASIBLE, math.nan)
             for i in range(m):
                 if basis[i] >= n + slack_count:
@@ -346,6 +355,8 @@ class WarmSimplex:
                     )
                     if pivot_col is not None:
                         _pivot(tableau, rhs, basis, i, pivot_col)
+            if rhs.min() < -_FEAS_TOL:
+                return RawSolution(SolveStatus.INFEASIBLE, math.nan)
             tableau[:, n + slack_count:] = 0.0
 
         costs = np.zeros(total)

@@ -9,7 +9,7 @@ from repro.core.formulations import build_bl_spm, build_rl_spm
 from repro.exceptions import SolverError
 from repro.lp.model import Model
 from repro.lp.result import SolveStatus
-from repro.lp.simplex import simplex_solve_model
+from repro.lp.simplex import WarmSimplex, simplex_solve_model
 
 
 class TestKnownProblems:
@@ -74,6 +74,19 @@ class TestKnownProblems:
         sol = simplex_solve_model(m)
         assert sol.is_optimal
         assert sol.objective == pytest.approx(1.25)
+
+    def test_residue_within_row_tolerance_can_break_a_bound(self):
+        # -0.5 x >= 5.69e-8 leaves a phase-1 residue under 1e-7, but the
+        # only point satisfying the row has x = -1.14e-7, past x >= 0 by
+        # more than the tolerance: infeasible, as HiGHS reports.
+        m = Model()
+        x = m.add_var("x", 0, 1)
+        m.add_constr(-0.5 * x >= 5.69054685847928e-08)
+        m.set_objective(x + 0, maximize=False)
+        assert simplex_solve_model(m).status is SolveStatus.INFEASIBLE
+        assert m.solve().status is SolveStatus.INFEASIBLE
+        warm = WarmSimplex().solve_raw(m.compile(relax_integrality=True))
+        assert warm.status is SolveStatus.INFEASIBLE
 
     def test_nonzero_lower_bound_rejected(self):
         m = Model()
