@@ -27,6 +27,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.core.online as online_mod
 from repro import b4
 from repro.core.instance import SPMInstance
 from repro.core.metis import Metis
@@ -122,8 +123,11 @@ def test_metis_warm_alternation_speedup(benchmark):
         )
 
 
-def test_online_screening_latency(benchmark):
+def test_online_screening_latency(benchmark, monkeypatch):
     """LP bound screening on a hopeless flood: latency down, decisions equal."""
+    # The screen guards the MILP, which small batches skip for exact
+    # enumeration; a zero cap sends every batch to the screened MILP.
+    monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
     instance = make_instance(_ONLINE_CFG, _ONLINE_REQUESTS)
 
     plain_sched = OnlineScheduler(lp_screen=False)

@@ -26,7 +26,10 @@ once per instance and then emits the *identical* compiled sparse model
 per batch with vectorized numpy assembly — only the right-hand sides
 (residual headroom) change between batches.  Both produce the same
 matrix, so decisions are bitwise identical; the equivalence tests assert
-it.
+it.  Neither runs for a batch of a few bids: when its joint choice space
+``prod(|P_i| + 1)`` is at most :data:`ENUMERATION_CAP`,
+:func:`enumerate_batch` lists every joint choice and computes the MILP's
+objective for each exactly, in a fraction of a HiGHS call.
 
 The online provider is myopic across slots (it cannot see future bids),
 so its profit is upper-bounded by offline OPT(SPM); the tests assert this
@@ -36,6 +39,7 @@ dominance and the exactness of each batch step.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +58,11 @@ __all__ = [
     "OnlineOutcome",
     "OnlineScheduler",
     "BatchDecision",
+    "ENUMERATION_CAP",
     "IncrementalBatchCompiler",
     "build_incremental_spm",
+    "choice_space",
+    "enumerate_batch",
     "solve_batch",
     "commit_decision",
 ]
@@ -63,6 +70,12 @@ __all__ = [
 EdgeKey = tuple
 
 _CEIL_TOL = 1e-9
+
+#: Largest joint choice space ``prod(|P_i| + 1)`` that :func:`solve_batch`
+#: decides by exact enumeration (:func:`enumerate_batch`) instead of HiGHS.
+#: ``benchmarks/bench_online.py`` checks that enumeration stays at most half
+#: of HiGHS's median time for every live-shaped batch up to this size.
+ENUMERATION_CAP = 1024
 
 
 def build_incremental_spm(
@@ -303,6 +316,90 @@ class BatchDecision:
         return self.status is SolveStatus.FEASIBLE
 
 
+def choice_space(instance: SPMInstance, batch_ids: list[int]) -> int:
+    """Number of joint choices ``prod(|P_i| + 1)`` of a batch (decline included)."""
+    return math.prod(instance.num_paths(rid) + 1 for rid in batch_ids)
+
+
+def enumerate_batch(
+    instance: SPMInstance,
+    batch_ids: list[int],
+    committed_loads: np.ndarray,
+    charged: np.ndarray,
+) -> tuple[tuple, float]:
+    """Decide a batch exactly by listing every joint choice; ``(choices, objective)``.
+
+    Each request either takes one of its candidate paths or declines, so a
+    batch has ``prod(|P_i| + 1)`` joint choices.  For every one of them the
+    incremental MILP's objective is computed exactly, with
+    :func:`commit_decision`'s own accounting: per touched edge the new
+    peak is ``max(window loads, committed peak)``, the units bought are
+    ``max(ceil(peak - tol) - charged, 0)``, and the objective is the
+    accepted value minus those units at ``instance.prices`` (the
+    dual-adjusted prices when the caller repriced the instance).  So the
+    reported objective is exactly what committing the choice realizes.
+
+    The arrays are restricted to the batch's touched edges and to the slot
+    segments between its window boundaries: a window adds the same load
+    over a whole segment, and ``x -> fl(x + rate)`` is monotone, so each
+    segment's peak is its committed maximum plus the added rates, bit for
+    bit.  Ties go to the first maximum in lexicographic order — requests
+    in batch order, each one's paths in path order, decline last.  Two
+    choices with the same accepted set and the same units bought produce
+    the same floating-point sums, so equally priced alternatives tie
+    exactly.
+    """
+    requests = [instance.request(rid) for rid in batch_ids]
+    path_edges = [instance.path_edges[rid] for rid in batch_ids]
+    edges = np.unique(
+        np.concatenate([edge_idx for paths in path_edges for edge_idx in paths])
+    )
+    sizes = [len(paths) + 1 for paths in path_edges]
+
+    # Slot segments between window boundaries; keep those inside a window.
+    bounds = np.unique(
+        [req.start for req in requests] + [req.end + 1 for req in requests]
+    )
+    seg_start = bounds[:-1]
+    starts = np.array([req.start for req in requests])
+    ends = np.array([req.end for req in requests])
+    in_window = (seg_start[None, :] >= starts[:, None]) & (
+        seg_start[None, :] <= ends[:, None]
+    )
+    covered = in_window.any(axis=0)
+    span = committed_loads[edges, bounds[0] : bounds[-1]]
+    base = np.maximum.reduceat(span, seg_start - bounds[0], axis=1)[:, covered]
+    in_window = in_window[:, covered]
+    num_edges, num_segments = base.shape
+
+    loads = base[None]
+    revenue = np.zeros(1)
+    for pos, req in enumerate(requests):
+        options = np.zeros((sizes[pos], num_edges, num_segments))
+        for path_idx, edge_idx in enumerate(path_edges[pos]):
+            rows = np.searchsorted(edges, edge_idx)
+            options[path_idx, rows[:, None], in_window[pos]] = req.rate
+        values = np.full(sizes[pos], float(req.value))
+        values[-1] = 0.0
+        loads = (loads[:, None] + options[None]).reshape(
+            -1, num_edges, num_segments
+        )
+        revenue = (revenue[:, None] + values[None]).reshape(-1)
+
+    peak = np.maximum(
+        loads.max(axis=2), committed_loads[edges].max(axis=1)
+    )
+    extra = np.maximum(np.ceil(peak - _CEIL_TOL) - charged[edges], 0.0)
+    objective = revenue - (extra * instance.prices[edges]).sum(axis=1)
+    best = int(np.argmax(objective))
+    picks = np.unravel_index(best, sizes)
+    choices = tuple(
+        None if int(pick) == size - 1 else int(pick)
+        for pick, size in zip(picks, sizes)
+    )
+    return choices, float(objective[best])
+
+
 def solve_batch(
     instance: SPMInstance,
     batch_ids: list[int],
@@ -339,17 +436,40 @@ def solve_batch(
     MILP optimum to exactly 0 and all-decline is optimal.  A bound above
     0 falls through to the normal integer solve — screening never changes
     a decision's objective, only the price paid for hopeless batches
-    (the relaxation solves in a fraction of the MILP's time).
+    (the relaxation solves in a fraction of the MILP's time).  The screen
+    and the integer solve share one ``time_limit``: the MILP gets what the
+    screen left, and a screen that used it all is a timeout.
+
+    A batch whose joint choice space is at most :data:`ENUMERATION_CAP`
+    skips both builds and the screen: :func:`enumerate_batch` certifies
+    it exactly (status ``OPTIMAL``, cacheable like a HiGHS optimum).  Its
+    result is a timeout, as a solve's would be, when it took longer than
+    ``time_limit``.
 
     Raises :class:`~repro.exceptions.SolverTimeoutError` when the limit is
     hit with no usable incumbent, so callers (the broker) can decline the
     batch instead of crashing.
     """
+    if choice_space(instance, batch_ids) <= ENUMERATION_CAP:
+        if check_cancelled is not None and check_cancelled():
+            raise SolverError("solve cancelled before dispatch")
+        started = time.perf_counter()
+        choices, objective = enumerate_batch(
+            instance, batch_ids, committed_loads, charged
+        )
+        if time_limit is not None and time.perf_counter() - started > time_limit:
+            raise SolverTimeoutError(
+                f"batch enumeration exceeded its time limit ({time_limit} s)"
+            )
+        return BatchDecision(
+            choices=choices, status=SolveStatus.OPTIMAL, objective=objective
+        )
     if fast_path:
         compiled, x_offsets = instance.batch_compiler().compile_batch(
             batch_ids, committed_loads, charged
         )
         if lp_screen:
+            started = time.perf_counter()
             bound = solve_compiled_raw(
                 relax(compiled),
                 time_limit=time_limit,
@@ -362,6 +482,12 @@ def solve_batch(
                     objective=0.0,
                     screened=True,
                 )
+            if time_limit is not None:
+                time_limit -= time.perf_counter() - started
+                if time_limit <= 0.0:
+                    raise SolverTimeoutError(
+                        "LP screen used up the batch's time limit"
+                    )
         raw = solve_compiled_raw(
             compiled, time_limit=time_limit, check_cancelled=check_cancelled
         )

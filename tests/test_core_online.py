@@ -1,5 +1,7 @@
 """Tests for repro.core.online — the slot-by-slot online extension."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,7 @@ class TestLimitHandling:
     """solve_batch under limit-hit solves: keep incumbents, never guess."""
 
     def test_timeout_without_incumbent_raises(self, diamond, monkeypatch):
+        monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
         monkeypatch.setattr(
             online_mod,
             "solve_compiled_raw",
@@ -137,6 +140,8 @@ class TestLimitHandling:
             solve_batch(inst, [0], committed, charged, time_limit=1e-9)
 
     def test_feasible_incumbent_accepted_and_flagged(self, diamond, monkeypatch):
+        # One bid is enumerated by default; force it to the MILP backend.
+        monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
         inst, committed, charged = _one_request_state(diamond)
         optimal = solve_batch(inst, [0], committed, charged)
         assert optimal.status is SolveStatus.OPTIMAL
@@ -156,7 +161,34 @@ class TestLimitHandling:
         assert decision.suboptimal
         assert decision.choices == optimal.choices
 
+    def test_lp_screen_and_milp_share_one_time_limit(self, diamond, monkeypatch):
+        monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
+        real = online_mod.solve_compiled_raw
+        milp_limits = []
+
+        def slow_screen(compiled, *, time_limit=None, check_cancelled=None):
+            if compiled.integrality.any():
+                milp_limits.append(time_limit)
+            else:
+                time.sleep(0.05)
+            return real(compiled, time_limit=time_limit)
+
+        monkeypatch.setattr(online_mod, "solve_compiled_raw", slow_screen)
+        inst, committed, charged = _one_request_state(diamond)
+        decision = solve_batch(
+            inst, [0], committed, charged, time_limit=0.2, lp_screen=True
+        )
+        assert decision.status is SolveStatus.OPTIMAL and not decision.screened
+        assert milp_limits[0] < 0.2 - 0.05
+        # A screen that uses up the whole limit leaves the MILP nothing.
+        with pytest.raises(SolverTimeoutError, match="LP screen"):
+            solve_batch(
+                inst, [0], committed, charged, time_limit=0.04, lp_screen=True
+            )
+        assert len(milp_limits) == 1
+
     def test_feasible_rejected_when_strict(self, diamond, monkeypatch):
+        monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
         inst, committed, charged = _one_request_state(diamond)
         real = online_mod.solve_compiled_raw
         monkeypatch.setattr(

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.online as online_mod
 from repro.core.instance import SPMInstance
 from repro.core.maa import ImproveMemo, improve_paths, solve_maa
 from repro.core.metis import Metis
@@ -260,8 +261,10 @@ class TestScreeningEquivalence:
         assert screened.schedule.assignment == plain.schedule.assignment
         assert screened_sched.screened_batches >= 0
 
-    def test_screened_batch_is_certified_all_decline(self):
+    def test_screened_batch_is_certified_all_decline(self, monkeypatch):
         """A provably hopeless batch returns screened OPTIMAL all-decline."""
+        # The screen only runs above the enumeration cap; lower it to 0.
+        monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
         topo = random_wan(4, 1, price_range=(5.0, 9.0), rng=3)
         dcs = topo.datacenters
         requests = RequestSet(

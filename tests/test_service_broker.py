@@ -219,6 +219,8 @@ class TestGracefulDegradation:
     def test_forced_timeout_declines_whole_batches(
         self, small_sub_b4_instance, monkeypatch
     ):
+        # Small batches are enumerated by default; force every one to HiGHS.
+        monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
         monkeypatch.setattr(
             online_mod,
             "solve_compiled_raw",
@@ -240,6 +242,7 @@ class TestGracefulDegradation:
     def test_forced_suboptimal_is_flagged_and_not_cached(
         self, small_sub_b4_instance, monkeypatch
     ):
+        monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
         real = online_mod.solve_compiled_raw
 
         def relabel(*args, **kwargs):
