@@ -3,18 +3,21 @@
 Not tied to a paper figure — these track the cost of each stage so a
 regression in the LP layer, the estimator walk or path enumeration is
 caught by the benchmark suite rather than discovered inside a 30-round
-Metis run.
+Metis run.  The expression-layer and reference-estimator rows use the
+test-suite's oracles (``tests.oracles``): run from the repository root with
+``python -m pytest``.
 """
 
 import pytest
 
-from repro.core.estimator import PessimisticEstimator
-from repro.core.formulations import build_bl_spm, build_rl_spm
 from repro.core.instance import SPMInstance
 from repro.core.maa import solve_maa
 from repro.core.taa import solve_taa
 from repro.experiments.common import ExperimentConfig, make_instance
 from repro.net.topologies import b4
+
+from tests.oracles.estimator import PessimisticEstimator, build_estimator
+from tests.oracles.formulations import build_bl_spm, build_rl_spm, fractional_x
 
 _CFG = ExperimentConfig(topology="b4", request_counts=(200,), max_duration=None)
 
@@ -86,16 +89,13 @@ def test_taa_full(benchmark, instance):
 
 def test_estimator_walk_scaling(benchmark, instance):
     """The derandomized walk alone, on the real TAA estimator for K=200."""
-    from repro.core.taa import _build_estimator
-    from repro.core.formulations import fractional_x
-
     capacities = {key: 10 for key in instance.edges}
     problem = build_bl_spm(instance, capacities, integral=False)
     solution = problem.model.solve()
     weights = fractional_x(problem, solution)
     rate_max = max(r.rate for r in instance.requests)
     value_max = max(r.value for r in instance.requests)
-    estimator = _build_estimator(
+    estimator = build_estimator(
         instance,
         weights,
         capacities,

@@ -6,7 +6,9 @@ over their expression-layer / reference counterparts, and times one
 end-to-end ``Metis.solve`` on the fast path.  Every timed comparison
 first asserts the fast path is *bitwise identical* to the reference (the
 property the fuzz suite checks at small scale, re-checked here at
-benchmark scale).
+benchmark scale).  The references are the test-suite's oracles
+(``tests.oracles``), so run it from the repository root with
+``python -m pytest``.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run a shrunken configuration (CI smoke):
 same equivalence assertions, relaxed speedup floors.
@@ -20,12 +22,15 @@ import numpy as np
 import pytest
 
 from repro.core.fastform import FormulationCompiler
-from repro.core.formulations import build_bl_spm, build_rl_spm
 from repro.core.instance import SPMInstance
 from repro.core.metis import Metis
-from repro.core.taa import _build_estimator, _build_estimator_fast
+from repro.core.taa import _build_estimator_fast
 from repro.experiments.common import ExperimentConfig, make_instance
 from repro.lp.solvers import solve_compiled_raw
+
+from tests.oracles.estimator import build_estimator
+from tests.oracles.formulations import build_bl_spm, build_rl_spm
+from tests.oracles.metis import swap_into_metis
 
 _SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 _NUM_REQUESTS = 30 if _SMOKE else 200
@@ -143,7 +148,7 @@ def test_estimator_speedup(benchmark, instance, capacities):
         revenue_floor_norm=0.3,
     )
 
-    ref = _build_estimator(instance, weights, capacities, **kwargs)
+    ref = build_estimator(instance, weights, capacities, **kwargs)
     fast = _build_estimator_fast(
         instance, weights, capacities, formulation=formulation, **kwargs
     )
@@ -155,7 +160,7 @@ def test_estimator_speedup(benchmark, instance, capacities):
     assert ref_final == fast_final
 
     def run_ref():
-        est = _build_estimator(instance, weights, capacities, **kwargs)
+        est = build_estimator(instance, weights, capacities, **kwargs)
         est.initial_log_value()
         est.walk()
 
@@ -223,7 +228,7 @@ def test_restrict_speedup(benchmark, instance):
     )
 
 
-def test_metis_end_to_end(benchmark, instance):
+def test_metis_end_to_end(benchmark, instance, monkeypatch):
     """One full alternation at benchmark scale: warm-start row vs PR 4 cold.
 
     ``Metis(warm_start=True)`` (resolve sessions + incremental local
@@ -233,7 +238,7 @@ def test_metis_end_to_end(benchmark, instance):
     """
     theta = 3 if _SMOKE else 5
     outcome = benchmark.pedantic(
-        lambda: Metis(theta=theta, fast_path=True, warm_start=True).solve(
+        lambda: Metis(theta=theta, warm_start=True).solve(
             instance, rng=7
         ),
         rounds=1,
@@ -241,7 +246,7 @@ def test_metis_end_to_end(benchmark, instance):
     )
     assert outcome.best.profit >= 0.0
     assert outcome.best.profit >= outcome.initial_profit
-    cold = Metis(theta=theta, fast_path=True, warm_start=False).solve(
+    cold = Metis(theta=theta, warm_start=False).solve(
         instance, rng=7
     )
     assert outcome.best.profit == cold.best.profit
@@ -276,6 +281,7 @@ def test_metis_end_to_end(benchmark, instance):
             f"cold fast path (floor {floor}x)"
         )
     else:
-        ref = Metis(theta=theta, fast_path=False).solve(instance, rng=7)
+        swap_into_metis(monkeypatch)
+        ref = Metis(theta=theta, warm_start=False).solve(instance, rng=7)
         assert outcome.best.profit == ref.best.profit
         assert outcome.rounds == ref.rounds

@@ -4,7 +4,9 @@ Tracks the cost of the per-batch MILPs, asserts the dominance chain
 (online <= offline OPT) at benchmark scale, pins the array-native
 batch-compilation speedup over the expression reference build, and pins
 the crossover floor under ``ENUMERATION_CAP``: exact enumeration of a
-small batch costs at most half of a HiGHS solve.
+small batch costs at most half of a HiGHS solve.  The expression reference
+is the test-suite's oracle (``tests.oracles.online``), so run it from the
+repository root with ``python -m pytest``.
 
 Set ``REPRO_BENCH_SMOKE=1`` to run a shrunken configuration (CI smoke):
 same assertions on equivalence and dominance, relaxed speedup floor.
@@ -22,7 +24,6 @@ from repro.baselines.opt import solve_opt_spm
 from repro.core.instance import SPMInstance
 from repro.core.online import (
     OnlineScheduler,
-    build_incremental_spm,
     commit_decision,
     enumerate_batch,
     solve_batch,
@@ -32,6 +33,8 @@ from repro.loadgen import synthesize_bids
 from repro.net.topologies import b4
 from repro.workload.request import RequestSet
 from repro.workload.value_models import FlatRateValueModel
+
+from tests.oracles import online as reference
 
 _SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 _NUM_REQUESTS = 20 if _SMOKE else 60
@@ -81,8 +84,8 @@ def test_fast_build_speedup(benchmark, instance):
     committed = np.zeros((instance.num_edges, instance.num_slots))
     charged = np.zeros(instance.num_edges)
     for batch in batches:
-        fast = solve_batch(instance, batch, committed, charged, fast_path=True)
-        expr = solve_batch(instance, batch, committed, charged, fast_path=False)
+        fast = solve_batch(instance, batch, committed, charged)
+        expr = reference.solve_batch(instance, batch, committed, charged)
         assert fast.choices == expr.choices, (
             "fast and expression builds must decide identically"
         )
@@ -91,7 +94,9 @@ def test_fast_build_speedup(benchmark, instance):
 
     def build_expr():
         for batch in batches:
-            build_incremental_spm(instance, batch, committed, charged)[0].compile()
+            reference.build_incremental_spm(
+                instance, batch, committed, charged
+            )[0].compile()
 
     def build_fast():
         for batch in batches:

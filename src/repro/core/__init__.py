@@ -2,7 +2,8 @@
 
 * :class:`SPMInstance` — a concrete service-profit-maximization instance
   (topology + requests + pre-enumerated candidate paths ``P_i``);
-* :mod:`repro.core.formulations` — LP/ILP builders for SPM, RL-SPM, BL-SPM;
+* :class:`FormulationCompiler` — array-native LP/ILP builders for SPM,
+  RL-SPM and BL-SPM;
 * :class:`Schedule` — a path assignment with revenue/cost/profit accounting;
 * :func:`solve_maa` — the Multistage Approximation Algorithm (RL-SPM);
 * :func:`solve_taa` — the Tree-based Approximation Algorithm (BL-SPM);

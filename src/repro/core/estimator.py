@@ -33,13 +33,10 @@ products cannot underflow.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import logsumexp
 
-__all__ = ["EstimatorTerm", "PessimisticEstimator", "VectorizedEstimator"]
+__all__ = ["VectorizedEstimator"]
 
 #: log(phi) is clipped here to keep zero-probability factors finite.
 _LOG_FLOOR = -745.0  # just above log(min double)
@@ -65,111 +62,15 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return (np.log1p(s) + np.log(m) + a_max)[:, 0]
 
 
-@dataclass(frozen=True)
-class EstimatorTerm:
-    """One bad-event term: ``exp(log_const) * prod_i phi_i``."""
-
-    name: str
-    log_const: float
-
-
-class PessimisticEstimator:
-    """The sum-of-products estimator and its greedy tree walk.
-
-    Parameters
-    ----------
-    num_requests:
-        K, the tree depth.
-    num_choices:
-        per request, the number of branches (``L_i + 1``; the last branch is
-        *decline* by convention).
-    terms:
-        the bad-event terms (term 0 is conventionally the revenue term).
-    log_phi:
-        array ``(K, M)`` with ``log E[factor]`` per request and term.
-    choice_deltas:
-        ``choice_deltas[i][b]`` is a list of ``(term_idx, log_factor)``
-        pairs: fixing request ``i`` to branch ``b`` multiplies term
-        ``term_idx`` by ``exp(log_factor)`` (unlisted terms keep factor 1).
-    """
-
-    def __init__(
-        self,
-        num_requests: int,
-        num_choices: list[int],
-        terms: list[EstimatorTerm],
-        log_phi: np.ndarray,
-        choice_deltas: list[list[list[tuple[int, float]]]],
-    ) -> None:
-        if log_phi.shape != (num_requests, len(terms)):
-            raise ValueError(
-                f"log_phi shape {log_phi.shape} != ({num_requests}, {len(terms)})"
-            )
-        if len(num_choices) != num_requests or len(choice_deltas) != num_requests:
-            raise ValueError("per-request metadata length mismatch")
-        self.num_requests = num_requests
-        self.num_choices = num_choices
-        self.terms = terms
-        self.log_phi = np.clip(log_phi, _LOG_FLOOR, None)
-        self.choice_deltas = choice_deltas
-        self.log_consts = np.array([t.log_const for t in terms])
-
-        # suffix[i] = sum of log_phi over requests i..K-1 (suffix[K] = 0).
-        self._suffix = np.zeros((num_requests + 1, len(terms)))
-        if num_requests:
-            self._suffix[:-1] = np.cumsum(self.log_phi[::-1], axis=0)[::-1]
-
-    # ----------------------------------------------------------------- values
-
-    def initial_log_value(self) -> float:
-        """``ln u_root`` before any choice is fixed."""
-        return float(logsumexp(self.log_consts + self._suffix[0]))
-
-    def _log_value(self, base: np.ndarray, deltas: list[tuple[int, float]]) -> float:
-        if not deltas:
-            return float(logsumexp(base))
-        adjusted = base.copy()
-        for term_idx, log_factor in deltas:
-            adjusted[term_idx] += log_factor
-        return float(logsumexp(adjusted))
-
-    # ------------------------------------------------------------------ walk
-
-    def walk(self) -> tuple[list[int], float]:
-        """Greedily minimize the estimator level by level.
-
-        Returns ``(choices, final_log_value)`` where ``choices[i]`` is the
-        branch fixed for request ``i``.  By the conditional-expectation
-        argument the estimator value is non-increasing along the walk; the
-        final value is ``ln`` of the leaf estimator.
-        """
-        prefix = np.zeros(len(self.terms))
-        choices: list[int] = []
-        current = self.initial_log_value()
-        for i in range(self.num_requests):
-            base = self.log_consts + prefix + self._suffix[i + 1]
-            best_branch = 0
-            best_value = math.inf
-            for branch in range(self.num_choices[i]):
-                value = self._log_value(base, self.choice_deltas[i][branch])
-                if value < best_value:
-                    best_value = value
-                    best_branch = branch
-            choices.append(best_branch)
-            for term_idx, log_factor in self.choice_deltas[i][best_branch]:
-                prefix[term_idx] += log_factor
-            current = best_value
-        return choices, current
-
-
 class VectorizedEstimator:
-    """The same estimator and walk, CSR-encoded and array-evaluated.
+    """The sum-of-products estimator and its greedy tree walk, CSR-encoded.
 
-    :class:`PessimisticEstimator` is the readable reference: per-request
-    nested Python lists of ``(term, log_factor)`` deltas, each branch
-    scored by copying the base vector and calling ``logsumexp`` once.  On
-    B4-sized instances the walk alone is tens of thousands of small numpy
-    calls.  This class stores the *same* deltas as one flat CSR structure
+    The readable reference (the test-suite's ``PessimisticEstimator``
+    oracle) keeps per-request nested Python lists of ``(term,
+    log_factor)`` deltas and scores each branch by copying the base vector
+    and calling ``logsumexp`` once; on B4-sized instances that walk alone
+    is tens of thousands of small numpy calls.  This class stores the
+    *same* deltas as one flat CSR structure
     (``delta_terms``/``delta_vals`` indexed by ``delta_ptr`` per branch,
     branches of request ``i`` at ``branch_offsets[i]:branch_offsets[i+1]``,
     decline last) and scores all branches of a request in one

@@ -1,21 +1,20 @@
 """Array-native compilation of the offline SPM formulations.
 
-The expression-layer builders in :mod:`repro.core.formulations` are the
-readable reference, but every Metis alternation round rebuilds the RL-SPM
-and BL-SPM relaxations from scratch through dict-backed
-:class:`~repro.lp.expr.LinExpr` rows — a quadruple Python loop over
-requests × paths × edges × slots per model.  :class:`FormulationCompiler`
-is the offline counterpart of the serving layer's
+Every Metis alternation round solves the RL-SPM and BL-SPM relaxations,
+and the exact baselines solve the full SPM and RL-SPM ILPs.
+:class:`FormulationCompiler` builds all of them.  It is the offline
+counterpart of the serving layer's
 :class:`~repro.core.online.IncrementalBatchCompiler`: it precomputes each
 request's (path, edge, slot) incidence triplets once per instance and then
 emits the RL-SPM, BL-SPM and full-SPM compiled models with vectorized
 numpy assembly, reusing :func:`repro.lp.fastbuild.compile_coo`.
 
-The fast build mirrors the reference build's row order (per-request rows
-first, capacity rows in first-appearance order), column order (x columns
-in request/path order, then c columns in edge order) and float arithmetic
-exactly, so both hand HiGHS *bitwise-identical* matrices — asserted
-matrix-by-matrix in ``tests/test_core_fastform.py``.
+The build mirrors the symbolic statement of each model (the test-suite's
+expression-layer oracle, ``tests/oracles/formulations.py``) in row order
+(per-request rows first, capacity rows in first-appearance order), column
+order (x columns in request/path order, then c columns in edge order) and
+float arithmetic exactly, so both hand HiGHS *bitwise-identical* matrices
+— asserted matrix-by-matrix in ``tests/test_core_fastform.py``.
 
 Between Metis rounds the request set only shrinks and the capacities only
 tighten, so the compiler additionally caches each assembled structure per
@@ -26,9 +25,9 @@ enter solely through the capacity-row right-hand sides — rewrites only
 per-request arrays (a column/row masking of the parent's incidence) rather
 than re-running the Python incidence loops.
 
-Compiled models built here carry no symbolic variables; solve them with
-:func:`repro.lp.solvers.solve_compiled_raw` and read path weights from the
-raw column vector via :attr:`CompiledFormulation.x_offsets`.
+Solve the compiled models with :func:`repro.lp.solvers.solve_compiled_raw`
+and read path weights from the raw column vector via
+:attr:`CompiledFormulation.x_offsets`.
 """
 
 from __future__ import annotations
@@ -149,7 +148,7 @@ class FormulationCompiler:
         All missing requests are flattened in one batch of array ops: the
         cross product of each path edge with its request's slot window is
         laid out (entry-major, slot-minor) — the same nesting the
-        expression builders walk, so first-appearance order of
+        symbolic builders walk, so first-appearance order of
         (edge, slot) keys (and hence cap-row order) matches — and the
         global arrays are then split back per request.
         """
@@ -229,7 +228,11 @@ class FormulationCompiler:
                 float(req.value),
             )
 
-    def _spm_c_upper(self) -> np.ndarray:
+    def spm_ceilings(self) -> np.ndarray:
+        """Per-edge upper bounds on ``c_e``: the topology's capacity ceilings.
+
+        ``inf`` where the topology sets none; read once, at the first call.
+        """
         if self._c_upper is None:
             self._c_upper = np.array(
                 [
@@ -289,7 +292,7 @@ class FormulationCompiler:
         )
 
         # Touched (edge, slot) pairs, ranked in first-appearance order —
-        # the capacity-row order of the expression builders.
+        # the capacity-row order of the symbolic builders.
         uniq_keys, first_pos, inverse = np.unique(
             entry_keys, return_index=True, return_inverse=True
         )
@@ -326,8 +329,8 @@ class FormulationCompiler:
         if kind == "rl":
             row_lower[:num_requests] = 1.0  # satisfy every request exactly
         row_upper[:num_requests] = 1.0
-        # ``load <= c_var`` normalizes to rhs ``-0.0`` in the expression
-        # layer (``-expr.constant`` with constant ``+0.0``); mirror the bit
+        # ``load <= c_var`` normalizes to rhs ``-0.0`` in a symbolic
+        # build (``-expr.constant`` with constant ``+0.0``); mirror the bit
         # pattern so the compiled arrays are memcmp-identical, not just
         # ``==``-equal.  BL overwrites this span with capacities.
         row_upper[num_requests:] = -0.0
@@ -347,7 +350,7 @@ class FormulationCompiler:
         var_upper[:num_x] = 1.0
         if has_c:
             var_upper[num_x:] = (
-                self._spm_c_upper() if kind == "spm" else np.inf
+                self.spm_ceilings() if kind == "spm" else np.inf
             )
         integrality = (
             np.ones(num_vars, dtype=np.int8)
@@ -412,8 +415,7 @@ class FormulationCompiler:
     ) -> CompiledFormulation:
         """RL-SPM: minimize cost while satisfying every request.
 
-        Bitwise identical to compiling
-        :func:`repro.core.formulations.build_rl_spm` on ``instance``.
+        ``integral=True`` is the exact ILP, OPT(RL-SPM).
         """
         structure = self._structure(instance, "rl", integral)
         return self._formulation(
@@ -434,8 +436,7 @@ class FormulationCompiler:
         The capacities enter solely through the capacity-row right-hand
         sides, so a repeat compile over the same request set (the Metis
         shrink loop) reuses the cached matrix and rewrites only
-        ``row_upper``.  Bitwise identical to compiling
-        :func:`repro.core.formulations.build_bl_spm`.
+        ``row_upper``.
         """
         missing = [key for key in self._edges if key not in capacities]
         if missing:
@@ -444,7 +445,7 @@ class FormulationCompiler:
         caps = np.array(
             [float(capacities[self._edges[e]]) for e in structure.cap_edges]
         )
-        # The expression layer normalizes ``load <= cap`` to
+        # A symbolic build normalizes ``load <= cap`` to
         # ``-(0.0 - cap)``, which is ``-0.0`` (not ``+0.0``) for
         # zero-capacity edges; replicate the exact bit pattern.
         row_upper = np.concatenate([structure.choice_upper, -(0.0 - caps)])
@@ -458,8 +459,8 @@ class FormulationCompiler:
     ) -> CompiledFormulation:
         """The full SPM: jointly choose acceptance, paths and bandwidth.
 
-        Bitwise identical to compiling
-        :func:`repro.core.formulations.build_spm` on ``instance``.
+        ``integral=True`` is the exact ILP, OPT(SPM).  Each ``c_e`` is
+        bounded by :meth:`spm_ceilings`.
         """
         structure = self._structure(instance, "spm", integral)
         return self._formulation(
@@ -476,10 +477,8 @@ class FormulationCompiler:
     ) -> dict[int, list[float]]:
         """Per-request path weights straight from a raw solution vector.
 
-        The array-native counterpart of
-        :func:`repro.core.formulations.fractional_x`: weights are clipped
-        into ``[0, 1]`` to absorb solver round-off, and returned keyed by
-        request id in instance order.
+        Weights are clipped into ``[0, 1]`` to absorb solver round-off, and
+        returned keyed by request id in instance order.
         """
         clipped = np.clip(x[: formulation.num_x], 0.0, 1.0)
         offsets = formulation.x_offsets

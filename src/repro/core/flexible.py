@@ -14,24 +14,32 @@ the SPM model:
   bandwidth units.
 
 :func:`solve_flexible_spm` solves the expanded problem exactly (binary
-``x[i, j, o]`` over path x offset options); :func:`flexibility_gain`
+``x[i, j, o]`` over path x offset options, assembled by
+:func:`compile_flexible_spm`); :func:`flexibility_gain`
 reports profit as a function of a uniform slack budget — the "how much is
 scheduling freedom worth" curve.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.instance import SPMInstance
 from repro.core.schedule import Schedule
 from repro.exceptions import InfeasibleError, SolverError, WorkloadError
-from repro.lp.expr import LinExpr
-from repro.lp.model import Model
+from repro.lp.fastbuild import compile_coo
+from repro.lp.model import CompiledModel
 from repro.lp.result import SolveStatus
+from repro.lp.solvers import solve_compiled_raw
 
-__all__ = ["FlexibleResult", "solve_flexible_spm", "flexibility_gain"]
+__all__ = [
+    "FlexibleResult",
+    "compile_flexible_spm",
+    "solve_flexible_spm",
+    "flexibility_gain",
+]
 
 
 @dataclass
@@ -56,6 +64,81 @@ class FlexibleResult:
         return sum(1 for offset in self.offsets.values() if offset > 0)
 
 
+def compile_flexible_spm(
+    instance: SPMInstance, slacks: dict[int, int]
+) -> tuple[CompiledModel, list[tuple[int, int, int]]]:
+    """The flexible-window ILP in compiled form.
+
+    Columns: one binary ``x[i, j, o]`` per request, start offset and path
+    (offset-major within a request), then one integer ``c_e`` per edge,
+    bounded by the topology's capacity ceiling where it has one.  Rows: a
+    ``<= 1`` choice row per request, then one ``load <= c_e`` row per
+    touched (edge, slot) in first-appearance order.  Returns
+    ``(compiled, columns)``: ``columns[k]`` is the
+    ``(request_id, path, offset)`` of x column ``k``.
+    """
+    num_requests = instance.num_requests
+    columns: list[tuple[int, int, int]] = []
+    x_values: list[float] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    data: list[float] = []
+    cap_rows: dict[tuple[int, int], int] = {}
+    cap_edges: list[int] = []
+    for i, req in enumerate(instance.requests):
+        rid = req.request_id
+        max_offset = min(slacks.get(rid, 0), instance.num_slots - 1 - req.end)
+        for offset in range(max_offset + 1):
+            for path_idx in range(instance.num_paths(rid)):
+                col = len(columns)
+                columns.append((rid, path_idx, offset))
+                x_values.append(req.value)
+                rows.append(i)
+                cols.append(col)
+                data.append(1.0)
+                for edge_idx in instance.path_edges[rid][path_idx].tolist():
+                    for t in range(req.start + offset, req.end + offset + 1):
+                        row = cap_rows.get((edge_idx, t))
+                        if row is None:
+                            row = num_requests + len(cap_edges)
+                            cap_rows[(edge_idx, t)] = row
+                            cap_edges.append(edge_idx)
+                        rows.append(row)
+                        cols.append(col)
+                        data.append(req.rate)
+    num_x = len(columns)
+    num_cap = len(cap_edges)
+    rows.extend(range(num_requests, num_requests + num_cap))
+    cols.extend(num_x + e for e in cap_edges)
+    data.extend([-1.0] * num_cap)
+
+    num_rows = num_requests + num_cap
+    row_upper = np.full(num_rows, -0.0)  # ``load - c_e <= -0.0``
+    row_upper[:num_requests] = 1.0
+    num_vars = num_x + instance.num_edges
+    var_upper = np.ones(num_vars)
+    var_upper[num_x:] = instance.formulation_compiler().spm_ceilings()
+    # ``0.0 + value`` / ``0.0 - price``: the objective coefficients as a
+    # symbolic build accumulates them, down to the sign of a zero price.
+    objective = np.concatenate(
+        [0.0 + np.array(x_values, dtype=float), 0.0 - instance.prices]
+    )
+    compiled = compile_coo(
+        objective=objective,
+        maximize=True,
+        rows=np.array(rows, dtype=np.int64),
+        cols=np.array(cols, dtype=np.int64),
+        data=np.array(data, dtype=float),
+        num_rows=num_rows,
+        row_lower=np.full(num_rows, -np.inf),
+        row_upper=row_upper,
+        var_lower=np.zeros(num_vars),
+        var_upper=var_upper,
+        integrality=np.ones(num_vars, dtype=np.int8),
+    )
+    return compiled, columns
+
+
 def solve_flexible_spm(
     instance: SPMInstance,
     slacks: dict[int, int] | int,
@@ -66,8 +149,9 @@ def solve_flexible_spm(
 
     ``slacks`` is either a per-request map or one uniform slack (slots of
     allowed delay).  Offsets pushing a window past the billing cycle are
-    not generated.  NP-hard like SPM — sized for the same instances the
-    exact OPT baselines handle.
+    not generated.  Purchases respect the topology's capacity ceilings, so
+    slack 0 is exactly OPT(SPM).  NP-hard like SPM — sized for the same
+    instances the exact OPT baselines handle.
     """
     if isinstance(slacks, int):
         slacks = {req.request_id: slacks for req in instance.requests}
@@ -78,60 +162,8 @@ def solve_flexible_spm(
                 f"request {req.request_id}: slack must be >= 0, got {slack}"
             )
 
-    model = Model("flexible-spm")
-    x_vars: dict[tuple[int, int, int], object] = {}
-    options: dict[int, list[tuple[int, int]]] = {}
-    for req in instance.requests:
-        slack = slacks.get(req.request_id, 0)
-        max_offset = min(slack, instance.num_slots - 1 - req.end)
-        request_options = []
-        for offset in range(max_offset + 1):
-            for path_idx in range(instance.num_paths(req.request_id)):
-                var = model.add_binary(f"x_{req.request_id}_{path_idx}_{offset}")
-                x_vars[(req.request_id, path_idx, offset)] = var
-                request_options.append((path_idx, offset))
-        options[req.request_id] = request_options
-        model.add_constr(
-            sum(
-                x_vars[(req.request_id, path_idx, offset)]
-                for path_idx, offset in request_options
-            )
-            <= 1,
-            name=f"choice_{req.request_id}",
-        )
-
-    c_vars = {
-        edge_idx: model.add_var(f"c_{edge_idx}", 0.0, is_integer=True)
-        for edge_idx in range(instance.num_edges)
-    }
-
-    load_rows: dict[tuple[int, int], LinExpr] = {}
-    for req in instance.requests:
-        for path_idx, offset in options[req.request_id]:
-            var = x_vars[(req.request_id, path_idx, offset)]
-            for edge_idx in instance.path_edges[req.request_id][path_idx]:
-                for t in range(req.start + offset, req.end + offset + 1):
-                    key = (int(edge_idx), t)
-                    expr = load_rows.get(key)
-                    if expr is None:
-                        expr = LinExpr()
-                        load_rows[key] = expr
-                    expr.terms[var] = expr.terms.get(var, 0.0) + req.rate
-    for (edge_idx, t), load in load_rows.items():
-        model.add_constr(load <= c_vars[edge_idx], name=f"cap_{edge_idx}_{t}")
-
-    objective = LinExpr()
-    for req in instance.requests:
-        for path_idx, offset in options[req.request_id]:
-            var = x_vars[(req.request_id, path_idx, offset)]
-            objective.terms[var] = objective.terms.get(var, 0.0) + req.value
-    for edge_idx, var in c_vars.items():
-        objective.terms[var] = objective.terms.get(var, 0.0) - float(
-            instance.prices[edge_idx]
-        )
-    model.set_objective(objective, maximize=True)
-
-    solution = model.solve(time_limit=time_limit)
+    compiled, columns = compile_flexible_spm(instance, slacks)
+    solution = solve_compiled_raw(compiled, time_limit=time_limit)
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError("flexible SPM ILP infeasible")
     if not solution.is_optimal:
@@ -139,15 +171,16 @@ def solve_flexible_spm(
             f"flexible SPM did not reach optimality: {solution.status}"
         )
 
-    assignment: dict[int, int | None] = {}
+    assignment: dict[int, int | None] = dict.fromkeys(
+        instance.requests.request_ids
+    )
     offsets: dict[int, int] = {}
-    for req in instance.requests:
-        assignment[req.request_id] = None
-        for path_idx, offset in options[req.request_id]:
-            if solution.values[x_vars[(req.request_id, path_idx, offset)]] > 0.5:
-                assignment[req.request_id] = path_idx
-                offsets[req.request_id] = offset
-                break
+    chosen = np.rint(solution.x[: len(columns)]) > 0.5
+    for col in np.flatnonzero(chosen).tolist():
+        rid, path_idx, offset = columns[col]
+        if rid not in offsets:  # first chosen option per request
+            assignment[rid] = path_idx
+            offsets[rid] = offset
 
     shifted = _shifted_instance(instance, offsets)
     schedule = Schedule(shifted, assignment)

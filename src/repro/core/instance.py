@@ -185,7 +185,7 @@ class SPMInstance:
 
         Precomputes every request's (path, edge, slot) incidence arrays
         once, so the serving loop's per-batch MILPs assemble with
-        vectorized numpy operations instead of the expression layer.
+        vectorized numpy operations.
         Returns a :class:`repro.core.online.IncrementalBatchCompiler`
         (imported lazily to avoid a module cycle).
         """
@@ -200,8 +200,7 @@ class SPMInstance:
 
         Precomputes every request's (path, edge, slot) incidence arrays
         once and emits the RL-SPM / BL-SPM / full-SPM compiled models with
-        vectorized numpy assembly, bitwise identical to the expression
-        builders in :mod:`repro.core.formulations`.  Restricted instances
+        vectorized numpy assembly.  Restricted instances
         share their parent's compiler (see :meth:`restrict`).  Returns a
         :class:`repro.core.fastform.FormulationCompiler` (imported lazily
         to avoid a module cycle).

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.fastform import FormulationCompiler
-from repro.core.formulations import build_rl_spm, fractional_x
 from repro.core.instance import SPMInstance
 from repro.core.schedule import Schedule
 from repro.core.sweep import RunSums, run_sweep, window_rates
@@ -145,7 +144,6 @@ def solve_maa(
     rng: int | np.random.Generator | None = None,
     time_limit: float | None = None,
     accept_feasible: bool = False,
-    fast_path: bool = True,
     warm_start: bool = False,
 ) -> MAAResult:
     """Run Algorithm 1 (MAA) on ``instance``.
@@ -157,13 +155,11 @@ def solve_maa(
     ``accept_feasible=True`` rounds the incumbent weights instead —
     explicitly trading the certificate for availability.
 
-    With ``fast_path`` (default) the RL-SPM relaxation is assembled by the
-    instance's cached :class:`~repro.core.fastform.FormulationCompiler`
-    and the weights / fractional bandwidth are read straight from the raw
-    solution columns — bitwise identical to the expression-layer path
-    (``fast_path=False``), which is kept as the equivalence oracle.
+    The RL-SPM relaxation is assembled by the instance's cached
+    :class:`~repro.core.fastform.FormulationCompiler` and the weights /
+    fractional bandwidth are read straight from the raw solution columns.
 
-    ``warm_start`` (fast path only) routes the relaxation solve through
+    ``warm_start`` routes the relaxation solve through
     the formulation's :class:`~repro.lp.warmstart.ResolveSession`: the
     Metis inner loop re-solves the *identical* RL-SPM relaxation
     ``maa_rounds`` times per round (only the rounding rng differs), so
@@ -176,21 +172,15 @@ def solve_maa(
     unlimited purchasable bandwidth) and :class:`SolverError` on solver
     failure.
     """
-    if fast_path:
-        formulation = instance.formulation_compiler().compile_rl_spm(
-            instance, integral=False
+    formulation = instance.formulation_compiler().compile_rl_spm(
+        instance, integral=False
+    )
+    if warm_start and formulation.session is not None:
+        solution = formulation.session.solve(
+            formulation.compiled, time_limit=time_limit
         )
-        if warm_start and formulation.session is not None:
-            solution = formulation.session.solve(
-                formulation.compiled, time_limit=time_limit
-            )
-        else:
-            solution = solve_compiled_raw(
-                formulation.compiled, time_limit=time_limit
-            )
     else:
-        problem = build_rl_spm(instance, integral=False)
-        solution = problem.model.solve(time_limit=time_limit)
+        solution = solve_compiled_raw(formulation.compiled, time_limit=time_limit)
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError("RL-SPM relaxation is infeasible")
     if not solution.is_optimal and not (
@@ -198,17 +188,8 @@ def solve_maa(
     ):
         raise SolverError(f"RL-SPM relaxation failed: {solution.status}")
 
-    if fast_path:
-        weights = FormulationCompiler.weights_from_raw(formulation, solution.x)
-        c_hat = np.array(solution.x[formulation.num_x :])
-    else:
-        weights = fractional_x(problem, solution)
-        c_hat = np.array(
-            [
-                solution.values[problem.c_vars[idx]]
-                for idx in range(instance.num_edges)
-            ]
-        )
+    weights = FormulationCompiler.weights_from_raw(formulation, solution.x)
+    c_hat = np.array(solution.x[formulation.num_x :])
     positive = c_hat[c_hat > _ALPHA_TOL]
     alpha = float(positive.min()) if positive.size else 0.0
 

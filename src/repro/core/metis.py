@@ -269,13 +269,9 @@ class Metis:
     hard ceiling on one Metis invocation's solver time; by default a
     limit-hit relaxation raises (the paper's guarantees are stated against
     true LP optima), while ``accept_feasible=True`` lets MAA/TAA proceed
-    from limit-hit incumbents instead.  ``fast_path`` (default) runs
-    MAA/TAA on the array-native formulation compiler and vectorized
-    estimator; the outcome is bit-identical to the expression-layer
-    reference (``fast_path=False``), which is kept as the equivalence
-    oracle.
+    from limit-hit incumbents instead.
 
-    ``warm_start`` (default, fast path only) reuses work across the
+    ``warm_start`` (default) reuses work across the
     alternation's structurally-identical re-solves: RL/BL relaxations go
     through per-structure :class:`~repro.lp.warmstart.ResolveSession`
     caches (exact repeats and certified-dual capacity shrinks skip the
@@ -296,7 +292,6 @@ class Metis:
         prune: bool = True,
         time_limit: float | None = None,
         accept_feasible: bool = False,
-        fast_path: bool = True,
         warm_start: bool = True,
     ) -> None:
         if theta < 1:
@@ -312,8 +307,7 @@ class Metis:
         self.prune = prune
         self.time_limit = time_limit
         self.accept_feasible = accept_feasible
-        self.fast_path = fast_path
-        self.warm_start = warm_start and fast_path
+        self.warm_start = warm_start
 
     def _best_maa_schedule(
         self,
@@ -328,7 +322,6 @@ class Metis:
                 rng=rng,
                 time_limit=self.time_limit,
                 accept_feasible=self.accept_feasible,
-                fast_path=self.fast_path,
                 warm_start=self.warm_start,
             ).schedule
             if self.local_search:
@@ -409,7 +402,6 @@ class Metis:
                 capacities,
                 time_limit=self.time_limit,
                 accept_feasible=self.accept_feasible,
-                fast_path=self.fast_path,
                 warm_start=self.warm_start,
             )
             taa_profit = taa.schedule.profit

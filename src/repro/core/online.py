@@ -11,23 +11,21 @@ implements that variant on top of the same substrate:
   ``t``, with the loads and integer bandwidth of earlier commitments sunk;
 * the batch decision is made *exactly* by an incremental MILP: maximize
   batch revenue minus the cost of the **extra** bandwidth units forced
-  beyond what is already purchased (:func:`build_incremental_spm`) — the
-  integer charging makes "ride an already-paid unit" free, which is what
+  beyond what is already purchased (:class:`IncrementalBatchCompiler`) —
+  the integer charging makes "ride an already-paid unit" free, which is what
   distinguishes this from EcoFlow's one-request-at-a-time greedy;
 * the final accounting charges each edge the ceiling of its realized peak
   load, exactly like the offline solutions, so online and offline profits
   are directly comparable.
 
-The batch MILP is built two ways.  :func:`build_incremental_spm` is the
-readable reference: dict-backed :class:`~repro.lp.expr.LinExpr` rows
-compiled per constraint.  :class:`IncrementalBatchCompiler` is the hot
-path: it precomputes each request's (path, edge, slot) incidence arrays
-once per instance and then emits the *identical* compiled sparse model
-per batch with vectorized numpy assembly — only the right-hand sides
-(residual headroom) change between batches.  Both produce the same
-matrix, so decisions are bitwise identical; the equivalence tests assert
-it.  Neither runs for a batch of a few bids: when its joint choice space
-``prod(|P_i| + 1)`` is at most :data:`ENUMERATION_CAP`,
+:class:`IncrementalBatchCompiler` builds the batch MILP: it precomputes
+each request's (path, edge, slot) incidence arrays once per instance and
+then emits the compiled sparse model per batch with vectorized numpy
+assembly — only the right-hand sides (residual headroom) change between
+batches.  The equivalence tests hold it bit for bit to the test-suite's
+expression-layer reference build.  It does not run for a batch of a few
+bids: when its joint choice space ``prod(|P_i| + 1)`` is at most
+:data:`ENUMERATION_CAP`,
 :func:`enumerate_batch` lists every joint choice and computes the MILP's
 objective for each exactly, in a fraction of a HiGHS call.
 
@@ -47,9 +45,8 @@ import numpy as np
 from repro.core.instance import SPMInstance
 from repro.core.schedule import Schedule
 from repro.exceptions import InfeasibleError, SolverError, SolverTimeoutError
-from repro.lp.expr import LinExpr
 from repro.lp.fastbuild import compile_coo
-from repro.lp.model import CompiledModel, Model
+from repro.lp.model import CompiledModel
 from repro.lp.result import SolveStatus
 from repro.lp.solvers import solve_compiled_raw
 from repro.lp.warmstart import relax
@@ -60,7 +57,6 @@ __all__ = [
     "BatchDecision",
     "ENUMERATION_CAP",
     "IncrementalBatchCompiler",
-    "build_incremental_spm",
     "choice_space",
     "enumerate_batch",
     "solve_batch",
@@ -78,79 +74,6 @@ _CEIL_TOL = 1e-9
 ENUMERATION_CAP = 1024
 
 
-def build_incremental_spm(
-    instance: SPMInstance,
-    batch_ids: list[int],
-    committed_loads: np.ndarray,
-    charged: np.ndarray,
-):
-    """The incremental MILP for one arrival batch (reference implementation).
-
-    Decision variables: ``x[i, j]`` (binary path choice per batch request)
-    and integer ``extra[e] >= 0``, the bandwidth units purchased beyond the
-    already-charged ``charged[e]``.  Constraints couple the committed plus
-    batch load at every (edge, slot) to ``charged[e] + extra[e]``; the
-    objective is batch revenue minus the price of the extra units.
-
-    This is the expression-layer build the fast path
-    (:class:`IncrementalBatchCompiler`) is verified against.  Returns
-    ``(model, x_vars, extra_vars)``.
-    """
-    model = Model("incremental-spm")
-    x_vars = {}
-    for request_id in batch_ids:
-        for path_idx in range(instance.num_paths(request_id)):
-            x_vars[(request_id, path_idx)] = model.add_binary(
-                f"x_{request_id}_{path_idx}"
-            )
-    extra_vars = {
-        edge_idx: model.add_var(f"extra_{edge_idx}", 0.0, is_integer=True)
-        for edge_idx in range(instance.num_edges)
-    }
-
-    for request_id in batch_ids:
-        row = sum(
-            x_vars[(request_id, j)]
-            for j in range(instance.num_paths(request_id))
-        )
-        model.add_constr(row <= 1, name=f"choice_{request_id}")
-
-    # Sparse (edge, slot) rows: only where a batch path adds load.
-    touched: dict[tuple[int, int], LinExpr] = {}
-    for request_id in batch_ids:
-        req = instance.request(request_id)
-        for path_idx in range(instance.num_paths(request_id)):
-            var = x_vars[(request_id, path_idx)]
-            for edge_idx in instance.path_edges[request_id][path_idx]:
-                for t in req.slots:
-                    key = (int(edge_idx), t)
-                    expr = touched.get(key)
-                    if expr is None:
-                        expr = LinExpr()
-                        touched[key] = expr
-                    expr.terms[var] = expr.terms.get(var, 0.0) + req.rate
-
-    for (edge_idx, t), load_expr in touched.items():
-        headroom = float(charged[edge_idx] - committed_loads[edge_idx, t])
-        model.add_constr(
-            load_expr - extra_vars[edge_idx] <= headroom,
-            name=f"cap_{edge_idx}_{t}",
-        )
-
-    objective = LinExpr()
-    for request_id in batch_ids:
-        req = instance.request(request_id)
-        for path_idx in range(instance.num_paths(request_id)):
-            var = x_vars[(request_id, path_idx)]
-            objective.terms[var] = objective.terms.get(var, 0.0) + req.value
-    for edge_idx, var in extra_vars.items():
-        objective.terms[var] = objective.terms.get(var, 0.0) - float(
-            instance.prices[edge_idx]
-        )
-    model.set_objective(objective, maximize=True)
-    return model, x_vars, extra_vars
-
-
 class IncrementalBatchCompiler:
     """Array-native builder for the incremental batch MILP.
 
@@ -163,10 +86,10 @@ class IncrementalBatchCompiler:
 
     Per batch (:meth:`compile_batch`): concatenate the cached arrays of the
     batch's requests, rank the touched (edge, slot) keys in first-appearance
-    order, and emit the compiled sparse model whose rows, columns, and
-    coefficients are *identical* to compiling
-    :func:`build_incremental_spm` — only assembled with vectorized numpy
-    instead of per-term Python.  The per-batch state (``committed_loads``,
+    order, and emit the compiled sparse model with vectorized numpy instead
+    of per-term Python; its rows, columns and coefficients are those of the
+    test-suite's expression-layer reference build, bit for bit.  The
+    per-batch state (``committed_loads``,
     ``charged``) enters solely through the cap-row right-hand sides.
     """
 
@@ -409,7 +332,6 @@ def solve_batch(
     time_limit: float | None = None,
     check_cancelled=None,
     accept_feasible: bool = True,
-    fast_path: bool = True,
     lp_screen: bool = False,
 ) -> BatchDecision:
     """Decide one arrival batch: a chosen path (or ``None``) per position.
@@ -419,14 +341,13 @@ def solve_batch(
     what lets :mod:`repro.service` cache decisions and ship them across
     solver worker processes.
 
-    With ``fast_path`` (default) the MILP is assembled by the instance's
-    cached :class:`IncrementalBatchCompiler`; otherwise by the reference
-    expression build — the two are decision-identical.  With
-    ``accept_feasible`` (default) a solve that hits ``time_limit`` with an
+    The MILP is assembled by the instance's cached
+    :class:`IncrementalBatchCompiler`.  With ``accept_feasible`` (default)
+    a solve that hits ``time_limit`` with an
     incumbent returns it as a valid (possibly suboptimal) decision; set it
     ``False`` for strict raise-on-non-optimal semantics.
 
-    ``lp_screen`` (fast path only) solves the batch model's LP relaxation
+    ``lp_screen`` solves the batch model's LP relaxation
     first and skips the integer solve when its bound certifies that no
     acceptance can be profitable.  The screen is *sound*, never
     heuristic: declining everything is always feasible at objective 0
@@ -441,7 +362,7 @@ def solve_batch(
     screen left, and a screen that used it all is a timeout.
 
     A batch whose joint choice space is at most :data:`ENUMERATION_CAP`
-    skips both builds and the screen: :func:`enumerate_batch` certifies
+    skips the build and the screen: :func:`enumerate_batch` certifies
     it exactly (status ``OPTIMAL``, cacheable like a HiGHS optimum).  Its
     result is a timeout, as a solve's would be, when it took longer than
     ``time_limit``.
@@ -464,53 +385,43 @@ def solve_batch(
         return BatchDecision(
             choices=choices, status=SolveStatus.OPTIMAL, objective=objective
         )
-    if fast_path:
-        compiled, x_offsets = instance.batch_compiler().compile_batch(
-            batch_ids, committed_loads, charged
+    compiled, x_offsets = instance.batch_compiler().compile_batch(
+        batch_ids, committed_loads, charged
+    )
+    if lp_screen:
+        started = time.perf_counter()
+        bound = solve_compiled_raw(
+            relax(compiled),
+            time_limit=time_limit,
+            check_cancelled=check_cancelled,
         )
-        if lp_screen:
-            started = time.perf_counter()
-            bound = solve_compiled_raw(
-                relax(compiled),
-                time_limit=time_limit,
-                check_cancelled=check_cancelled,
+        if bound.status is SolveStatus.OPTIMAL and bound.objective <= 0.0:
+            return BatchDecision(
+                choices=(None,) * len(batch_ids),
+                status=SolveStatus.OPTIMAL,
+                objective=0.0,
+                screened=True,
             )
-            if bound.status is SolveStatus.OPTIMAL and bound.objective <= 0.0:
-                return BatchDecision(
-                    choices=(None,) * len(batch_ids),
-                    status=SolveStatus.OPTIMAL,
-                    objective=0.0,
-                    screened=True,
+        if time_limit is not None:
+            time_limit -= time.perf_counter() - started
+            if time_limit <= 0.0:
+                raise SolverTimeoutError(
+                    "LP screen used up the batch's time limit"
                 )
-            if time_limit is not None:
-                time_limit -= time.perf_counter() - started
-                if time_limit <= 0.0:
-                    raise SolverTimeoutError(
-                        "LP screen used up the batch's time limit"
-                    )
-        raw = solve_compiled_raw(
-            compiled, time_limit=time_limit, check_cancelled=check_cancelled
-        )
-        status, objective = raw.status, raw.objective
-        extract = lambda: _choices_from_x(raw.x, x_offsets)  # noqa: E731
-    else:
-        model, x_vars, _ = build_incremental_spm(
-            instance, batch_ids, committed_loads, charged
-        )
-        solution = model.solve(
-            time_limit=time_limit, check_cancelled=check_cancelled
-        )
-        status, objective = solution.status, solution.objective
-        extract = lambda: _choices_from_values(  # noqa: E731
-            instance, batch_ids, solution.values, x_vars
-        )
-
+    raw = solve_compiled_raw(
+        compiled, time_limit=time_limit, check_cancelled=check_cancelled
+    )
+    status = raw.status
     if status is SolveStatus.INFEASIBLE:
         raise InfeasibleError("incremental batch MILP infeasible")
     if status is SolveStatus.OPTIMAL or (
         accept_feasible and status is SolveStatus.FEASIBLE
     ):
-        return BatchDecision(choices=extract(), status=status, objective=objective)
+        return BatchDecision(
+            choices=_choices_from_x(raw.x, x_offsets),
+            status=status,
+            objective=raw.objective,
+        )
     if status in (SolveStatus.TIME_LIMIT, SolveStatus.FEASIBLE):
         raise SolverTimeoutError(
             f"batch MILP hit its time limit ({status.value}, "
@@ -520,27 +431,12 @@ def solve_batch(
 
 
 def _choices_from_x(x: np.ndarray, x_offsets: np.ndarray) -> tuple:
-    """Read per-request path choices from the raw fast-path solution."""
+    """Read per-request path choices from the raw solution vector."""
     chosen = np.round(x[: x_offsets[-1]]) > 0.5
     choices = []
     for lo, hi in zip(x_offsets[:-1], x_offsets[1:]):
         hit = np.flatnonzero(chosen[lo:hi])
         choices.append(int(hit[0]) if hit.size else None)
-    return tuple(choices)
-
-
-def _choices_from_values(
-    instance: SPMInstance, batch_ids: list[int], values: dict, x_vars: dict
-) -> tuple:
-    """Read per-request path choices from the expression-path solution."""
-    choices = []
-    for request_id in batch_ids:
-        chosen = None
-        for path_idx in range(instance.num_paths(request_id)):
-            if values[x_vars[(request_id, path_idx)]] > 0.5:
-                chosen = path_idx
-                break
-        choices.append(chosen)
     return tuple(choices)
 
 
@@ -599,22 +495,18 @@ class OnlineScheduler:
     ``time_limit`` bounds each batch MILP (they are small — one slot's
     arrivals); a limit-hit batch keeps its feasible incumbent when one
     exists and raises :class:`~repro.exceptions.SolverTimeoutError`
-    otherwise, rather than guessing.  ``fast_path`` selects the
-    array-native model build (default; decision-identical to the
-    expression build).  ``lp_screen`` enables the sound relaxation-bound
-    skip of :func:`solve_batch` for every batch; ``screened_batches``
-    counts how many batches it answered.
+    otherwise, rather than guessing.  ``lp_screen`` enables the sound
+    relaxation-bound skip of :func:`solve_batch` for every batch;
+    ``screened_batches`` counts how many batches it answered.
     """
 
     def __init__(
         self,
         *,
         time_limit: float | None = 60.0,
-        fast_path: bool = True,
         lp_screen: bool = False,
     ) -> None:
         self.time_limit = time_limit
-        self.fast_path = fast_path
         self.lp_screen = lp_screen
         self.screened_batches = 0
 
@@ -655,7 +547,6 @@ class OnlineScheduler:
             committed_loads,
             charged,
             time_limit=self.time_limit,
-            fast_path=self.fast_path,
             lp_screen=self.lp_screen,
         )
         if outcome.screened:

@@ -40,13 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.chernoff import invert_lower_bound, select_mu
-from repro.core.estimator import (
-    EstimatorTerm,
-    PessimisticEstimator,
-    VectorizedEstimator,
-)
+from repro.core.estimator import VectorizedEstimator
 from repro.core.fastform import CompiledFormulation, FormulationCompiler
-from repro.core.formulations import build_bl_spm, fractional_x
 from repro.core.instance import SPMInstance
 from repro.core.schedule import Schedule
 from repro.exceptions import AlgorithmError, InfeasibleError, SolverError
@@ -111,7 +106,6 @@ def solve_taa(
     augment: bool = True,
     time_limit: float | None = None,
     accept_feasible: bool = False,
-    fast_path: bool = True,
     warm_start: bool = False,
 ) -> TAAResult:
     """Run Algorithm 2 (TAA) on ``instance`` under ``capacities``.
@@ -124,14 +118,12 @@ def solve_taa(
     ``accept_feasible=True`` proceeds from the incumbent weights —
     explicitly trading the certificate for availability.
 
-    With ``fast_path`` (default) the BL-SPM relaxation is assembled by the
-    instance's cached :class:`~repro.core.fastform.FormulationCompiler`
-    (weights read straight from the raw solution columns) and the
-    pessimistic estimator is built and walked by the vectorized kernel —
-    both bitwise identical to the expression-layer/reference path
-    (``fast_path=False``), which is kept as the equivalence oracle.
+    The BL-SPM relaxation is assembled by the instance's cached
+    :class:`~repro.core.fastform.FormulationCompiler` (weights read
+    straight from the raw solution columns) and the pessimistic estimator
+    is built and walked by the vectorized kernel.
 
-    ``warm_start`` (fast path only) routes the relaxation solve through
+    ``warm_start`` routes the relaxation solve through
     the formulation's :class:`~repro.lp.warmstart.ResolveSession`.  The
     Metis shrink loop re-solves BL-SPM over the same request set with only
     capacity right-hand sides moving, so shrinks that the previous
@@ -164,32 +156,22 @@ def solve_taa(
             empty, dict(capacities), 0.0, 1.0, 0.0, math.nan, math.nan, 0
         )
 
-    formulation: CompiledFormulation | None = None
-    if fast_path:
-        formulation = instance.formulation_compiler().compile_bl_spm(
-            instance, capacities, integral=False
+    formulation = instance.formulation_compiler().compile_bl_spm(
+        instance, capacities, integral=False
+    )
+    if warm_start and formulation.session is not None:
+        solution = formulation.session.solve(
+            formulation.compiled, time_limit=time_limit
         )
-        if warm_start and formulation.session is not None:
-            solution = formulation.session.solve(
-                formulation.compiled, time_limit=time_limit
-            )
-        else:
-            solution = solve_compiled_raw(
-                formulation.compiled, time_limit=time_limit
-            )
     else:
-        problem = build_bl_spm(instance, capacities, integral=False)
-        solution = problem.model.solve(time_limit=time_limit)
+        solution = solve_compiled_raw(formulation.compiled, time_limit=time_limit)
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError("BL-SPM relaxation is infeasible")
     if not solution.is_optimal and not (
         accept_feasible and solution.status is SolveStatus.FEASIBLE
     ):
         raise SolverError(f"BL-SPM relaxation failed: {solution.status}")
-    if fast_path:
-        weights = FormulationCompiler.weights_from_raw(formulation, solution.x)
-    else:
-        weights = fractional_x(problem, solution)
+    weights = FormulationCompiler.weights_from_raw(formulation, solution.x)
     relaxation_revenue = float(solution.objective)
 
     requests = instance.requests.requests
@@ -229,8 +211,7 @@ def solve_taa(
     t0 = -math.log1p(-gamma) if gamma < 1.0 else 1.0
     t_cap = math.log(1.0 / mu)
 
-    build = _build_estimator_fast if fast_path else _build_estimator
-    estimator = build(
+    estimator = _build_estimator_fast(
         instance,
         weights,
         capacities,
@@ -270,94 +251,6 @@ def solve_taa(
     )
 
 
-def _build_estimator(
-    instance: SPMInstance,
-    weights: dict[int, list[float]],
-    capacities: dict[EdgeKey, int],
-    *,
-    mu: float,
-    t0: float,
-    t_cap: float,
-    rate_max: float,
-    value_max: float,
-    revenue_floor_norm: float,
-    formulation: CompiledFormulation | None = None,
-) -> PessimisticEstimator:
-    """Assemble the sum-of-products estimator for this instance.
-
-    This is the readable reference build; ``formulation`` is unused here
-    (accepted for signature parity with :func:`_build_estimator_fast`).
-    """
-    requests = instance.requests.requests
-    num_slots = instance.num_slots
-
-    # Capacity terms: only (edge, slot) pairs some candidate path can load.
-    term_of: dict[tuple[int, int], int] = {}
-    terms: list[EstimatorTerm] = [
-        EstimatorTerm(name="revenue", log_const=t0 * revenue_floor_norm)
-    ]
-    for req in requests:
-        for path_idx in range(instance.num_paths(req.request_id)):
-            for edge_idx in instance.path_edges[req.request_id][path_idx]:
-                for t in req.slots:
-                    key = (int(edge_idx), t)
-                    if key not in term_of:
-                        term_of[key] = len(terms)
-                        cap_norm = capacities[instance.edges[int(edge_idx)]] / rate_max
-                        terms.append(
-                            EstimatorTerm(
-                                name=f"cap_{edge_idx}_{t}",
-                                log_const=-t_cap * cap_norm,
-                            )
-                        )
-
-    num_terms = len(terms)
-    log_phi = np.zeros((len(requests), num_terms))
-    num_choices: list[int] = []
-    choice_deltas: list[list[list[tuple[int, float]]]] = []
-
-    for row, req in enumerate(requests):
-        n_paths = instance.num_paths(req.request_id)
-        num_choices.append(n_paths + 1)
-        p = np.clip(mu * np.asarray(weights[req.request_id], dtype=float), 0.0, 1.0)
-        total_p = min(1.0, float(p.sum()))
-        rate_norm = req.rate / rate_max
-        value_norm = req.value / value_max
-
-        # Revenue factor: accepted with prob total_p, contributing e^{-t0 v}.
-        log_phi[row, 0] = math.log(
-            max(1.0 + total_p * (math.exp(-t0 * value_norm) - 1.0), 0.0) or 1e-300
-        )
-
-        # Capacity factors: phi = 1 + sum_{paths crossing e} p_j (e^{tc r} - 1).
-        bump = math.exp(t_cap * rate_norm) - 1.0
-        per_term_mass: dict[int, float] = {}
-        deltas_per_branch: list[list[tuple[int, float]]] = []
-        for path_idx in range(n_paths):
-            branch_deltas: list[tuple[int, float]] = [(0, -t0 * value_norm)]
-            for edge_idx in instance.path_edges[req.request_id][path_idx]:
-                for t in req.slots:
-                    term_idx = term_of[(int(edge_idx), t)]
-                    per_term_mass[term_idx] = (
-                        per_term_mass.get(term_idx, 0.0) + float(p[path_idx])
-                    )
-                    branch_deltas.append((term_idx, t_cap * rate_norm))
-            deltas_per_branch.append(branch_deltas)
-        deltas_per_branch.append([])  # decline: every factor is 1
-        choice_deltas.append(deltas_per_branch)
-
-        for term_idx, mass in per_term_mass.items():
-            log_phi[row, term_idx] = math.log(1.0 + min(mass, 1.0) * bump)
-
-    return PessimisticEstimator(
-        num_requests=len(requests),
-        num_choices=num_choices,
-        terms=terms,
-        log_phi=log_phi,
-        choice_deltas=choice_deltas,
-    )
-
-
 def _build_estimator_fast(
     instance: SPMInstance,
     weights: dict[int, list[float]],
@@ -381,8 +274,9 @@ def _build_estimator_fast(
     slots in Python.  Transcendentals stay scalar ``math.log``/``math.exp``
     (numpy's SIMD ``np.log``/``np.exp`` are not bitwise-equal to libm on
     this platform); everything structural is array ops.  The result's
-    ``initial_log_value``/``walk`` match :func:`_build_estimator`'s to
-    exact float equality — asserted by the fuzz tests.
+    ``initial_log_value``/``walk`` match the test-suite's reference
+    estimator (``tests/oracles/estimator.py``) to exact float equality —
+    asserted by the fuzz tests.
     """
     requests = instance.requests.requests
     num_requests = len(requests)

@@ -1,41 +1,31 @@
-"""Declarative LP/MILP modeling layer compiled to scipy's HiGHS solvers.
+"""Array-native LP/MILP substrate over scipy's HiGHS solvers.
 
 The paper calls Gurobi for its LP relaxations and the exact OPT baselines;
-this package provides the modeling surface those algorithms need:
+this package provides what those algorithms need:
 
-* :class:`Variable` / :class:`LinExpr` — symbolic affine expressions;
-* :class:`Constraint` — ``expr <= / == / >= rhs``;
-* :class:`Model` — collects variables/constraints, compiles to sparse
-  matrices, and dispatches to ``scipy.optimize.linprog`` (pure LPs) or
-  ``scipy.optimize.milp`` (with integer variables);
-* :func:`compile_coo` — the array-native fast path: assemble the same
-  compiled sparse form directly from COO triplets, bypassing the
-  expression layer entirely (solve with :func:`solve_compiled_raw`);
-* :func:`branch_and_bound` — an independent from-scratch MILP solver built
-  on the LP relaxation, used to cross-check HiGHS in the test-suite.
+* :func:`compile_coo` — assemble the sparse standard form
+  (:class:`~repro.lp.model.CompiledModel`) straight from COO triplets;
+  the offline formulations (:mod:`repro.core.fastform`), the online batch
+  MILP (:class:`~repro.core.online.IncrementalBatchCompiler`) and the
+  flexible-window ILP (:mod:`repro.core.flexible`) all build through it;
+* :func:`solve_compiled_raw` — dispatch to ``scipy.optimize.linprog``
+  (pure LPs) or ``scipy.optimize.milp`` (with integer columns) and return
+  a :class:`RawSolution` holding the raw column vector;
+* :class:`~repro.lp.warmstart.ResolveSession` — certified reuse across
+  re-solves of one structure.
+
+The symbolic expression layer these builds are verified against, and the
+from-scratch simplex and branch-and-bound solvers that cross-check HiGHS,
+live with the test-suite as oracles.
 """
 
-from repro.lp.expr import LinExpr, Variable
-from repro.lp.constraint import Constraint
-from repro.lp.model import Model
-from repro.lp.result import RawSolution, Solution, SolveStatus
+from repro.lp.result import RawSolution, SolveStatus
 from repro.lp.fastbuild import compile_coo
-from repro.lp.solvers import solve_compiled, solve_compiled_raw
-from repro.lp.branch_and_bound import branch_and_bound
-from repro.lp.simplex import simplex_solve, simplex_solve_model
+from repro.lp.solvers import solve_compiled_raw
 
 __all__ = [
-    "Variable",
-    "LinExpr",
-    "Constraint",
-    "Model",
-    "Solution",
     "RawSolution",
     "SolveStatus",
     "compile_coo",
-    "solve_compiled",
     "solve_compiled_raw",
-    "branch_and_bound",
-    "simplex_solve",
-    "simplex_solve_model",
 ]

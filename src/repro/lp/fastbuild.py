@@ -1,24 +1,19 @@
 """Array-native model compilation: COO triplets straight to sparse form.
 
-The expression layer (:class:`~repro.lp.expr.LinExpr` /
-:class:`~repro.lp.model.Model`) is the readable reference path, but it pays
-for that readability per constraint: every row allocates a dict-backed
-expression and :meth:`Model.compile` walks them term by term in Python.  On
-hot paths that rebuild a structurally-similar model per step — the serving
-loop compiles one incremental MILP per admission batch — that build cost
-dominates the solve itself.
+Every runtime model is built here.  Callers hold the model in array form
+(objective vector, constraint triplets, bound vectors) and
+:func:`compile_coo` assembles the :class:`~repro.lp.model.CompiledModel`
+sparse standard form in a handful of vectorized numpy operations — no
+per-term Python, which matters on hot paths that rebuild a
+structurally-similar model per step (the serving loop compiles one
+incremental MILP per admission batch).  Duplicate ``(row, col)`` triplets
+are summed by the sparse constructor, exactly like repeated ``+=``
+accumulation into a symbolic expression; the test-suite's expression-layer
+oracle (``tests/oracles/lp``) holds each builder to its symbolic
+counterpart bit for bit.
 
-:func:`compile_coo` is the bypass: callers that already hold the model in
-array form (objective vector, constraint triplets, bound vectors) assemble
-the exact same :class:`~repro.lp.model.CompiledModel` sparse standard form
-in a handful of vectorized numpy operations.  Duplicate ``(row, col)``
-triplets are summed by the sparse constructor, exactly like repeated
-``+=`` accumulation into a ``LinExpr``.
-
-Models built this way carry no symbolic :class:`~repro.lp.expr.Variable`
-objects (``variables`` is empty), so they must be solved with
-:func:`repro.lp.solvers.solve_compiled_raw`, which returns the raw column
-vector instead of a variable-keyed dict.
+Solve the result with :func:`repro.lp.solvers.solve_compiled_raw`, which
+returns the raw column vector; the builder's column maps read it back.
 """
 
 from __future__ import annotations
@@ -104,7 +99,7 @@ def compile_coo(
 
     ``objective`` is the coefficient vector in the model's *original* sense
     (its length defines the column count); the maximization sign flip is
-    applied here, mirroring :meth:`Model.compile`.  ``rows``/``cols``/
+    applied here.  ``rows``/``cols``/
     ``data`` are parallel triplet arrays for the constraint matrix;
     ``row_lower``/``row_upper`` give each row's range (use ``-inf``/``inf``
     for one-sided rows, equal values for equalities).
@@ -150,7 +145,6 @@ def compile_coo(
         rows, cols, data, num_rows, num_vars, check=check
     )
     return CompiledModel(
-        variables=[],
         c=sign * objective,
         a_matrix=a_matrix,
         row_lower=row_lower,

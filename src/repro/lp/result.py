@@ -7,9 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from repro.lp.expr import LinExpr, Variable
-
-__all__ = ["SolveStatus", "Solution", "RawSolution"]
+__all__ = ["SolveStatus", "RawSolution"]
 
 
 class SolveStatus(Enum):
@@ -31,48 +29,14 @@ class SolveStatus(Enum):
 
 
 @dataclass
-class Solution:
-    """An optimization result.
-
-    ``objective`` is in the model's original sense (maximization objectives
-    are reported as maximization values).  ``values`` maps every model
-    variable to its solution value; integer variables from the MILP path are
-    rounded to exact ints.  For ``FEASIBLE`` results the objective and
-    values describe the incumbent.
-    """
-
-    status: SolveStatus
-    objective: float
-    values: dict[Variable, float] = field(default_factory=dict)
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status is SolveStatus.OPTIMAL
-
-    @property
-    def is_feasible(self) -> bool:
-        """Whether a usable (optimal or incumbent) solution is present."""
-        return self.status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
-
-    def __getitem__(self, var: Variable) -> float:
-        return self.values[var]
-
-    def value_of(self, expr: LinExpr | Variable) -> float:
-        """Evaluate an expression (or variable) under this solution."""
-        if isinstance(expr, Variable):
-            return self.values[expr]
-        return expr.value(self.values)
-
-
-@dataclass
 class RawSolution:
-    """An array-form result for models solved without the expression layer.
+    """An array-form solver result.
 
     ``x`` is the raw solution vector in column order (``None`` when the
     solve produced no usable point); integer columns are *not* rounded —
-    consumers index it directly.  Used by the fast compilation path
-    (:mod:`repro.lp.fastbuild`), whose compiled models carry no symbolic
-    :class:`~repro.lp.expr.Variable` objects to key a ``values`` dict with.
+    consumers index it directly, through the column maps of the builder
+    that assembled the model (e.g.
+    :attr:`~repro.core.fastform.CompiledFormulation.x_offsets`).
 
     ``upper_duals`` (LP path only, on request) holds one dual value per
     *original* model row for its upper-bound side — equality rows carry

@@ -5,15 +5,9 @@ integral variables go through ``scipy.optimize.milp``.  Both paths normalize
 scipy's status codes into :class:`~repro.lp.result.SolveStatus` and convert
 the objective back to the model's original sense.
 
-Two entry points share the same core:
-
-* :func:`solve_compiled` — the expression-layer path; returns a
-  :class:`~repro.lp.result.Solution` whose ``values`` dict is keyed by the
-  model's :class:`~repro.lp.expr.Variable` objects.
-* :func:`solve_compiled_raw` — the array-native path; returns a
-  :class:`~repro.lp.result.RawSolution` holding the raw column vector.
-  This is what the fast compilation path (:mod:`repro.lp.fastbuild`)
-  consumes, since its compiled models carry no symbolic variables.
+The entry point, :func:`solve_compiled_raw`, returns a
+:class:`~repro.lp.result.RawSolution` holding the raw column vector; the
+builder that assembled the model maps columns back to problem entities.
 """
 
 from __future__ import annotations
@@ -23,9 +17,9 @@ from scipy import optimize, sparse
 
 from repro.exceptions import SolverError
 from repro.lp.model import CompiledModel
-from repro.lp.result import RawSolution, Solution, SolveStatus
+from repro.lp.result import RawSolution, SolveStatus
 
-__all__ = ["solve_compiled", "solve_compiled_raw"]
+__all__ = ["solve_compiled_raw"]
 
 #: scipy status code for "iteration or time limit reached" (both backends).
 #: Mapped to ``FEASIBLE`` when an incumbent is present, ``TIME_LIMIT``
@@ -65,40 +59,6 @@ def solve_compiled_raw(
     if np.any(compiled.integrality):
         return _solve_milp(compiled, time_limit=time_limit)
     return _solve_linprog(compiled, time_limit=time_limit)
-
-
-def solve_compiled(
-    compiled: CompiledModel,
-    *,
-    time_limit: float | None = None,
-    check_cancelled=None,
-) -> Solution:
-    """Solve a compiled model and map the result back to model variables.
-
-    Same semantics as :func:`solve_compiled_raw` (which it wraps); the
-    returned :class:`~repro.lp.result.Solution` carries a ``values`` dict
-    keyed by the model's variables, with integer columns rounded to ints.
-    """
-    if len(compiled.variables) != compiled.c.size:
-        raise SolverError(
-            "compiled model has no symbolic variables (array-native "
-            "compilation); solve it with solve_compiled_raw instead"
-        )
-    raw = solve_compiled_raw(
-        compiled, time_limit=time_limit, check_cancelled=check_cancelled
-    )
-    values = _extract_values(compiled, raw.x) if raw.x is not None else {}
-    return Solution(status=raw.status, objective=raw.objective, values=values)
-
-
-def _extract_values(compiled: CompiledModel, x: np.ndarray) -> dict:
-    values = {}
-    for var, val in zip(compiled.variables, x):
-        val = float(val)
-        if compiled.integrality[var.index]:
-            val = float(round(val))
-        values[var] = val
-    return values
 
 
 def _finish(compiled: CompiledModel, result) -> RawSolution:

@@ -6,9 +6,9 @@ and must accept (with a path) or decline each one before its window
 starts.  The broker runs rolling billing cycles on a simulated clock
 (:class:`~repro.service.clock.SimClock`), ingests each cycle's bid stream
 (:mod:`repro.service.ingest`), batches arrivals into admission windows,
-and decides every batch *exactly* with the incremental MILP of
-:func:`repro.core.online.build_incremental_spm` — the same integer-unit
-charging the offline solutions use, so broker profit is directly
+and decides every batch *exactly* with the incremental MILP that
+:class:`repro.core.online.IncrementalBatchCompiler` assembles — the same
+integer-unit charging the offline solutions use, so broker profit is directly
 comparable to (and upper-bounded by) offline OPT on the same instance.
 
 :class:`CycleEngine` is the single place a batch is decided: every

@@ -16,7 +16,7 @@ Two serving-specific behaviors are layered on top of the bare executor:
   sub-instances hit even across tasks executed by the same worker;
 * **cooperative cancellation** — a shared :class:`multiprocessing.Event`
   is polled by workers between solves (via :func:`check_cancelled`, wired
-  down to :func:`repro.lp.solvers.solve_compiled`); when any task fails,
+  down to :func:`repro.lp.solvers.solve_compiled_raw`); when any task fails,
   the pool sets the event and cancels queued futures so a broken run
   drains quickly instead of grinding through doomed MILPs;
 * **worker-death recovery** — an abruptly dead worker (OOM kill, segfault,

@@ -11,6 +11,8 @@ from repro.workload.generator import WorkloadConfig, generate_workload
 from repro.workload.request import Request, RequestSet
 from repro.workload.value_models import FlatRateValueModel
 
+from tests.oracles.metis import swap_into_metis
+
 
 @pytest.fixture
 def diamond() -> Topology:
@@ -93,3 +95,13 @@ def small_sub_b4_instance(sub_b4_topology) -> SPMInstance:
         rng=7,
     )
     return SPMInstance.build(sub_b4_topology, workload, k_paths=3)
+
+
+@pytest.fixture
+def reference_metis(monkeypatch):
+    """Call to make ``Metis`` run the expression-layer MAA and TAA.
+
+    Pair it with ``Metis(warm_start=False)``: warm starts only ever ran on
+    the array-native build.
+    """
+    return lambda: swap_into_metis(monkeypatch)

@@ -1,12 +1,45 @@
 """Tests for the exact OPT baselines."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.baselines.ecoflow import solve_ecoflow
 from repro.baselines.mincost import solve_mincost
 from repro.baselines.opt import solve_opt_rl_spm, solve_opt_spm
 from repro.core.metis import Metis
 from repro.sim.validator import validate_schedule
+
+from tests.oracles.formulations import (
+    assignment_from_solution,
+    build_rl_spm,
+    build_spm,
+)
+from tests.test_properties import random_instance
+
+fuzz_settings = settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+def assert_opt_matches_reference(instance):
+    """Both OPT baselines against the expression build through ``Model``.
+
+    Same objective bits and the same assignment: the compiled ILPs are
+    bitwise identical, and the read-back rounds the integer columns
+    before its integrality test exactly as ``Model.solve`` did.
+    """
+    pairs = ((solve_opt_spm, build_spm), (solve_opt_rl_spm, build_rl_spm))
+    for solve, build in pairs:
+        got = solve(instance)
+        problem = build(instance, integral=True)
+        solution = problem.model.solve()
+        assert solution.is_optimal
+        assert got.objective.hex() == float(solution.objective).hex()
+        assert got.schedule.assignment == assignment_from_solution(
+            problem, solution
+        )
 
 
 class TestOptSpm:
@@ -66,3 +99,21 @@ class TestOptRlSpm:
         spm = solve_opt_spm(small_sub_b4_instance)
         rl = solve_opt_rl_spm(small_sub_b4_instance)
         assert spm.profit >= rl.schedule.profit - 1e-6
+
+
+class TestOptMatchesReference:
+    def test_diamond(self, diamond_instance):
+        assert_opt_matches_reference(diamond_instance)
+
+    def test_sub_b4(self, small_sub_b4_instance):
+        assert_opt_matches_reference(small_sub_b4_instance)
+
+    @given(random_instance())
+    @fuzz_settings
+    def test_random_instances(self, instance):
+        assert_opt_matches_reference(instance)
+
+    @given(random_instance(capacitated=True))
+    @fuzz_settings
+    def test_random_instances_with_ceilings(self, instance):
+        assert_opt_matches_reference(instance)

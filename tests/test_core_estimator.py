@@ -1,11 +1,11 @@
-"""Tests for repro.core.estimator — the pessimistic-estimator walk."""
+"""Tests for the reference estimator walk (tests.oracles.estimator)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.core.estimator import EstimatorTerm, PessimisticEstimator
+from tests.oracles.estimator import EstimatorTerm, PessimisticEstimator
 
 
 def single_term_estimator(log_phi_column, deltas, log_const=0.0):

@@ -1,11 +1,12 @@
 """Tests for the array-native Metis hot loop (repro.core.fastform).
 
 The load-bearing property mirrors test_lp_fastbuild: *bitwise* equivalence
-between the fast path and the expression-layer reference.  The
+between the runtime and the expression-layer oracles in tests/oracles.  The
 FormulationCompiler must hand HiGHS the exact same RL-SPM / BL-SPM / SPM
-matrices as the builders in repro.core.formulations, the vectorized
-estimator must reproduce the reference walk to exact float equality, and a
-full Metis run must produce a bit-identical MetisOutcome either way.
+matrices as the reference builders (with and without capacity ceilings),
+the vectorized estimator must reproduce the reference walk to exact float
+equality, and a full Metis run must produce a bit-identical MetisOutcome
+with the reference MAA and TAA swapped in.
 """
 
 import math
@@ -14,19 +15,27 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.core.estimator import PessimisticEstimator, VectorizedEstimator
+from repro.core.estimator import VectorizedEstimator
 from repro.core.fastform import FormulationCompiler
-from repro.core.formulations import build_bl_spm, build_rl_spm, build_spm
 from repro.core.instance import SPMInstance
 from repro.core.maa import solve_maa
 from repro.core.metis import Metis, MinUtilizationLimiter, prune_unprofitable
 from repro.core.schedule import Schedule
-from repro.core.taa import _build_estimator, _build_estimator_fast, solve_taa
+from repro.core.taa import _build_estimator_fast, solve_taa
 from repro.exceptions import ModelError
 from repro.lp.fastbuild import with_row_upper
 from repro.lp.solvers import solve_compiled_raw
 
+from tests.oracles import metis as reference
+from tests.oracles.estimator import PessimisticEstimator, build_estimator
+from tests.oracles.formulations import (
+    build_bl_spm,
+    build_rl_spm,
+    build_spm,
+    fractional_x,
+)
 from tests.test_properties import random_instance
+
 
 fuzz_settings = settings(
     max_examples=15,
@@ -71,6 +80,19 @@ class TestFormulationCompilerEquivalence:
     @given(random_instance())
     @fuzz_settings
     def test_all_three_formulations_bitwise_identical(self, instance):
+        self._assert_all_three_identical(instance)
+
+    @given(random_instance(capacitated=True))
+    @fuzz_settings
+    def test_all_three_formulations_bitwise_identical_with_ceilings(
+        self, instance
+    ):
+        # The ceilings reach the SPM columns' var_upper, which OPT(SPM)
+        # and the flexible ILP depend on.
+        self._assert_all_three_identical(instance)
+
+    @staticmethod
+    def _assert_all_three_identical(instance):
         compiler = instance.formulation_compiler()
         capacities = example_capacities(instance)
         for integral in (False, True):
@@ -112,8 +134,6 @@ class TestFormulationCompilerEquivalence:
     @given(random_instance())
     @fuzz_settings
     def test_weights_from_raw_matches_fractional_x(self, instance):
-        from repro.core.formulations import fractional_x
-
         compiler = instance.formulation_compiler()
         formulation = compiler.compile_rl_spm(instance)
         raw = solve_compiled_raw(formulation.compiled)
@@ -199,7 +219,7 @@ class TestVectorizedEstimatorEquivalence:
             value_max=value_max,
             revenue_floor_norm=0.3,
         )
-        ref = _build_estimator(instance, weights, capacities, **kwargs)
+        ref = build_estimator(instance, weights, capacities, **kwargs)
         fast = _build_estimator_fast(
             instance, weights, capacities, formulation=formulation, **kwargs
         )
@@ -227,8 +247,8 @@ class TestVectorizedEstimatorEquivalence:
     @fuzz_settings
     def test_solve_taa_bit_identical(self, instance):
         capacities = example_capacities(instance)
-        fast = solve_taa(instance, capacities, fast_path=True)
-        ref = solve_taa(instance, capacities, fast_path=False)
+        fast = solve_taa(instance, capacities)
+        ref = reference.solve_taa(instance, capacities)
         assert fast.schedule.assignment == ref.schedule.assignment
         assert fast.schedule.charged == ref.schedule.charged
         assert fast.relaxation_revenue == ref.relaxation_revenue
@@ -253,13 +273,13 @@ class TestVectorizedEstimatorEquivalence:
 
 
 class TestFastPathOutcomes:
-    """Acceptance criterion: MetisOutcome bit-identical fast vs expression."""
+    """MAA and Metis outcomes bit-identical to the expression-layer oracles."""
 
     @given(random_instance())
     @fuzz_settings
     def test_solve_maa_bit_identical(self, instance):
-        fast = solve_maa(instance, rng=0, fast_path=True)
-        ref = solve_maa(instance, rng=0, fast_path=False)
+        fast = solve_maa(instance, rng=0)
+        ref = reference.solve_maa(instance, rng=0)
         assert fast.schedule.assignment == ref.schedule.assignment
         assert fast.schedule.charged == ref.schedule.charged
         assert fast.fractional_cost == ref.fractional_cost
@@ -269,19 +289,34 @@ class TestFastPathOutcomes:
     @given(random_instance())
     @metis_settings
     def test_metis_outcome_bit_identical(self, instance):
-        fast = Metis(theta=3, fast_path=True).solve(instance, rng=7)
-        ref = Metis(theta=3, fast_path=False).solve(instance, rng=7)
-        assert fast.best.profit == ref.best.profit
-        assert fast.best.source == ref.best.source
-        assert fast.best.round_index == ref.best.round_index
-        assert fast.best.capacities == ref.best.capacities
-        if ref.best.schedule is None:
-            assert fast.best.schedule is None
-        else:
-            assert fast.best.schedule.assignment == ref.best.schedule.assignment
-            assert fast.best.schedule.charged == ref.best.schedule.charged
-        assert fast.initial_profit == ref.initial_profit
-        assert fast.rounds == ref.rounds
+        fast = Metis(theta=3).solve(instance, rng=7)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            reference.swap_into_metis(monkeypatch)
+            ref = Metis(theta=3, warm_start=False).solve(instance, rng=7)
+        assert_metis_outcomes_equal(fast, ref)
+
+    def test_metis_outcome_matches_reference_fixture(
+        self, small_sub_b4_instance, reference_metis
+    ):
+        fast = Metis(theta=3).solve(small_sub_b4_instance, rng=7)
+        reference_metis()
+        ref = Metis(theta=3, warm_start=False).solve(small_sub_b4_instance, rng=7)
+        assert_metis_outcomes_equal(fast, ref)
+
+
+def assert_metis_outcomes_equal(fast, ref):
+    """Two Metis outcomes agree on every recorded field, bit for bit."""
+    assert fast.best.profit == ref.best.profit
+    assert fast.best.source == ref.best.source
+    assert fast.best.round_index == ref.best.round_index
+    assert fast.best.capacities == ref.best.capacities
+    if ref.best.schedule is None:
+        assert fast.best.schedule is None
+    else:
+        assert fast.best.schedule.assignment == ref.best.schedule.assignment
+        assert fast.best.schedule.charged == ref.best.schedule.charged
+    assert fast.initial_profit == ref.initial_profit
+    assert fast.rounds == ref.rounds
 
 
 class TestWithRowUpper:

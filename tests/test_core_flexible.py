@@ -1,15 +1,27 @@
 """Tests for repro.core.flexible — slideable-window SPM."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.opt import solve_opt_spm
-from repro.core.flexible import flexibility_gain, solve_flexible_spm
+from repro.core.flexible import (
+    compile_flexible_spm,
+    flexibility_gain,
+    solve_flexible_spm,
+)
 from repro.core.instance import SPMInstance
 from repro.exceptions import WorkloadError
+from repro.net.topologies import sub_b4
 from repro.sim.validator import validate_schedule
+from repro.workload.generator import WorkloadConfig, generate_workload
 from repro.workload.request import RequestSet
+from repro.workload.value_models import FlatRateValueModel
 
 from tests.conftest import make_request
+from tests.oracles.formulations import build_flexible_spm
+from tests.test_core_fastform import assert_models_bitwise_equal
+from tests.test_properties import random_instance
 
 
 @pytest.fixture
@@ -87,3 +99,47 @@ class TestFlexibilityGain:
     def test_bad_levels(self, peak_pair):
         with pytest.raises(WorkloadError):
             flexibility_gain(peak_pair, (0, -1))
+
+
+@pytest.fixture
+def capped_instance():
+    """Sub-B4 with every link capped at 1 unit and bids worth buying past it."""
+    topology = sub_b4()
+    topology.set_uniform_capacity(1)
+    workload = generate_workload(
+        topology,
+        WorkloadConfig(
+            num_requests=30,
+            num_slots=6,
+            max_duration=4,
+            value_model=FlatRateValueModel(3.0),
+        ),
+        rng=0,
+    )
+    return SPMInstance.build(topology, workload, k_paths=3)
+
+
+class TestCapacityCeilings:
+    def test_zero_slack_equals_opt_spm_under_ceilings(self, capped_instance):
+        flexible = solve_flexible_spm(capped_instance, 0)
+        exact = solve_opt_spm(capped_instance)
+        assert flexible.profit == exact.profit
+        flexible.schedule.check_capacities(capped_instance.topology.capacities())
+
+    def test_slack_never_buys_past_the_ceilings(self, capped_instance):
+        result = solve_flexible_spm(capped_instance, 1)
+        result.schedule.check_capacities(capped_instance.topology.capacities())
+        assert result.profit >= solve_opt_spm(capped_instance).profit - 1e-9
+
+    @given(random_instance(), st.integers(min_value=0, max_value=2))
+    @settings(
+        max_examples=15,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_uncapacitated_model_matches_expression_build(self, instance, slack):
+        slacks = {rid: slack for rid in instance.requests.request_ids}
+        assert_models_bitwise_equal(
+            build_flexible_spm(instance, slacks)[0],
+            compile_flexible_spm(instance, slacks)[0],
+        )

@@ -1,15 +1,16 @@
-"""Tests for repro.core.formulations."""
+"""Tests for the reference formulations (tests.oracles.formulations)."""
 
 import pytest
 
-from repro.core.formulations import (
+from repro.exceptions import ModelError
+
+from tests.oracles.formulations import (
     assignment_from_solution,
     build_bl_spm,
     build_rl_spm,
     build_spm,
     fractional_x,
 )
-from repro.exceptions import ModelError
 
 
 class TestRlSpm:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.formulations import build_rl_spm
 from repro.core.maa import improve_paths, round_paths, solve_maa
 from repro.core.schedule import Schedule
+
+from tests.oracles.formulations import build_rl_spm
 
 
 class TestSolveMaa:

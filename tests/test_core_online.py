@@ -8,17 +8,15 @@ import pytest
 import repro.core.online as online_mod
 from repro.baselines.opt import solve_opt_spm
 from repro.core.instance import SPMInstance
-from repro.core.online import (
-    OnlineScheduler,
-    build_incremental_spm,
-    solve_batch,
-)
+from repro.core.online import OnlineScheduler, solve_batch
 from repro.exceptions import SolverTimeoutError
 from repro.lp.result import RawSolution, SolveStatus
 from repro.sim.validator import validate_schedule
 from repro.workload.request import RequestSet
 
 from tests.conftest import make_request
+from tests.oracles.online import build_incremental_spm
+from tests.oracles.online import solve_batch as reference_batch
 
 
 class TestIncrementalModel:
@@ -110,9 +108,15 @@ class TestOnlineScheduler:
         assert outcome.num_accepted == 2
         assert outcome.profit == pytest.approx(2.4 - 2.0)
 
-    def test_fast_and_expression_paths_agree(self, small_sub_b4_instance):
-        fast = OnlineScheduler(fast_path=True).run(small_sub_b4_instance)
-        slow = OnlineScheduler(fast_path=False).run(small_sub_b4_instance)
+    def test_fast_and_expression_paths_agree(
+        self, small_sub_b4_instance, monkeypatch
+    ):
+        # Every batch goes to the MILP, built array-natively on one side
+        # and by the expression-layer reference on the other.
+        monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
+        fast = OnlineScheduler().run(small_sub_b4_instance)
+        monkeypatch.setattr(online_mod, "solve_batch", reference_batch)
+        slow = OnlineScheduler().run(small_sub_b4_instance)
         assert fast.schedule.assignment == slow.schedule.assignment
         assert fast.profit == pytest.approx(slow.profit)
 

@@ -4,13 +4,13 @@ import math
 
 import pytest
 
-from repro.core.formulations import build_bl_spm
 from repro.core.instance import SPMInstance
 from repro.core.taa import solve_taa
 from repro.exceptions import AlgorithmError
 from repro.workload.request import RequestSet
 
 from tests.conftest import make_request
+from tests.oracles.formulations import build_bl_spm
 
 
 def uniform_caps(instance, units):

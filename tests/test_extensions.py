@@ -14,10 +14,11 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.common import ExperimentConfig
 from repro.exceptions import WorkloadError
-from repro.lp.model import Model
 from repro.net.topologies import abilene
 from repro.workload.generator import WorkloadConfig, generate_workload
 from repro.workload.value_models import HeavyTailValueModel
+
+from tests.oracles.lp.model import Model
 
 
 class TestAbilene:

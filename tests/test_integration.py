@@ -11,16 +11,17 @@ from repro.baselines.amoeba import solve_amoeba
 from repro.baselines.ecoflow import solve_ecoflow
 from repro.baselines.mincost import solve_mincost
 from repro.baselines.opt import solve_opt_rl_spm, solve_opt_spm
-from repro.core.formulations import build_bl_spm, build_rl_spm
 from repro.core.instance import SPMInstance
 from repro.core.maa import solve_maa
 from repro.core.metis import Metis
 from repro.core.taa import solve_taa
-from repro.lp.branch_and_bound import branch_and_bound
 from repro.net.topologies import sub_b4
 from repro.sim.validator import validate_schedule
 from repro.workload.generator import WorkloadConfig, generate_workload
 from repro.workload.value_models import FlatRateValueModel
+
+from tests.oracles.formulations import build_bl_spm, build_rl_spm
+from tests.oracles.lp.branch_and_bound import branch_and_bound
 
 
 @pytest.fixture(scope="module", params=[3, 17])
@@ -106,7 +107,7 @@ class TestSolverCrossCheck:
     """HiGHS MILP and the from-scratch branch and bound agree on SPM."""
 
     def test_spm_objective_agreement(self, instance):
-        from repro.core.formulations import build_spm
+        from tests.oracles.formulations import build_spm
 
         small = instance.restrict(instance.requests.request_ids[:8])
         problem = build_spm(small, integral=True)

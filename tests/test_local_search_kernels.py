@@ -2,7 +2,7 @@
 
 ``improve_paths``, ``prune_unprofitable``, ``round_paths`` and
 ``SPMInstance.loads`` are batched numpy kernels that must replay the
-scalar loops in ``tests/local_search_oracles.py`` exactly: the same
+scalar loops in ``tests/oracles/local_search.py`` exactly: the same
 moves, removals and rng draws, and byte-equal loads.  Cases cover
 ``restrict()`` chains, ``reprice()`` views, single-path requests, declined
 (``None``) entries, zero-weight requests and path unions of 8+ edges
@@ -28,7 +28,7 @@ from repro.net.topologies import random_wan
 from repro.net.topology import Topology
 from repro.workload.request import Request, RequestSet
 
-from tests import local_search_oracles as oracle
+from tests.oracles import local_search as oracle
 
 SLOTS = 6
 

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SolverError
-from repro.lp.branch_and_bound import branch_and_bound
-from repro.lp.model import Model
 from repro.lp.result import SolveStatus
+
+from tests.oracles.lp.branch_and_bound import branch_and_bound
+from tests.oracles.lp.model import Model
 
 
 def knapsack_model(values, weights, capacity):

@@ -1,10 +1,11 @@
-"""Tests for repro.lp.constraint."""
+"""Tests for the oracle constraints (tests.oracles.lp.constraint)."""
 
 import pytest
 
 from repro.exceptions import ModelError
-from repro.lp.constraint import Constraint
-from repro.lp.expr import LinExpr, Variable
+
+from tests.oracles.lp.constraint import Constraint
+from tests.oracles.lp.expr import LinExpr, Variable
 
 
 class TestConstraint:

@@ -1,12 +1,13 @@
-"""Tests for repro.lp.expr."""
+"""Tests for the oracle expression layer (tests.oracles.lp.expr)."""
 
 import math
 
 import pytest
 
 from repro.exceptions import ModelError
-from repro.lp.constraint import Constraint
-from repro.lp.expr import LinExpr, Variable
+
+from tests.oracles.lp.constraint import Constraint
+from tests.oracles.lp.expr import LinExpr, Variable
 
 
 def var(name="x", **kwargs):

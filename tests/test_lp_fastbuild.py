@@ -2,8 +2,9 @@
 
 The load-bearing property is *bitwise* equivalence: the serving fast path
 (:class:`~repro.core.online.IncrementalBatchCompiler`) must hand HiGHS the
-exact same matrix as compiling :func:`build_incremental_spm`, so decisions
-are identical by construction, not merely equal-objective.
+exact same matrix as compiling the expression-layer reference build
+(``tests.oracles.online.build_incremental_spm``), so decisions are
+identical by construction, not merely equal-objective.
 """
 
 import numpy as np
@@ -11,15 +12,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from scipy import sparse
 
-from repro.core.online import (
-    build_incremental_spm,
-    commit_decision,
-    solve_batch,
-)
+import repro.core.online as online_mod
+from repro.core.online import commit_decision, solve_batch
 from repro.exceptions import ModelError, SolverError
 from repro.lp.fastbuild import compile_coo
-from repro.lp.solvers import solve_compiled, solve_compiled_raw
+from repro.lp.solvers import solve_compiled_raw
 
+from tests.oracles import online as reference
+from tests.oracles.lp.solvers import solve_compiled
 from tests.test_properties import random_instance
 
 
@@ -161,7 +161,7 @@ class TestBatchCompilerEquivalence:
 
         for slot in sorted(by_start):
             batch = by_start[slot]
-            ref = build_incremental_spm(
+            ref = reference.build_incremental_spm(
                 instance, batch, committed, charged
             )[0].compile()
             fast, x_offsets = compiler.compile_batch(
@@ -184,12 +184,13 @@ class TestBatchCompilerEquivalence:
                 instance.num_paths(rid) for rid in batch
             )
 
-            d_fast = solve_batch(
-                instance, batch, committed, charged, fast_path=True
-            )
-            d_expr = solve_batch(
-                instance, batch, committed, charged, fast_path=False
-            )
+            # Both sides solve the MILP: no batch is enumerated.
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
+                d_fast = solve_batch(instance, batch, committed, charged)
+                d_expr = reference.solve_batch(
+                    instance, batch, committed, charged
+                )
             assert d_fast.choices == d_expr.choices
             assert d_fast.objective == pytest.approx(d_expr.objective)
 

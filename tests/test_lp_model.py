@@ -1,4 +1,4 @@
-"""Tests for repro.lp.model — construction and compilation."""
+"""Tests for the oracle Model (tests.oracles.lp.model): build and compile."""
 
 import math
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
-from repro.lp.model import Model
+
+from tests.oracles.lp.model import Model
 
 
 class TestModelConstruction:

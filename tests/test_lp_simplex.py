@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.formulations import build_bl_spm, build_rl_spm
 from repro.exceptions import SolverError
-from repro.lp.model import Model
 from repro.lp.result import SolveStatus
-from repro.lp.simplex import WarmSimplex, simplex_solve_model
+
+from tests.oracles.formulations import build_bl_spm, build_rl_spm
+from tests.oracles.lp.model import Model
+from tests.oracles.lp.simplex import WarmSimplex, simplex_solve_model
 
 
 class TestKnownProblems:

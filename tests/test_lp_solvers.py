@@ -1,4 +1,8 @@
-"""Tests for repro.lp.solvers — LP and MILP solves on known problems."""
+"""Tests for repro.lp.solvers — LP and MILP solves on known problems.
+
+Models are stated through the oracle expression layer; the oracle's
+``solve_compiled`` hands them to the runtime backend.
+"""
 
 import math
 from types import SimpleNamespace
@@ -6,8 +10,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.lp.model import Model
 from repro.lp.result import RawSolution, SolveStatus
+
+from tests.oracles.lp.model import Model
 
 
 class TestLinearPrograms:

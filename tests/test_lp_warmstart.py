@@ -31,11 +31,12 @@ from repro.decomp.solver import (
 )
 from repro.lp.fastbuild import compile_coo, with_row_upper
 from repro.lp.result import SolveStatus
-from repro.lp.simplex import WarmSimplex
 from repro.lp.solvers import solve_compiled_raw
 from repro.lp.warmstart import ResolveSession
 from repro.net.topologies import random_wan
 from repro.workload.request import Request, RequestSet
+
+from tests.oracles.lp.simplex import WarmSimplex
 
 SLOTS = 6
 _TOL = 1e-9

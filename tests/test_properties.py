@@ -25,13 +25,21 @@ SLOTS = 6
 
 
 @st.composite
-def random_instance(draw):
-    """A small random WAN plus a random request set."""
+def random_instance(draw, capacitated: bool = False):
+    """A small random WAN plus a random request set.
+
+    ``capacitated=True`` also draws a capacity ceiling per directed edge:
+    none, or 0 to 3 units.
+    """
     topo_seed = draw(st.integers(min_value=0, max_value=10_000))
     n_dcs = draw(st.integers(min_value=3, max_value=6))
     max_extra = n_dcs * (n_dcs - 1) // 2 - n_dcs
     extra = draw(st.integers(min_value=0, max_value=min(2, max_extra)))
     topo = random_wan(n_dcs, extra, price_range=(1.0, 5.0), rng=topo_seed)
+    if capacitated:
+        ceilings = st.one_of(st.none(), st.integers(min_value=0, max_value=3))
+        for edge in topo.edges:
+            topo.set_capacity(edge.tail, edge.head, draw(ceilings))
     dcs = topo.datacenters
 
     n_requests = draw(st.integers(min_value=1, max_value=10))

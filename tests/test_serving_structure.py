@@ -1,10 +1,12 @@
-"""Structural guards on the serving stack.
+"""Structural guards on the serving stack and the runtime's imports.
 
 One batch-decision kernel: in the serving packages no code calls
 ``solve_batch`` directly — every batch is decided by the degradation
 ladder inside the cycle engine — and exactly one module commits batch
-decisions.  The expression-layer oracle switch (``fast_path``) stays in
-``repro.core``: no serving, resilience or durability function takes it.
+decisions.  One model builder: no function anywhere under ``src/repro``
+takes a ``fast_path`` switch, and no runtime module imports the
+test-suite's oracles (``tests``) or ``networkx`` (a test-only oracle
+dependency).
 """
 
 from __future__ import annotations
@@ -18,12 +20,24 @@ import repro
 
 _SRC = Path(repro.__file__).parent
 _SERVING = ("service", "gateway", "shard")
-_NO_ORACLE_SWITCH = _SERVING + ("resilience", "state")
+_ALL_MODULES = sorted(_SRC.rglob("*.py"))
+_TEST_ONLY_IMPORTS = ("tests", "networkx")
 
 
 def _modules(packages):
     for package in packages:
         yield from sorted((_SRC / package).glob("*.py"))
+
+
+def _imported_roots(path: Path) -> set[str]:
+    """Top-level package of every absolute import in ``path``."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            roots.add(node.module.split(".")[0])
+    return roots
 
 
 def _called_name(call: ast.Call) -> str | None:
@@ -45,7 +59,7 @@ def _calls(path: Path, name: str) -> list[int]:
 
 
 @pytest.mark.parametrize(
-    "path", list(_modules(_NO_ORACLE_SWITCH)), ids=lambda p: f"{p.parent.name}/{p.name}"
+    "path", _ALL_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
 )
 def test_no_function_takes_fast_path(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -59,6 +73,14 @@ def test_no_function_takes_fast_path(path):
         if arg.arg == "fast_path"
     ]
     assert not offenders, f"{path.name} takes fast_path: {offenders}"
+
+
+@pytest.mark.parametrize(
+    "path", _ALL_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_runtime_never_imports_test_only_code(path):
+    found = _imported_roots(path) & set(_TEST_ONLY_IMPORTS)
+    assert not found, f"{path.name} imports {sorted(found)}"
 
 
 @pytest.mark.parametrize(
