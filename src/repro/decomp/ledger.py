@@ -16,8 +16,10 @@ The step schedule is pluggable (:class:`ConstantStep`,
 :class:`HarmonicStep` — the classic diminishing ``a/(k+1)`` that
 guarantees subgradient convergence, and :class:`GeometricStep`), and the
 whole ledger state round-trips through :meth:`to_record` /
-:meth:`apply_record` so the sharded broker can journal it next to the
-per-shard WALs and restore the duals bit-identically on recovery.
+:meth:`apply_record`: both sharded engines carry it in every fleet
+cycle's commit record (``CycleResult.fleet``) and restore the duals
+bit-identically on recovery.  :func:`reconcile` is the feasibility pass
+that evicts acceptances from oversubscribed capped cells.
 
 ``post`` is lock-protected: the sharded live engine posts from one event
 loop, but the pooled broker's coordinator may later go concurrent and
@@ -32,6 +34,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.instance import SPMInstance
+from repro.exceptions import SolverError
 
 __all__ = [
     "StepSchedule",
@@ -40,7 +43,12 @@ __all__ = [
     "GeometricStep",
     "make_step_schedule",
     "BandwidthLedger",
+    "reconcile",
 ]
+
+#: Load/capacity comparisons tolerate the same float noise the schedule
+#: layer absorbs before its ceiling (:data:`repro.core.schedule._CEIL_TOL`).
+_TOL = 1e-9
 
 
 class StepSchedule:
@@ -127,6 +135,16 @@ def make_step_schedule(
         ) from None
 
 
+def _capacities(topology, edges) -> np.ndarray:
+    """``topology``'s ceilings in ``edges`` order (``inf`` where uncapped)."""
+    return np.array(
+        [
+            float("inf") if ceiling is None else float(ceiling)
+            for ceiling in (topology.capacity(*key) for key in edges)
+        ]
+    )
+
+
 class BandwidthLedger:
     """Shared per-link demand aggregation and dual-price state."""
 
@@ -169,20 +187,40 @@ class BandwidthLedger:
         cls, instance: SPMInstance, *, schedule: StepSchedule | None = None
     ) -> "BandwidthLedger":
         """A ledger over an instance's edges, prices and topology ceilings."""
-        capacities = np.array(
-            [
-                float("inf") if ceiling is None else float(ceiling)
-                for ceiling in (
-                    instance.topology.capacity(*key) for key in instance.edges
-                )
-            ]
-        )
         return cls(
             instance.edges,
             instance.prices,
-            capacities,
+            _capacities(instance.topology, instance.edges),
             instance.num_slots,
             schedule=schedule,
+        )
+
+    @classmethod
+    def for_topology(
+        cls,
+        topology,
+        num_slots: int,
+        *,
+        step: str = "harmonic",
+        step0: float | None = None,
+        decay: float = 0.5,
+    ) -> "BandwidthLedger":
+        """A ledger over every edge of ``topology`` (a sharded fleet's).
+
+        The edge order is the topology's, which every
+        :class:`~repro.core.instance.SPMInstance` over it shares.
+        ``step0=None`` scales the step schedule to the mean link price.
+        """
+        edges = [e.key for e in topology.edges]
+        prices = np.array([topology.price(*key) for key in edges])
+        if step0 is None:
+            step0 = max(float(prices.mean()) if prices.size else 1.0, 1e-12)
+        return cls(
+            edges,
+            prices,
+            _capacities(topology, edges),
+            num_slots,
+            schedule=make_step_schedule(step, step0, decay=decay),
         )
 
     # ------------------------------------------------------------- rounds
@@ -289,3 +327,49 @@ class BandwidthLedger:
             f"iterations={self.price_iterations}, "
             f"evictions={self.evictions})"
         )
+
+
+def reconcile(
+    instance: SPMInstance,
+    assignment: dict[int, int | None],
+    capacities: np.ndarray,
+) -> list[int]:
+    """Evict lowest-(value, id) acceptances until no capped cell overflows.
+
+    Mutates ``assignment`` (evicted ids map to ``None``) and returns the
+    evicted ids in eviction order.  Each step takes the most
+    oversubscribed (edge, slot) cell and evicts the cheapest acceptance
+    crossing it, so the pass is deterministic and bounded by the
+    acceptance count.
+    """
+    loads = instance.loads(assignment)
+    evicted: list[int] = []
+    while True:
+        over = loads - capacities[:, None]
+        cells = np.argwhere(over > _TOL)
+        if cells.size == 0:
+            return evicted
+        worst = cells[np.argmax(over[cells[:, 0], cells[:, 1]])]
+        edge_idx, slot = int(worst[0]), int(worst[1])
+        best: tuple | None = None
+        for rid, path_idx in assignment.items():
+            if path_idx is None:
+                continue
+            req = instance.request(rid)
+            if not (req.start <= slot <= req.end):
+                continue
+            if edge_idx in instance.path_edges[rid][path_idx]:
+                key = (req.value, rid)
+                if best is None or key < best:
+                    best = key
+        if best is None:  # pragma: no cover - a violated cell has a crosser
+            raise SolverError(
+                f"oversubscribed cell (edge {edge_idx}, slot {slot}) "
+                "has no evictable request"
+            )
+        rid = best[1]
+        req = instance.request(rid)
+        edge_rows = instance.path_edges[rid][assignment[rid]]
+        loads[edge_rows, req.start : req.end + 1] -= req.rate
+        assignment[rid] = None
+        evicted.append(rid)

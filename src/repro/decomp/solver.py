@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.core.instance import SPMInstance
 from repro.core.schedule import Schedule
-from repro.decomp.ledger import BandwidthLedger, make_step_schedule
+from repro.decomp.ledger import BandwidthLedger, make_step_schedule, reconcile
 from repro.decomp.partition import PARTITION_MODES, partition_requests
 from repro.exceptions import SolverError
 from repro.lp.fastbuild import with_objective
@@ -360,45 +360,6 @@ def _solve_shard_task(payload) -> tuple:
     )
 
 
-def _reconcile(
-    instance: SPMInstance,
-    assignment: dict[int, int | None],
-    capacities: np.ndarray,
-) -> list[int]:
-    """Evict lowest-(value, id) acceptances until no capped cell overflows."""
-    loads = instance.loads(assignment)
-    evicted: list[int] = []
-    while True:
-        over = loads - capacities[:, None]
-        cells = np.argwhere(over > _TOL)
-        if cells.size == 0:
-            return evicted
-        worst = cells[np.argmax(over[cells[:, 0], cells[:, 1]])]
-        edge_idx, slot = int(worst[0]), int(worst[1])
-        best: tuple | None = None
-        for rid, path_idx in assignment.items():
-            if path_idx is None:
-                continue
-            req = instance.request(rid)
-            if not (req.start <= slot <= req.end):
-                continue
-            if edge_idx in instance.path_edges[rid][path_idx]:
-                key = (req.value, rid)
-                if best is None or key < best:
-                    best = key
-        if best is None:  # pragma: no cover - a violated cell has a crosser
-            raise SolverError(
-                f"oversubscribed cell (edge {edge_idx}, slot {slot}) "
-                "has no evictable request"
-            )
-        rid = best[1]
-        req = instance.request(rid)
-        edge_rows = instance.path_edges[rid][assignment[rid]]
-        loads[edge_rows, req.start : req.end + 1] -= req.rate
-        assignment[rid] = None
-        evicted.append(rid)
-
-
 def solve_decomposed(
     instance: SPMInstance,
     config: DecompConfig | None = None,
@@ -550,7 +511,7 @@ def solve_decomposed(
     }
     for problem in problems:
         assignment.update(problem.assignment)
-    evicted = _reconcile(instance, assignment, ledger.capacities)
+    evicted = reconcile(instance, assignment, ledger.capacities)
     ledger.record_evictions(len(evicted))
 
     schedule = Schedule(instance, assignment)

@@ -58,21 +58,16 @@ from repro.gateway.protocol import (
 )
 from repro.gateway.wallclock import WallClock
 from repro.resilience import CircuitBreaker, CycleBudget
-from repro.service.broker import BrokerConfig, _StateWriter, _make_topology
+from repro.service.broker import (
+    BrokerConfig,
+    _make_topology,
+    _StateWriter,
+    open_state,
+)
 from repro.service.cache import DecisionCache
 from repro.service.ingest import AdmissionQueue, PushSource
 from repro.service.telemetry import LatencyHistogram, TelemetryCollector
-from repro.state import (
-    WAL_FORMAT,
-    FaultPlan,
-    Journal,
-    SimulatedCrash,
-    SnapshotStore,
-    broker_snapshot_state,
-    config_fingerprint,
-    recover,
-    snapshot_path,
-)
+from repro.state import FaultPlan, SimulatedCrash, broker_snapshot_state
 from repro.state.journal import FSYNC_POLICIES
 
 __all__ = ["GatewayConfig", "GatewayServer", "run_gateway"]
@@ -293,7 +288,6 @@ class GatewayServer:
         self._done: asyncio.Event | None = None
         self._ticker: asyncio.Task | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._journal: Journal | None = None
         self._writer: _StateWriter | None = None
         self._signals_seen = 0
         self._started_at = 0.0
@@ -306,49 +300,22 @@ class GatewayServer:
         self._stopping = asyncio.Event()
         self._done = asyncio.Event()
 
-        next_cycle = 0
         recovered: list = []
         if config.wal_path is not None:
-            fingerprint = config_fingerprint(config.broker_config())
-            if config.shards > 1:
-                # Sharding changes decisions (partitioned MILPs), so the
-                # WAL refuses to splice runs with different shard setups.
-                # Imported here: repro.shard pulls in this module's
-                # package via the live engine.
-                from repro.shard.recovery import shard_fingerprint
-
-                fingerprint = shard_fingerprint(
-                    fingerprint, config.shards, config.partition, "live"
-                )
-            wal_path = Path(config.wal_path)
-            if config.resume:
-                state = recover(wal_path, fingerprint=fingerprint)
-                recovered = state.cycles
-                next_cycle = state.next_cycle
-            self._journal = Journal.open(
-                wal_path,
-                fsync=config.fsync,
-                fsync_hook=(
-                    self.faults.fsync_hook() if self.faults is not None else None
-                ),
-            )
-            self._journal.append(
-                {
-                    "type": "open",
-                    "format": WAL_FORMAT,
-                    "fingerprint": fingerprint,
-                    "next_cycle": next_cycle,
-                }
-            )
-            self._journal.commit()
-            self._writer = _StateWriter(
-                self._journal,
-                SnapshotStore(snapshot_path(wal_path)),
-                fingerprint,
+            # Sharding changes decisions (partitioned MILPs), so a sharded
+            # gateway's WAL refuses to splice runs with different setups.
+            self._writer = open_state(
                 config.broker_config(),
                 self.faults,
-                completed=list(recovered),
+                resume=config.resume,
+                sharding=(
+                    (config.shards, config.partition, "live")
+                    if config.shards > 1
+                    else None
+                ),
             )
+            recovered = list(self._writer.completed)
+        next_cycle = len(recovered)
         for result in recovered:
             self.cycles.append(result)
             for record in result.batches:
@@ -406,8 +373,10 @@ class GatewayServer:
                 self.topology, config.slots_per_cycle, breaker=breaker, **options
             )
             self._breakers = [breaker]
-        if next_cycle > 0:
+        if recovered:
             self._engine.start_cycle(next_cycle)
+            if recovered[-1].fleet is not None:
+                self._engine.ledger.apply_record(recovered[-1].fleet["ledger"])
 
         self._clock = config.clock()
         self._clock.start(cycle=next_cycle)
@@ -553,13 +522,12 @@ class GatewayServer:
             self._writer.commit_cycle(result)
         self.cycles.append(result)
         self.telemetry.record_cycle(result.cycle, result.profit)
-        shard_counters = getattr(self._engine, "shard_counters", None)
-        if shard_counters is not None:
-            for shard_id, counters in shard_counters().items():
+        if result.fleet is not None:
+            for shard_id, counters in enumerate(result.fleet["shards"]):
                 self.telemetry.record_shard(shard_id, counters)
-            self.telemetry.ledger_price_iterations = (
-                self._engine.ledger.price_iterations
-            )
+            self.telemetry.ledger_price_iterations = result.fleet["ledger"][
+                "price_iterations"
+            ]
 
     async def _shutdown(self) -> None:
         """Tear down: close the listener, flush the WAL, say goodbye."""
@@ -569,11 +537,11 @@ class GatewayServer:
                 await self._server.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover - teardown
                 pass
-        if self._journal is not None:
+        if self._writer is not None:
             if self.crashed is None:
                 # Drain path: a final snapshot plus a forced fsync, so the
                 # exit is durable even under fsync="never".
-                if self._writer is not None and self.cycles:
+                if self.cycles:
                     state = broker_snapshot_state(
                         self._writer.fingerprint,
                         self._writer.config,
@@ -582,19 +550,27 @@ class GatewayServer:
                     self._writer.snapshot_seconds += (
                         self._writer.snapshots.publish(state)
                     )
-                self._journal.close(sync=True)
+                self._writer.journal.close(sync=True)
             # On a simulated crash the journal is deliberately left
             # unclosed: flushed appends survive, nothing else does.
         self.telemetry.wall_seconds = time.perf_counter() - self._started_at
         self.telemetry.wal_bytes = (
-            self._journal.size_bytes if self._journal is not None else 0
+            self._writer.journal.size_bytes if self._writer is not None else 0
         )
-        for breaker in self._breakers:
+        for shard_id, breaker in enumerate(self._breakers):
             if breaker is not None:
                 self.telemetry.breaker_opens += breaker.opens
                 self.telemetry.breaker_failures += breaker.failures
                 self.telemetry.breaker_probes += breaker.probes
                 self.telemetry.breaker_short_circuits += breaker.short_circuits
+                if self.config.shards > 1:
+                    self.telemetry.record_shard(
+                        shard_id,
+                        {
+                            "breaker_opens": breaker.opens,
+                            "breaker_failures": breaker.failures,
+                        },
+                    )
         self.telemetry.snapshot_seconds = (
             self._writer.snapshot_seconds if self._writer is not None else 0.0
         )

@@ -71,6 +71,7 @@ from repro.state import (
     config_fingerprint,
     cycle_to_record,
     recover,
+    shard_fingerprint,
     snapshot_path,
 )
 from repro.state.journal import FSYNC_POLICIES
@@ -85,6 +86,7 @@ __all__ = [
     "BrokerReport",
     "Broker",
     "run_cycle",
+    "open_state",
     "DEFAULT_TIME_LIMIT",
 ]
 
@@ -227,6 +229,13 @@ class CycleResult:
     ``purchased`` is the cycle's final bandwidth purchase: charged integer
     units per (nonzero) edge index — the ledger the durability layer
     journals and the crash-equivalence tests compare exactly.
+
+    ``fleet`` is set only on a sharded fleet's merged cycle: the
+    bandwidth ledger after the cycle (``BandwidthLedger.to_record()``),
+    ``shards`` (per-shard counters, indexed by shard id) and, for the
+    sharded broker, the reconciliation's ``evicted`` ids and the
+    pre-reconciliation ``max_violation``.  It is JSON-native, so it
+    journals inside the cycle record and recovers unchanged.
     """
 
     cycle: int
@@ -241,6 +250,7 @@ class CycleResult:
     batches: list[BatchRecord]
     assignment: dict[int, int | None]
     purchased: dict[int, float] = field(default_factory=dict)
+    fleet: dict | None = None
 
 
 class CycleEngine:
@@ -669,6 +679,55 @@ class _StateWriter:
             self.snapshot_seconds += self.snapshots.publish(state)
 
 
+def open_state(
+    config: "BrokerConfig",
+    faults: FaultPlan | None,
+    *,
+    resume: bool,
+    sharding: tuple | None = None,
+) -> _StateWriter:
+    """Recover (when resuming) and open ``config.wal_path`` for writing.
+
+    The one durability opener every serving path shares: fingerprint the
+    configuration (mixed with ``sharding`` — ``(shards, partition,
+    writer)`` for :func:`~repro.state.shard_fingerprint` — on a sharded
+    fleet), recover the committed-cycle prefix, open the journal with
+    the fault plan's fsync and torn-write hooks, stamp an ``open``
+    record, and return the writer.  Its ``completed`` list starts as the
+    recovered cycles.
+    """
+    wal_path = Path(config.wal_path)
+    fingerprint = config_fingerprint(config)
+    if sharding is not None:
+        fingerprint = shard_fingerprint(fingerprint, *sharding)
+    recovered = (
+        recover(wal_path, fingerprint=fingerprint).cycles if resume else []
+    )
+    journal = Journal.open(
+        wal_path,
+        fsync=config.fsync,
+        fsync_hook=faults.fsync_hook() if faults is not None else None,
+        write_hook=faults.write_hook() if faults is not None else None,
+    )
+    journal.append(
+        {
+            "type": "open",
+            "format": WAL_FORMAT,
+            "fingerprint": fingerprint,
+            "next_cycle": len(recovered),
+        }
+    )
+    journal.commit()
+    return _StateWriter(
+        journal,
+        SnapshotStore(snapshot_path(wal_path)),
+        fingerprint,
+        config,
+        faults,
+        completed=list(recovered),
+    )
+
+
 @dataclass
 class BrokerReport:
     """A finished broker run: per-cycle ledgers plus aggregated telemetry."""
@@ -780,41 +839,11 @@ class Broker:
         self._breaker = None
 
         recovered: list[CycleResult] = []
-        recovered_batches = 0
-        journal = None
         writer = None
         wal_bytes = 0
         if config.wal_path is not None:
-            wal_path = Path(config.wal_path)
-            fingerprint = config_fingerprint(config)
-            if resume:
-                state = recover(wal_path, fingerprint=fingerprint)
-                recovered = state.cycles
-                recovered_batches = state.recovered_batches
-            journal = Journal.open(
-                wal_path,
-                fsync=config.fsync,
-                fsync_hook=(
-                    self.faults.fsync_hook() if self.faults is not None else None
-                ),
-            )
-            journal.append(
-                {
-                    "type": "open",
-                    "format": WAL_FORMAT,
-                    "fingerprint": fingerprint,
-                    "next_cycle": len(recovered),
-                }
-            )
-            journal.commit()
-            writer = _StateWriter(
-                journal,
-                SnapshotStore(snapshot_path(wal_path)),
-                fingerprint,
-                config,
-                self.faults,
-                completed=list(recovered),
-            )
+            writer = open_state(config, self.faults, resume=resume)
+            recovered = list(writer.completed)
 
         try:
             start = len(recovered)
@@ -825,9 +854,9 @@ class Broker:
             else:
                 fresh = self._run_serial(start, writer)
         finally:
-            if journal is not None:
-                wal_bytes = journal.size_bytes
-                journal.close()
+            if writer is not None:
+                wal_bytes = writer.journal.size_bytes
+                writer.journal.close()
         results = recovered + fresh
         elapsed = time.perf_counter() - t0
 
@@ -837,7 +866,7 @@ class Broker:
                 telemetry.record_batch(record)
             telemetry.record_cycle(result.cycle, result.profit)
         telemetry.wall_seconds = elapsed
-        telemetry.recovered_batches = recovered_batches
+        telemetry.recovered_batches = sum(len(c.batches) for c in recovered)
         telemetry.wal_bytes = wal_bytes
         telemetry.snapshot_seconds = (
             writer.snapshot_seconds if writer is not None else 0.0

@@ -19,11 +19,16 @@ loop — in parallel across a :class:`~repro.service.pool.SolverPool` when
   pass evicts the lowest-``(value, id)`` acceptances until the combined
   loads respect every ceiling — uncapped topologies never enter either
   branch, so the common path adds no overhead;
-* with a WAL base configured, each shard journals to its own
-  ``<base>.shard<k>`` log in the standard broker record format and the
-  ledger to ``<base>.ledger`` (see :mod:`repro.shard.recovery`);
-  ``run(resume=True)`` restores the fleet bit-identically, reusing the
-  §6 fault matrix (:mod:`repro.state.faults`) journal-for-journal.
+* every cycle closes into one merged
+  :class:`~repro.service.broker.CycleResult` — the same
+  :func:`~repro.shard.live.merge_shard_cycles` the live fleet uses —
+  whose ``fleet`` block carries the ledger's state, the per-shard
+  counters, the evicted ids and the pre-reconciliation violation; with
+  ``wal_path`` set it commits through the broker's single-WAL writer
+  (:func:`~repro.service.broker.open_state`), so ``run(resume=True)``
+  restores the fleet and its duals bit-identically under the same §6
+  fault matrix (:mod:`repro.state.faults`) and snapshot cadence as the
+  monolithic broker.
 
 The partition is deterministic and id-stable, every shard cycle is the
 deterministic monolithic serving loop, and the duals evolve as a pure
@@ -36,45 +41,39 @@ from __future__ import annotations
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.instance import SPMInstance
 from repro.core.schedule import Schedule
-from repro.decomp.ledger import BandwidthLedger, make_step_schedule
+from repro.decomp.ledger import BandwidthLedger, reconcile
 from repro.decomp.partition import PARTITION_MODES, partition_requests
-from repro.decomp.solver import _reconcile
 from repro.net.topology import Topology
 from repro.resilience import CircuitBreaker, CycleBudget
 from repro.service import pool as pool_mod
 from repro.service.broker import (
     BrokerConfig,
+    BrokerReport,
     CycleEngine,
     CycleResult,
     _make_topology,
     _pool_check_cancelled,
+    _StateWriter,
+    open_state,
     run_cycle,
 )
 from repro.service.cache import DecisionCache
 from repro.service.ingest import ArrivalSource, GeneratorSource
 from repro.service.pool import SolverPool
 from repro.service.telemetry import TelemetryCollector
-from repro.shard.recovery import (
-    ledger_to_record,
-    ledger_wal_path,
-    recover_sharded,
-    shard_fingerprint,
-    shard_wal_path,
-)
-from repro.state import FaultPlan, Journal, batch_to_record, cycle_to_record
-from repro.state.recovery import WAL_FORMAT, config_fingerprint
+from repro.shard.live import merge_shard_cycles
+from repro.state import FaultPlan
 from repro.workload.generator import WorkloadConfig
 from repro.workload.request import RequestSet
 
-__all__ = ["ShardConfig", "ShardedCycle", "ShardedReport", "ShardedBroker"]
+__all__ = ["ShardConfig", "ShardedBroker"]
 
 #: Matches the schedule layer's float-noise allowance before a ceiling.
 _TOL = 1e-9
@@ -116,111 +115,6 @@ class ShardConfig(BrokerConfig):
                 f"partition must be one of {PARTITION_MODES}, "
                 f"got {self.partition!r}"
             )
-
-
-@dataclass
-class ShardedCycle:
-    """One billing cycle across the fleet: per-shard ledgers + coordination.
-
-    ``shard_results`` is ordered by shard id and covers every shard (empty
-    shards serve an empty cycle so the per-shard journals stay cycle
-    contiguous).  ``evicted`` lists the request ids the reconciliation
-    pass revoked, ``max_violation`` the worst pre-reconciliation link
-    oversubscription, and ``duals_after`` the ledger's dual prices once
-    the cycle committed.
-    """
-
-    cycle: int
-    shard_results: list[CycleResult]
-    evicted: tuple = ()
-    max_violation: float = 0.0
-    duals_after: list[float] = field(default_factory=list)
-
-    @property
-    def profit(self) -> float:
-        return sum(result.profit for result in self.shard_results)
-
-    @property
-    def revenue(self) -> float:
-        return sum(result.revenue for result in self.shard_results)
-
-    @property
-    def cost(self) -> float:
-        return sum(result.cost for result in self.shard_results)
-
-    @property
-    def accepted(self) -> int:
-        return sum(result.accepted for result in self.shard_results)
-
-    @property
-    def num_requests(self) -> int:
-        return sum(result.num_requests for result in self.shard_results)
-
-    @property
-    def declined(self) -> int:
-        return sum(result.declined for result in self.shard_results)
-
-    @property
-    def shed(self) -> int:
-        return sum(result.shed for result in self.shard_results)
-
-    @property
-    def wall_seconds(self) -> float:
-        return sum(result.wall_seconds for result in self.shard_results)
-
-    def assignment(self) -> dict[int, int | None]:
-        """The cycle's merged request -> path decision across shards."""
-        merged: dict[int, int | None] = {}
-        for result in self.shard_results:
-            merged.update(result.assignment)
-        return merged
-
-
-@dataclass
-class ShardedReport:
-    """A finished sharded run: per-cycle fleet ledgers plus telemetry."""
-
-    config: ShardConfig
-    cycles: list[ShardedCycle]
-    telemetry: TelemetryCollector
-
-    @property
-    def profit(self) -> float:
-        return sum(cycle.profit for cycle in self.cycles)
-
-    @property
-    def revenue(self) -> float:
-        return sum(cycle.revenue for cycle in self.cycles)
-
-    @property
-    def num_accepted(self) -> int:
-        return sum(cycle.accepted for cycle in self.cycles)
-
-    def summary(self) -> dict:
-        return self.telemetry.summary()
-
-    def decision_log(self) -> list[tuple[int, int, int | None]]:
-        """Every decision as ``(cycle, request_id, path_or_None)``.
-
-        Canonically ordered across shards, so sharded runs compare with
-        ``==`` against each other (serial/pool, crashed/uninterrupted)
-        exactly like :meth:`~repro.service.broker.BrokerReport.decision_log`.
-        """
-        return [
-            (cycle.cycle, request_id, path)
-            for cycle in self.cycles
-            for request_id, path in sorted(cycle.assignment().items())
-        ]
-
-    def purchases(self) -> list[list[dict[int, float]]]:
-        """Per cycle, per shard: the purchased units keyed by edge index."""
-        return [
-            [dict(result.purchased) for result in cycle.shard_results]
-            for cycle in self.cycles
-        ]
-
-    def dump_telemetry(self, path) -> None:
-        self.telemetry.dump_json(path)
 
 
 class _ShardJob(NamedTuple):
@@ -288,99 +182,6 @@ def _shard_cycle_worker(job: _ShardJob):
     )
 
 
-class _ShardJournals:
-    """The run's open journals: one per shard plus the ledger journal."""
-
-    def __init__(
-        self,
-        wal_base: str | Path,
-        config: ShardConfig,
-        base_fingerprint: str,
-        next_cycle: int,
-        faults: FaultPlan | None,
-    ) -> None:
-        self.faults = faults
-        fsync_hook = faults.fsync_hook() if faults is not None else None
-        write_hook = faults.write_hook() if faults is not None else None
-        self.shards: list[Journal] = []
-        for shard_id in range(config.shards):
-            journal = Journal.open(
-                shard_wal_path(wal_base, shard_id),
-                fsync=config.fsync,
-                fsync_hook=fsync_hook,
-            )
-            self._stamp(
-                journal,
-                shard_fingerprint(
-                    base_fingerprint, config.shards, config.partition, shard_id
-                ),
-                next_cycle,
-            )
-            self.shards.append(journal)
-        # Only the ledger journal gets the torn-write hook: the ledger
-        # record is what acknowledges a fleet cycle, so a partial ledger
-        # append is the worst-placed tear the recovery path must heal.
-        self.ledger = Journal.open(
-            ledger_wal_path(wal_base),
-            fsync=config.fsync,
-            fsync_hook=fsync_hook,
-            write_hook=write_hook,
-        )
-        self._stamp(
-            self.ledger,
-            shard_fingerprint(
-                base_fingerprint, config.shards, config.partition, "ledger"
-            ),
-            next_cycle,
-        )
-
-    @staticmethod
-    def _stamp(journal: Journal, fingerprint: str, next_cycle: int) -> None:
-        journal.append(
-            {
-                "type": "open",
-                "format": WAL_FORMAT,
-                "fingerprint": fingerprint,
-                "next_cycle": next_cycle,
-            }
-        )
-        journal.commit()
-
-    def commit_cycle(self, sharded: ShardedCycle, ledger) -> None:
-        """Journal the cycle shard by shard (in shard order), then the ledger.
-
-        Each shard's commit is its own durability barrier; the ledger
-        record commits last and is what acknowledges the whole cycle —
-        recovery trusts a cycle only once every journal carries it.
-        """
-        for shard_id, result in enumerate(sharded.shard_results):
-            journal = self.shards[shard_id]
-            for record in result.batches:
-                journal.append(batch_to_record(record))
-                if self.faults is not None:
-                    self.faults.after_batch_append()
-            journal.append(cycle_to_record(result))
-            journal.commit()
-            if self.faults is not None:
-                self.faults.after_cycle_commit()
-        self.ledger.append(ledger_to_record(sharded.cycle, ledger))
-        self.ledger.commit()
-        if self.faults is not None:
-            self.faults.after_cycle_commit()
-
-    @property
-    def wal_bytes(self) -> int:
-        return (
-            sum(journal.size_bytes for journal in self.shards)
-            + self.ledger.size_bytes
-        )
-
-    def close(self) -> None:
-        for journal in self.shards:
-            journal.close()
-        self.ledger.close()
-
-
 class ShardedBroker:
     """Runs the sharded serving loop over an arrival source.
 
@@ -424,42 +225,15 @@ class ShardedBroker:
 
     # ------------------------------------------------------------------ run
 
-    def _make_ledger(self) -> BandwidthLedger:
-        config = self.config
-        # The ledger needs only the edge order, prices and ceilings — the
-        # same fixed ordering every SPMInstance over this topology uses.
-        edges = [e.key for e in self.topology.edges]
-        prices = np.array([self.topology.price(*key) for key in edges])
-        capacities = np.array(
-            [
-                float("inf") if ceiling is None else float(ceiling)
-                for ceiling in (
-                    self.topology.capacity(*key) for key in edges
-                )
-            ]
-        )
-        step0 = config.step0
-        if step0 is None:
-            step0 = max(
-                float(prices.mean()) if prices.size else 1.0, 1e-12
-            )
-        return BandwidthLedger(
-            edges,
-            prices,
-            capacities,
-            config.slots_per_cycle,
-            schedule=make_step_schedule(
-                config.step, step0, decay=config.decay
-            ),
-        )
-
-    def run(self, *, resume: bool = False) -> ShardedReport:
+    def run(self, *, resume: bool = False) -> BrokerReport:
         """Serve every configured cycle across the fleet.
 
-        With ``config.wal_path`` set, every shard journals its decisions
-        and the ledger its duals as cycles commit; ``resume=True`` first
-        recovers the fleet-wide committed prefix and re-serves only what
-        never fully committed — bit-identical to an uninterrupted run.
+        Each cycle is one merged :class:`CycleResult`.  With
+        ``config.wal_path`` set, every cycle commits (batch records, then
+        the cycle record with its ``fleet`` block) to the one WAL;
+        ``resume=True`` first recovers the committed prefix, restores the
+        ledger from its last ``fleet`` block and re-serves only what never
+        committed — bit-identical to an uninterrupted run.
         """
         config = self.config
         if resume and config.wal_path is None:
@@ -484,76 +258,49 @@ class ShardedBroker:
         ]
         self._hedges = [0] * config.shards
 
-        ledger = self._make_ledger()
-        completed: list[ShardedCycle] = []
-        recovered_batches = 0
-        journals = None
+        ledger = BandwidthLedger.for_topology(
+            self.topology,
+            config.slots_per_cycle,
+            step=config.step,
+            step0=config.step0,
+            decay=config.decay,
+        )
+        recovered: list[CycleResult] = []
+        writer = None
         wal_bytes = 0
         if config.wal_path is not None:
-            base_fingerprint = config_fingerprint(config)
-            start = 0
-            if resume:
-                state = recover_sharded(
-                    config.wal_path,
-                    base_fingerprint=base_fingerprint,
-                    num_shards=config.shards,
-                    mode=config.partition,
-                )
-                start = state.next_cycle
-                recovered_batches = state.recovered_batches
-                for index in range(start):
-                    record = state.ledger_records[index]
-                    completed.append(
-                        ShardedCycle(
-                            cycle=index,
-                            shard_results=[
-                                state.shard_cycles[shard_id][index]
-                                for shard_id in range(config.shards)
-                            ],
-                            duals_after=list(record["duals"]),
-                        )
-                    )
-                last = state.last_ledger_record()
-                if last is not None:
-                    ledger.apply_record(last)
-            journals = _ShardJournals(
-                config.wal_path,
+            writer = open_state(
                 config,
-                base_fingerprint,
-                len(completed),
                 self.faults,
+                resume=resume,
+                sharding=(config.shards, config.partition, "fleet"),
             )
+            recovered = list(writer.completed)
+            if recovered:
+                ledger.apply_record(recovered[-1].fleet["ledger"])
 
         try:
-            fresh = self._serve(len(completed), ledger, journals)
+            fresh = self._serve(len(recovered), ledger, writer)
         finally:
-            if journals is not None:
-                wal_bytes = journals.wal_bytes
-                journals.close()
-        cycles = completed + fresh
+            if writer is not None:
+                wal_bytes = writer.journal.size_bytes
+                writer.journal.close()
+        cycles = recovered + fresh
         elapsed = time.perf_counter() - t0
 
         telemetry = TelemetryCollector()
-        for sharded in cycles:
-            for result in sharded.shard_results:
-                for record in result.batches:
-                    telemetry.record_batch(record)
-            telemetry.record_cycle(sharded.cycle, sharded.profit)
-            for shard_id, result in enumerate(sharded.shard_results):
-                telemetry.record_shard(
-                    shard_id,
-                    {
-                        "decisions": result.num_requests - result.shed,
-                        "accepted": result.accepted,
-                        "declined": result.declined,
-                        "shed": result.shed,
-                        "revenue": result.revenue,
-                        "profit": result.profit,
-                    },
-                )
+        for result in cycles:
+            for record in result.batches:
+                telemetry.record_batch(record)
+            telemetry.record_cycle(result.cycle, result.profit)
+            for shard_id, counters in enumerate(result.fleet["shards"]):
+                telemetry.record_shard(shard_id, counters)
         telemetry.wall_seconds = elapsed
-        telemetry.recovered_batches = recovered_batches
+        telemetry.recovered_batches = sum(len(c.batches) for c in recovered)
         telemetry.wal_bytes = wal_bytes
+        telemetry.snapshot_seconds = (
+            writer.snapshot_seconds if writer is not None else 0.0
+        )
         telemetry.worker_restarts = self._worker_restarts
         telemetry.backoff_seconds = self._backoff_seconds
         telemetry.ledger_price_iterations = ledger.price_iterations
@@ -574,7 +321,7 @@ class ShardedBroker:
                     breaker_state=breaker.state,
                 )
             telemetry.record_shard(shard_id, section)
-        return ShardedReport(config=config, cycles=cycles, telemetry=telemetry)
+        return BrokerReport(config=config, cycles=cycles, telemetry=telemetry)
 
     # ---------------------------------------------------------- the loop
 
@@ -582,10 +329,10 @@ class ShardedBroker:
         self,
         start: int,
         ledger: BandwidthLedger,
-        journals: _ShardJournals | None,
-    ) -> list[ShardedCycle]:
+        writer: _StateWriter | None,
+    ) -> list[CycleResult]:
         config = self.config
-        results: list[ShardedCycle] = []
+        results: list[CycleResult] = []
         pool = None
         caches: list[DecisionCache | None] = [
             DecisionCache(config.cache_size) if config.cache_size > 0 else None
@@ -600,10 +347,10 @@ class ShardedBroker:
             for index in range(start, config.num_cycles):
                 if self._stop_requested:
                     break
-                sharded = self._serve_cycle(index, ledger, pool, caches)
-                if journals is not None:
-                    journals.commit_cycle(sharded, ledger)
-                results.append(sharded)
+                result = self._serve_cycle(index, ledger, pool, caches)
+                if writer is not None:
+                    writer.commit_cycle(result)
+                results.append(result)
             if pool is not None:
                 self._worker_restarts = pool.worker_restarts
                 self._backoff_seconds = pool.backoff_seconds
@@ -618,7 +365,7 @@ class ShardedBroker:
         ledger: BandwidthLedger,
         pool: SolverPool | None,
         caches: list[DecisionCache | None],
-    ) -> ShardedCycle:
+    ) -> CycleResult:
         config = self.config
         requests = self.source.cycle(index)
         shard_ids = partition_requests(
@@ -655,18 +402,24 @@ class ShardedBroker:
         max_violation = (
             float(ledger.violation().max()) if ledger.num_edges else 0.0
         )
-        evicted: tuple = ()
+        evicted: list[int] = []
         if max_violation > _TOL:
             # Steer the next cycle's decisions, then make this one feasible.
             ledger.update_prices()
-            evicted = self._reconcile_cycle(requests, shard_ids, shard_results)
+            evicted = self._reconcile_cycle(
+                requests, shard_ids, shard_results, ledger
+            )
             ledger.record_evictions(len(evicted))
-        return ShardedCycle(
-            cycle=index,
-            shard_results=list(shard_results),
+        return merge_shard_cycles(
+            index,
+            shard_results,
+            ledger,
+            batches=[
+                record for result in shard_results for record in result.batches
+            ],
+            wall_seconds=sum(result.wall_seconds for result in shard_results),
             evicted=evicted,
             max_violation=max_violation,
-            duals_after=ledger.duals.tolist(),
         )
 
     def _serve_cycle_hedged(self, pool: SolverPool, jobs, caches):
@@ -733,12 +486,13 @@ class ShardedBroker:
         requests,
         shard_ids: list[list[int]],
         shard_results: list[CycleResult],
-    ) -> tuple:
+        ledger: BandwidthLedger,
+    ) -> list[int]:
         """Evict acceptances until the combined loads respect every ceiling.
 
         Runs only when a capped link is actually oversubscribed.  The
         eviction order is the deterministic lowest-``(value, id)`` rule
-        of :func:`repro.decomp.solver._reconcile`; afterwards each
+        of :func:`repro.decomp.ledger.reconcile`; afterwards each
         affected shard's ledger (accepted counts, revenue, cost, profit,
         purchased units) is recomputed from its restricted instance under
         shard-local charging, keeping cycle profit the sum of shard
@@ -751,17 +505,9 @@ class ShardedBroker:
         merged: dict[int, int | None] = {}
         for result in shard_results:
             merged.update(result.assignment)
-        capacities = np.array(
-            [
-                float("inf") if ceiling is None else float(ceiling)
-                for ceiling in (
-                    self.topology.capacity(*key) for key in instance.edges
-                )
-            ]
-        )
-        evicted = _reconcile(instance, merged, capacities)
+        evicted = reconcile(instance, merged, ledger.capacities)
         if not evicted:
-            return ()
+            return []
         evicted_set = set(evicted)
         for shard_id, ids in enumerate(shard_ids):
             if not evicted_set.intersection(ids):
@@ -790,7 +536,7 @@ class ShardedBroker:
                     if units
                 },
             )
-        return tuple(evicted)
+        return evicted
 
     def with_config(self, **changes) -> "ShardedBroker":
         """A new sharded broker over the same source with fields replaced."""

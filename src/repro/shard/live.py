@@ -17,14 +17,15 @@ eviction — a live gateway cannot revoke an acknowledged accept — so on
 capacitated topologies the duals are the only (and eventually
 sufficient) pressure valve.
 
-Durability differs deliberately from :class:`~repro.shard.ShardedBroker`:
-the live fleet shares the gateway's *single* WAL.  ``close_cycle``
-merges the shard results into one combined
-:class:`~repro.service.broker.CycleResult` (batch records in decision
-order, per-edge purchases summed), which journals and recovers through
-the unmodified single-journal path.  The ledger's duals are steering
-state, not accounting state, and restart at zero on resume; the
-committed profit ledger is exact either way.
+Durability is the same as :class:`~repro.shard.ShardedBroker`'s: the
+fleet shares the gateway's *single* WAL.  ``close_cycle`` merges the
+shard results into one combined
+:class:`~repro.service.broker.CycleResult` through
+:func:`merge_shard_cycles` (batch records in decision order, per-edge
+purchases summed, the ledger's state and per-shard counters in
+``fleet``), which journals and recovers through the unmodified
+single-journal path; a resumed gateway restores the duals from the last
+committed ``fleet`` block.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import time
 
 import numpy as np
 
-from repro.decomp.ledger import BandwidthLedger, make_step_schedule
+from repro.decomp.ledger import BandwidthLedger
 from repro.decomp.partition import (
     PARTITION_MODES,
     shard_of_source,
@@ -46,9 +47,62 @@ from repro.service.broker import CycleResult
 from repro.service.telemetry import BatchRecord
 from repro.workload.request import Request
 
-__all__ = ["ShardedLiveEngine"]
+__all__ = ["ShardedLiveEngine", "merge_shard_cycles"]
 
 _TOL = 1e-9
+
+
+def merge_shard_cycles(
+    cycle: int,
+    results: list[CycleResult],
+    ledger: BandwidthLedger,
+    *,
+    batches: list[BatchRecord],
+    wall_seconds: float,
+    **fleet,
+) -> CycleResult:
+    """One fleet cycle as one :class:`CycleResult`.
+
+    Counts and money are summed in shard order, assignments merged and
+    purchases summed per edge; ``batches`` is the fleet's record order.
+    The ``fleet`` block holds the ledger after the cycle, each shard's
+    counters (indexed by shard id) and any extra ``fleet`` entries.
+    """
+    assignment: dict[int, int | None] = {}
+    purchased: dict[int, float] = {}
+    for result in results:
+        assignment.update(result.assignment)
+        for edge, units in result.purchased.items():
+            purchased[edge] = purchased.get(edge, 0.0) + units
+    return CycleResult(
+        cycle=cycle,
+        num_requests=sum(r.num_requests for r in results),
+        accepted=sum(r.accepted for r in results),
+        declined=sum(r.declined for r in results),
+        shed=sum(r.shed for r in results),
+        revenue=sum(r.revenue for r in results),
+        cost=sum(r.cost for r in results),
+        profit=sum(r.profit for r in results),
+        wall_seconds=wall_seconds,
+        batches=batches,
+        assignment=assignment,
+        purchased={edge: purchased[edge] for edge in sorted(purchased)},
+        fleet={
+            "ledger": ledger.to_record(),
+            "shards": [
+                {
+                    "decisions": r.accepted + r.declined,
+                    "accepted": r.accepted,
+                    "declined": r.declined,
+                    "shed": r.shed,
+                    "revenue": r.revenue,
+                    "profit": r.profit,
+                }
+                for r in results
+            ],
+            **fleet,
+        },
+    )
 
 
 class ShardedLiveEngine:
@@ -94,22 +148,8 @@ class ShardedLiveEngine:
         self._shard_of = source_shard_map(
             topology, topology.datacenters, shards, partition
         )
-        edges = [e.key for e in topology.edges]
-        prices = np.array([topology.price(*key) for key in edges])
-        capacities = np.array(
-            [
-                float("inf") if ceiling is None else float(ceiling)
-                for ceiling in (topology.capacity(*key) for key in edges)
-            ]
-        )
-        if step0 is None:
-            step0 = max(float(prices.mean()) if prices.size else 1.0, 1e-12)
-        self.ledger = BandwidthLedger(
-            edges,
-            prices,
-            capacities,
-            slots_per_cycle,
-            schedule=make_step_schedule(step, step0, decay=decay),
+        self.ledger = BandwidthLedger.for_topology(
+            topology, slots_per_cycle, step=step, step0=step0, decay=decay
         )
         #: Per-shard breakers: one sick shard degrades alone while its
         #: siblings keep solving exactly.
@@ -133,7 +173,6 @@ class ShardedLiveEngine:
         ]
         self.requests: list[Request] = []
         self.batches: list[BatchRecord] = []
-        self._last_shard_results: list[CycleResult] = []
         self._opened_at = time.perf_counter()
 
     # ------------------------------------------------------------- lifecycle
@@ -215,46 +254,13 @@ class ShardedLiveEngine:
 
     def close_cycle(self) -> CycleResult:
         """Merge the shards' cycle results into one combined result."""
-        results = [engine.close_cycle() for engine in self._engines]
-        self._last_shard_results = results
-        assignment: dict[int, int | None] = {}
-        purchased: dict[int, float] = {}
-        for result in results:
-            assignment.update(result.assignment)
-            for edge, units in result.purchased.items():
-                purchased[edge] = purchased.get(edge, 0.0) + units
-        return CycleResult(
-            cycle=self.cycle,
-            num_requests=sum(r.num_requests for r in results),
-            accepted=sum(r.accepted for r in results),
-            declined=sum(r.declined for r in results),
-            shed=sum(r.shed for r in results),
-            revenue=sum(r.revenue for r in results),
-            cost=sum(r.cost for r in results),
-            profit=sum(r.profit for r in results),
-            wall_seconds=time.perf_counter() - self._opened_at,
+        return merge_shard_cycles(
+            self.cycle,
+            [engine.close_cycle() for engine in self._engines],
+            self.ledger,
             batches=list(self.batches),
-            assignment=assignment,
-            purchased={edge: purchased[edge] for edge in sorted(purchased)},
+            wall_seconds=time.perf_counter() - self._opened_at,
         )
-
-    def shard_counters(self) -> dict[int, dict[str, float]]:
-        """Per-shard counters of the last closed cycle (for telemetry)."""
-        counters: dict[int, dict[str, float]] = {}
-        for shard, result in enumerate(self._last_shard_results):
-            counters[shard] = {
-                "decisions": result.accepted + result.declined,
-                "accepted": result.accepted,
-                "declined": result.declined,
-                "shed": result.shed,
-                "revenue": result.revenue,
-                "profit": result.profit,
-            }
-            breaker = self.breakers[shard]
-            if breaker is not None:
-                counters[shard]["breaker_opens"] = breaker.opens
-                counters[shard]["breaker_failures"] = breaker.failures
-        return counters
 
     def __repr__(self) -> str:
         return (

@@ -21,6 +21,7 @@ from repro.state.recovery import (
     cycle_from_record,
     cycle_to_record,
     recover,
+    shard_fingerprint,
 )
 from repro.state.snapshot import SnapshotStore, snapshot_path
 
@@ -34,6 +35,7 @@ __all__ = [
     "WAL_FORMAT",
     "RecoveredState",
     "config_fingerprint",
+    "shard_fingerprint",
     "batch_to_record",
     "broker_snapshot_state",
     "cycle_to_record",

@@ -21,12 +21,18 @@ so ``recovered prefix + deterministic re-run == uninterrupted run`` —
 the crash-matrix tests assert equality of profit, decision log and
 purchased capacities, not approximation.
 
+Sharded fleets recover through the same path: each fleet cycle is one
+merged ``cycle`` record whose ``fleet`` block carries the bandwidth
+ledger's duals and counters, which the sharded engines restore from the
+last recovered cycle.  Unsharded records carry no ``fleet`` key.
+
 A fingerprint of the decision-relevant configuration (topology, seeds,
 workload shape — *not* execution levers like ``workers`` or
 ``cache_size``) is stamped into the journal and every snapshot; resuming
 under a different configuration raises
 :class:`~repro.exceptions.RecoveryError` instead of silently splicing
-incompatible histories.
+incompatible histories.  :func:`shard_fingerprint` mixes in the shard
+count and partition mode for sharded WALs.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ __all__ = [
     "WAL_FORMAT",
     "RecoveredState",
     "config_fingerprint",
+    "shard_fingerprint",
     "cycle_to_record",
     "cycle_from_record",
     "broker_snapshot_state",
@@ -84,6 +91,29 @@ def config_fingerprint(config) -> str:
     return digest.hexdigest()
 
 
+def shard_fingerprint(
+    base_fingerprint: str,
+    num_shards: int,
+    mode: str,
+    shard_id: int | str,
+) -> str:
+    """Mix the broker fingerprint with the shard topology and identity.
+
+    Sharding changes decisions (partitioned MILPs), so a sharded WAL
+    refuses to resume under a different shard count or partition mode.
+    ``shard_id`` names the journal's writer: ``"live"`` for the sharded
+    gateway, ``"fleet"`` for the sharded broker.
+    """
+    parts = (
+        ("base", base_fingerprint),
+        ("num_shards", num_shards),
+        ("mode", mode),
+        ("shard", shard_id),
+    )
+    digest = hashlib.blake2b(repr(parts).encode("utf-8"), digest_size=16)
+    return digest.hexdigest()
+
+
 # ----------------------------------------------------------------- records
 
 
@@ -95,10 +125,14 @@ def batch_to_record(record) -> dict[str, Any]:
 
 
 def cycle_to_record(result) -> dict[str, Any]:
-    """A journal ``cycle`` commit record: the full committed cycle ledger."""
+    """A journal ``cycle`` commit record: the full committed cycle ledger.
+
+    A sharded cycle's ``fleet`` block (ledger state, per-shard counters)
+    rides in the same record; unsharded records carry no ``fleet`` key.
+    """
     from dataclasses import asdict
 
-    return {
+    record = {
         "type": "cycle",
         "cycle": result.cycle,
         "num_requests": result.num_requests,
@@ -115,6 +149,9 @@ def cycle_to_record(result) -> dict[str, Any]:
         },
         "purchased": {str(edge): units for edge, units in result.purchased.items()},
     }
+    if result.fleet is not None:
+        record["fleet"] = result.fleet
+    return record
 
 
 def cycle_from_record(record: dict[str, Any]):
@@ -140,6 +177,7 @@ def cycle_from_record(record: dict[str, Any]):
         purchased={
             int(edge): units for edge, units in record.get("purchased", {}).items()
         },
+        fleet=record.get("fleet"),
     )
 
 

@@ -3,7 +3,7 @@
 Each scenario injects one failure mode from :class:`repro.state.FaultPlan`
 — a solver hang eating the cycle budget, a pool worker crash loop, a
 byzantine-slow worker behind the hedged sharded broker, a slow-loris
-gateway client, a torn ledger-journal write — and asserts the same
+gateway client, a torn fleet-cycle commit — and asserts the same
 contract: **100% of cycles commit a feasible schedule**, the accounting
 identity ``accepted + declined + shed == submitted`` holds at every
 commit, and the degradation machinery left the telemetry fingerprints it
@@ -205,13 +205,15 @@ class TestSlowLorisClient:
 
 class TestTornLedgerWrite:
     def test_torn_fleet_ledger_heals_on_resume(self, tmp_path):
-        """A write torn mid-frame in the fleet ledger recovers to a prefix."""
+        """A fleet cycle commit (ledger state inside) torn mid-frame heals."""
         fields = {**_BASE, "shards": 2, "wal_path": tmp_path / "fleet.wal"}
         baseline = ShardedBroker(
             ShardConfig(**{**fields, "wal_path": tmp_path / "base.wal"})
         ).run()
 
-        faults = FaultPlan(torn_write_at=3)
+        # Appends: the open record, cycle 0's batch records, then the
+        # first fleet cycle commit — the one torn here.
+        faults = FaultPlan(torn_write_at=len(baseline.cycles[0].batches) + 2)
         with pytest.raises(SimulatedCrash):
             ShardedBroker(ShardConfig(**fields), faults=faults).run()
 
@@ -219,3 +221,7 @@ class TestTornLedgerWrite:
         _assert_cycles_commit(resumed, _BASE["num_cycles"])
         assert resumed.decision_log() == baseline.decision_log()
         assert resumed.profit == pytest.approx(baseline.profit)
+        assert [c.fleet for c in resumed.cycles] == [
+            c.fleet for c in baseline.cycles
+        ]
+        assert resumed.summary()["recovered_batches"] == 0

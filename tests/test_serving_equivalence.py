@@ -185,12 +185,13 @@ class TestShardedOneShardMatchesBroker:
         broker = Broker(BrokerConfig(**fields)).run()
         sharded = ShardedBroker(ShardConfig(shards=1, **fields)).run()
         _assert_same_run(broker, sharded)
-        assert sharded.purchases() == [[c.purchased] for c in broker.cycles]
+        assert [c.purchased for c in sharded.cycles] == [
+            c.purchased for c in broker.cycles
+        ]
         assert [
             [_decision_fields(r) for r in c.batches] for c in broker.cycles
         ] == [
-            [_decision_fields(r) for r in c.shard_results[0].batches]
-            for c in sharded.cycles
+            [_decision_fields(r) for r in c.batches] for c in sharded.cycles
         ]
 
 

@@ -6,7 +6,9 @@ ladder inside the cycle engine — and exactly one module commits batch
 decisions.  One model builder: no function anywhere under ``src/repro``
 takes a ``fast_path`` switch, and no runtime module imports the
 test-suite's oracles (``tests``) or ``networkx`` (a test-only oracle
-dependency).
+dependency).  One durability design: exactly one function opens a
+journal for writing, and the shard package never reaches into the
+offline decomposition solver.
 """
 
 from __future__ import annotations
@@ -100,3 +102,44 @@ def test_one_engine_commits_batch_decisions():
     }
     assert list(sites) == ["service/broker.py"]
     assert len(sites["service/broker.py"]) == 1
+
+
+def _journal_open_callers() -> list[str]:
+    """Every ``src/`` function whose body calls ``Journal.open``."""
+    callers = []
+    for path in _ALL_MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for call in ast.walk(node):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "open"
+                    and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == "Journal"
+                ):
+                    callers.append(f"{path.parent.name}/{path.name}:{node.name}")
+    return callers
+
+
+def test_one_function_opens_the_journal():
+    assert _journal_open_callers() == ["service/broker.py:open_state"]
+
+
+@pytest.mark.parametrize(
+    "path", list(_modules(("shard",))), ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_shard_never_imports_the_decomposition_solver(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+            imported.update(f"{node.module}.{a.name}" for a in node.names)
+    assert not {
+        name for name in imported if name.startswith("repro.decomp.solver")
+    }, f"{path.name} imports repro.decomp.solver"

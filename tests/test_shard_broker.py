@@ -1,22 +1,22 @@
-"""The sharded broker: equivalence, coordination, and fleet-wide recovery."""
+"""The sharded broker: equivalence, coordination, and single-WAL recovery."""
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
 from repro.exceptions import RecoveryError
 from repro.net.topologies import b4
 from repro.service import Broker, BrokerConfig
-from repro.shard import (
-    ShardConfig,
-    ShardedBroker,
-    ledger_wal_path,
-    recover_sharded,
+from repro.shard import ShardConfig, ShardedBroker
+from repro.state import (
+    FaultPlan,
+    SimulatedCrash,
+    read_wal,
     shard_fingerprint,
-    shard_wal_path,
+    snapshot_path,
 )
-from repro.state import FaultPlan, SimulatedCrash, config_fingerprint
 from repro.state.faults import corrupt_tail, truncate_tail
 
 _TOL = 1e-9
@@ -39,6 +39,23 @@ def _run(tmp_path=None, *, resume=False, faults=None, **overrides):
     return broker.run(resume=resume)
 
 
+def _purchases(report):
+    return [cycle.purchased for cycle in report.cycles]
+
+
+def _assert_same_run(report, baseline):
+    """Crash equivalence: decisions, per-cycle profit, purchases, fleet."""
+    assert report.decision_log() == baseline.decision_log()
+    # Bitwise: a recovered profit is a float, a served one a numpy float.
+    assert [repr(float(c.profit)) for c in report.cycles] == [
+        repr(float(c.profit)) for c in baseline.cycles
+    ]
+    assert _purchases(report) == _purchases(baseline)
+    assert [c.fleet for c in report.cycles] == [
+        c.fleet for c in baseline.cycles
+    ]
+
+
 class TestEquivalence:
     def test_single_shard_matches_the_monolithic_broker(self):
         mono = Broker(BrokerConfig(**_BASE)).run()
@@ -51,53 +68,68 @@ class TestEquivalence:
         second = _run()
         assert first.decision_log() == second.decision_log()
         assert first.profit == second.profit
-        assert first.purchases() == second.purchases()
+        assert _purchases(first) == _purchases(second)
 
     def test_pool_matches_serial(self):
         serial = _run()
         pooled = _run(workers=2)
         assert pooled.decision_log() == serial.decision_log()
         assert pooled.profit == serial.profit
-        assert pooled.purchases() == serial.purchases()
+        assert _purchases(pooled) == _purchases(serial)
 
     def test_partition_modes_both_cover_every_request(self):
         for partition in ("hash", "region"):
             report = _run(partition=partition, shards=3)
             for cycle in report.cycles:
-                assert len(cycle.assignment()) == cycle.num_requests
-                assert len(cycle.shard_results) == 3
+                assert len(cycle.assignment) == cycle.num_requests
+                assert len(cycle.fleet["shards"]) == 3
+
+
+def _capped_star(wal_path=None):
+    """A deterministic bottleneck on a star, for 3 shards.
+
+    Every bid crosses the star's (hub, DC1) link of capacity 1.  Each
+    shard respects the cap *locally*, so three shards can jointly
+    oversubscribe it 3x — exactly what the ledger's duals and the
+    reconciliation eviction must resolve.
+    """
+    from repro.net.topologies import star_topology
+    from repro.service.ingest import TraceSource
+    from repro.workload.request import Request, RequestSet
+
+    topo = star_topology(6)
+    topo.set_uniform_capacity(1)
+    slots = 4
+    trace = RequestSet(
+        [
+            Request(rid, f"DC{2 + (rid % 5)}", "DC1", 0, slots - 1,
+                    1.0, 40.0 + rid)
+            for rid in range(9)
+        ],
+        slots,
+    )
+    config = ShardConfig(
+        **{**_BASE, "slots_per_cycle": slots, "requests_per_cycle": 9},
+        shards=3,
+        wal_path=wal_path,
+    )
+    return topo, trace, config
+
+
+def _capped_broker(config, topo, trace, faults=None):
+    from repro.service.ingest import TraceSource
+
+    broker = ShardedBroker(config, source=TraceSource(trace), faults=faults)
+    broker.topology = topo
+    return broker
 
 
 class TestCoordination:
     def test_capped_run_is_slot_feasible_and_exercises_duals(self):
-        # A deterministic bottleneck: every bid crosses the star's
-        # (hub, DC1) link of capacity 1.  Each shard respects the cap
-        # *locally*, so three shards can jointly oversubscribe it 3x —
-        # exactly what the ledger's duals and the reconciliation eviction
-        # must resolve.
         from repro.core.instance import SPMInstance
-        from repro.net.topologies import star_topology
-        from repro.service.ingest import TraceSource
-        from repro.workload.request import Request, RequestSet
 
-        topo = star_topology(6)
-        topo.set_uniform_capacity(1)
-        slots = 4
-        trace = RequestSet(
-            [
-                Request(rid, f"DC{2 + (rid % 5)}", "DC1", 0, slots - 1,
-                        1.0, 40.0 + rid)
-                for rid in range(9)
-            ],
-            slots,
-        )
-        config = ShardConfig(
-            **{**_BASE, "slots_per_cycle": slots, "requests_per_cycle": 9},
-            shards=3,
-        )
-        broker = ShardedBroker(config, source=TraceSource(trace))
-        broker.topology = topo
-        report = broker.run()
+        topo, trace, config = _capped_star()
+        report = _capped_broker(config, topo, trace).run()
         summary = report.summary()
         assert summary["reconciliation_evictions"] > 0
         assert summary["ledger_price_iterations"] > 0
@@ -105,15 +137,18 @@ class TestCoordination:
         # eviction pass, replayed onto a fresh instance.
         instance = SPMInstance.build(topo, trace, k_paths=config.k_paths)
         for cycle in report.cycles:
-            merged = cycle.assignment()
+            merged = cycle.assignment
             loads = instance.loads(merged)
             assert float(loads.max(initial=0.0)) <= 1.0 + _TOL
-            assert cycle.max_violation > 0 or not cycle.evicted
-            for rid in cycle.evicted:
+            fleet = cycle.fleet
+            assert fleet["max_violation"] > 0 or not fleet["evicted"]
+            for rid in fleet["evicted"]:
                 assert merged[rid] is None
         # The second cycle solves against raised duals carried over from
         # the first, so the fleet over-admits less (or no more) over time.
-        assert len(report.cycles[1].evicted) <= len(report.cycles[0].evicted)
+        assert len(report.cycles[1].fleet["evicted"]) <= len(
+            report.cycles[0].fleet["evicted"]
+        )
 
     def test_telemetry_reports_per_shard_sections(self, tmp_path):
         report = _run(shards=2)
@@ -138,75 +173,75 @@ class TestFleetRecovery:
     def test_wal_layout(self, tmp_path):
         _run(tmp_path)
         base = tmp_path / "fleet.wal"
-        assert shard_wal_path(base, 0).exists()
-        assert shard_wal_path(base, 1).exists()
-        assert ledger_wal_path(base).exists()
+        # One WAL plus its snapshot: no per-shard or ledger journals.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            base.name,
+            snapshot_path(base).name,
+        ]
+        records = read_wal(base)
+        commits = [r for r in records if r["type"] == "cycle"]
+        assert [r["cycle"] for r in commits] == [0, 1]
+        assert all(set(r["fleet"]["ledger"]) >= {"duals"} for r in commits)
 
     def test_crash_resume_equals_uninterrupted(self, tmp_path):
         baseline = self._baseline()
-        # A sharded cycle is 3 commits (2 shards + ledger); crashing at
-        # the 4th lands mid-way through cycle 1 with cycle 0 fully
-        # trusted, so the resume actually recovers a prefix.
+        # A fleet cycle is one commit: crashing after the first leaves
+        # cycle 0 trusted, so the resume actually recovers a prefix.
         with pytest.raises(SimulatedCrash):
-            _run(tmp_path, faults=FaultPlan(crash_after_cycles=4))
+            _run(tmp_path, faults=FaultPlan(crash_after_cycles=1))
         resumed = _run(tmp_path, resume=True)
-        assert resumed.decision_log() == baseline.decision_log()
-        assert resumed.profit == baseline.profit
-        assert resumed.purchases() == baseline.purchases()
-        assert resumed.telemetry.recovered_batches > 0
+        _assert_same_run(resumed, baseline)
+        assert resumed.telemetry.recovered_batches == len(
+            baseline.cycles[0].batches
+        )
+
+    def test_crash_mid_cycle_resumes_equal(self, tmp_path):
+        baseline = self._baseline()
+        crash_at = len(baseline.cycles[0].batches) + 1  # first of cycle 1
+        with pytest.raises(SimulatedCrash):
+            _run(tmp_path, faults=FaultPlan(crash_after_batches=crash_at))
+        _assert_same_run(_run(tmp_path, resume=True), baseline)
 
     @pytest.mark.parametrize("torn_bytes", [1, 7])
     def test_torn_shard_wal_tail(self, tmp_path, torn_bytes):
+        """Tearing the fleet WAL's tail loses cycle 0's commit record."""
         baseline = self._baseline()
         with pytest.raises(SimulatedCrash):
             _run(tmp_path, faults=FaultPlan(crash_after_cycles=1))
-        truncate_tail(shard_wal_path(tmp_path / "fleet.wal", 1), torn_bytes)
+        truncate_tail(tmp_path / "fleet.wal", torn_bytes)
         resumed = _run(tmp_path, resume=True)
-        assert resumed.decision_log() == baseline.decision_log()
-        assert resumed.profit == baseline.profit
+        _assert_same_run(resumed, baseline)
+        assert resumed.telemetry.recovered_batches == 0
 
     def test_corrupt_ledger_tail(self, tmp_path):
+        """Corrupting the tail corrupts cycle 0's ledger (``fleet``) record."""
         baseline = self._baseline()
         with pytest.raises(SimulatedCrash):
             _run(tmp_path, faults=FaultPlan(crash_after_cycles=1))
-        corrupt_tail(ledger_wal_path(tmp_path / "fleet.wal"), 8)
+        corrupt_tail(tmp_path / "fleet.wal", 8)
         resumed = _run(tmp_path, resume=True)
-        assert resumed.decision_log() == baseline.decision_log()
-        assert resumed.profit == baseline.profit
+        _assert_same_run(resumed, baseline)
+        assert resumed.telemetry.recovered_batches == 0
 
-    def test_recovery_takes_the_minimum_committed_prefix(self, tmp_path):
-        base_fingerprint = config_fingerprint(
-            ShardConfig(**_BASE, shards=2, wal_path=tmp_path / "fleet.wal")
-        )
-
-        def recovered():
-            return recover_sharded(
-                tmp_path / "fleet.wal",
-                base_fingerprint=base_fingerprint,
-                num_shards=2,
-                mode="hash",
-            )
-
-        # A crash right after the FIRST journal's cycle commit leaves
-        # shard 0 a cycle ahead of shard 1 and the ledger: the fleet
-        # trusts only the minimum, i.e. nothing yet.
+    @pytest.mark.parametrize("crash_after", [1, 2])
+    def test_capped_resume_restores_the_fleet(self, tmp_path, crash_after):
+        """Evictions, violations and duals survive a crash; snapshots land."""
+        topo, trace, config = _capped_star()
+        baseline = _capped_broker(config, topo, trace).run()
+        assert baseline.cycles[0].fleet["evicted"]  # the fixture bites
+        wal = tmp_path / "capped.wal"
+        config = replace(config, wal_path=wal)
         with pytest.raises(SimulatedCrash):
-            _run(tmp_path, faults=FaultPlan(crash_after_cycles=1))
-        state = recovered()
-        assert state.next_cycle == 0
-        assert state.duals is None
-        assert len(state.shard_cycles[0]) == 1  # ahead, but untrusted
-
-        # A clean run commits everything; then deleting one shard journal
-        # drags the fleet's trusted prefix back to zero.
-        for path in tmp_path.glob("fleet.wal*"):
-            path.unlink()
-        _run(tmp_path)
-        state = recovered()
-        assert state.next_cycle == 2
-        assert state.duals is not None
-        shard_wal_path(tmp_path / "fleet.wal", 0).unlink()
-        assert recovered().next_cycle == 0
+            _capped_broker(
+                config, topo, trace, FaultPlan(crash_after_cycles=crash_after)
+            ).run()
+        resumed = _capped_broker(config, topo, trace).run(resume=True)
+        _assert_same_run(resumed, baseline)
+        assert resumed.cycles[0].fleet == baseline.cycles[0].fleet
+        assert resumed.summary()["reconciliation_evictions"] == (
+            baseline.summary()["reconciliation_evictions"]
+        )
+        assert snapshot_path(wal).exists()
 
     def test_resume_under_different_sharding_refuses(self, tmp_path):
         _run(tmp_path)
@@ -216,10 +251,10 @@ class TestFleetRecovery:
     def test_shard_fingerprints_are_distinct(self):
         base = "abc123"
         prints = {
+            shard_fingerprint(base, 2, "hash", "fleet"),
+            shard_fingerprint(base, 2, "hash", "live"),
+            shard_fingerprint(base, 3, "hash", "fleet"),
+            shard_fingerprint(base, 2, "region", "fleet"),
             shard_fingerprint(base, 2, "hash", 0),
-            shard_fingerprint(base, 2, "hash", 1),
-            shard_fingerprint(base, 2, "hash", "ledger"),
-            shard_fingerprint(base, 3, "hash", 0),
-            shard_fingerprint(base, 2, "region", 0),
         }
         assert len(prints) == 5

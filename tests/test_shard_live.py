@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.decomp.partition import source_shard_map
 from repro.exceptions import RecoveryError
 from repro.gateway import GatewayConfig, GatewayServer
 from repro.gateway.engine import LiveCycleEngine
@@ -94,7 +95,8 @@ class TestShardedLiveEngine:
         batch = _bids(10)
         engine.decide(batch, window_start=0, window_shed=2)
         result = engine.close_cycle()
-        shard_results = engine._last_shard_results
+        # Re-closing a shard engine re-accounts the same committed cycle.
+        shard_results = [sub.close_cycle() for sub in engine._engines]
         assert len(shard_results) == 2
         assert result.num_requests == len(batch) + 2
         assert result.accepted == sum(r.accepted for r in shard_results)
@@ -116,10 +118,11 @@ class TestShardedLiveEngine:
             assert units == pytest.approx(
                 sum(r.purchased.get(edge, 0.0) for r in shard_results)
             )
-        counters = engine.shard_counters()
-        assert set(counters) == {0, 1}
-        assert sum(c["accepted"] for c in counters.values()) == result.accepted
-        assert sum(c["shed"] for c in counters.values()) == 2
+        counters = result.fleet["shards"]
+        assert len(counters) == 2
+        assert sum(c["accepted"] for c in counters) == result.accepted
+        assert sum(c["shed"] for c in counters) == 2
+        assert result.fleet["ledger"] == engine.ledger.to_record()
 
     def test_cycles_advance_across_all_shards(self):
         engine = self._engine()
@@ -248,6 +251,58 @@ class TestShardedGateway:
             assert replayed.assignment == reference.assignment
             assert replayed.purchased == reference.purchased
             assert replayed.profit == reference.profit
+
+    def test_resume_restores_duals_from_the_last_commit(self, tmp_path):
+        # A capped star: rate-2 bids from three shards jointly load the
+        # (DC0, DC1) hub link of capacity 2 past its ceiling, so the
+        # ledger's duals rise before the drain commits the cycle.
+        topo = star_topology(8)
+        topo.set_uniform_capacity(2)
+        by_shard: dict[int, list[str]] = {}
+        for node, shard in source_shard_map(
+            topo, topo.datacenters, 3, "hash"
+        ).items():
+            if node not in ("DC0", "DC1"):
+                by_shard.setdefault(shard, []).append(node)
+        sources = [sorted(by_shard[shard])[0] for shard in sorted(by_shard)]
+        wal = tmp_path / "capped.wal"
+
+        def config(resume):
+            return GatewayConfig(
+                **{**_FAST, "topology": topo},
+                shards=3,
+                wal_path=wal,
+                resume=resume,
+            )
+
+        async def serve_bids():
+            server = GatewayServer(config(False))
+            await server.start()
+            reader, writer = await _connect(server)
+            bids = [
+                Request(rid, source, "DC1", 0, 3, 2.0, 50.0)
+                for rid, source in enumerate(sources)
+            ]
+            writer.writelines([_bid_line(req) for req in bids])
+            await writer.drain()
+            for _ in bids:
+                await _read(reader)
+            writer.close()
+            await server.stop()
+            return server
+
+        async def resume():
+            server = GatewayServer(config(True))
+            await server.start()
+            restored = server._engine.ledger.to_record()
+            await server.stop()
+            return restored
+
+        first = asyncio.run(serve_bids())
+        committed = first.cycles[-1].fleet["ledger"]
+        assert any(committed["duals"])
+        assert first._engine.ledger.to_record() == committed
+        assert asyncio.run(resume()) == committed
 
     def test_resume_under_different_shard_count_refuses(self, tmp_path):
         wal = tmp_path / "sharded.wal"

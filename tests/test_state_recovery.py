@@ -170,6 +170,19 @@ class TestCrashMatrix:
         resumed = Broker(config).run(resume=True)
         assert_equivalent(resumed, baseline)
 
+    def test_torn_first_cycle_commit(self, tmp_path, baseline):
+        # Appends: the open record, cycle 0's batch records, its commit.
+        config = _config(tmp_path)
+        torn_at = len(baseline.cycles[0].batches) + 2
+        with pytest.raises(SimulatedCrash):
+            Broker(config, faults=FaultPlan(torn_write_at=torn_at)).run()
+        records, _, truncated = scan_wal(config.wal_path)
+        assert truncated
+        assert not [r for r in records if r["type"] == "cycle"]
+        resumed = Broker(config).run(resume=True)
+        assert_equivalent(resumed, baseline)
+        assert resumed.summary()["recovered_batches"] == 0
+
     def test_worker_death_mid_solve(self, tmp_path, baseline):
         config = _config(tmp_path, workers=2)
         plan = FaultPlan(
@@ -267,6 +280,54 @@ class TestRecoveryGuards:
         assert [c["cycle"] for c in snapshot["cycles"]] == [0, 1]
         assert snapshot["queue"] == []
         assert snapshot["seeds"]["seed"] == _BASE["seed"]
+
+
+#: The ``cycle`` record keys every unsharded WAL and snapshot carries.
+_CYCLE_KEYS = {
+    "type", "cycle", "num_requests", "accepted", "declined", "shed",
+    "revenue", "cost", "profit", "wall_seconds", "batches", "assignment",
+    "purchased",
+}
+
+
+class TestUnshardedRecordFormat:
+    """Unsharded cycle records carry no ``fleet`` key, so old WALs resume."""
+
+    def test_broker_records_keep_their_keys(self, tmp_path):
+        config = _config(tmp_path)
+        report = Broker(config).run()
+        assert all(c.fleet is None for c in report.cycles)
+        commits = [r for r in read_wal(config.wal_path) if r["type"] == "cycle"]
+        assert len(commits) == len(report.cycles)
+        assert all(set(r) == _CYCLE_KEYS for r in commits)
+        snapshot = SnapshotStore(snapshot_path(config.wal_path)).load()
+        assert all(set(r) == _CYCLE_KEYS for r in snapshot["cycles"])
+
+    def test_gateway_records_keep_their_keys(self, tmp_path):
+        import asyncio
+
+        from repro.gateway import GatewayConfig, GatewayServer
+
+        wal = tmp_path / "gateway.wal"
+        config = GatewayConfig(
+            topology="sub-b4",
+            slots_per_cycle=2,
+            slot_seconds=0.01,
+            num_cycles=2,
+            wal_path=wal,
+        )
+
+        async def serve():
+            server = GatewayServer(config)
+            await server.start()
+            await server.wait_closed()
+            return server
+
+        server = asyncio.run(serve())
+        assert all(c.fleet is None for c in server.cycles)
+        commits = [r for r in read_wal(wal) if r["type"] == "cycle"]
+        assert len(commits) == 2
+        assert all(set(r) == _CYCLE_KEYS for r in commits)
 
 
 class TestTelemetryCounters:
