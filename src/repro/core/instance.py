@@ -8,8 +8,9 @@
   ``P_i = {P_{i,1}, ..., P_{i,L_i}}`` (k cheapest simple paths);
 * the edge index and the path-edge incidence ``I_{i,j,e}`` in array form.
 
-Path enumeration is cached per (source, dest) pair, so instances over the
-same topology share the enumeration work.
+Candidate paths come from :meth:`Topology.candidate_paths`, which memoizes
+them per topology, so instances over the same topology share the
+enumeration work.
 """
 
 from __future__ import annotations
@@ -79,14 +80,11 @@ class SPMInstance:
         *,
         k_paths: int = 3,
     ) -> "SPMInstance":
-        """Enumerate up to ``k_paths`` cheapest simple paths per request."""
-        cache: dict[tuple[NodeId, NodeId], list[Path]] = {}
-        paths: dict[int, list[Path]] = {}
-        for req in requests:
-            key = (req.source, req.dest)
-            if key not in cache:
-                cache[key] = topology.candidate_paths(req.source, req.dest, k=k_paths)
-            paths[req.request_id] = cache[key]
+        """Build with up to ``k_paths`` cheapest simple paths per request."""
+        paths = {
+            req.request_id: topology.candidate_paths(req.source, req.dest, k=k_paths)
+            for req in requests
+        }
         return cls(topology, requests, paths)
 
     def restrict(self, request_ids: Iterable[int]) -> "SPMInstance":

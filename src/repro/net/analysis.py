@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import NoPathError
-from repro.net.paths import k_shortest_paths, shortest_path
+from repro.net.paths import shortest_path
 from repro.net.topology import Topology
 
 __all__ = [
@@ -64,7 +64,7 @@ def path_diversity(
     capped at ``k``.
     """
     try:
-        candidates = k_shortest_paths(topology.graph, source, dest, k)
+        candidates = topology.candidate_paths(source, dest, k)
     except NoPathError:
         return 0
     used: set[EdgeKey] = set()

@@ -8,6 +8,10 @@ pulling in a general-purpose graph library for the core data path.
 Edges are identified by their ``(tail, head)`` pair; parallel edges are
 rejected because an inter-DC link between two data centers is modeled as a
 single directed edge whose *capacity* (not multiplicity) scales.
+
+Every structural change (a new node, an added or removed edge) bumps
+:attr:`DiGraph.version`, so derived data such as a topology's candidate
+paths can tell when it is stale.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ class DiGraph:
     def __init__(self) -> None:
         self._succ: dict[NodeId, dict[NodeId, Edge]] = {}
         self._pred: dict[NodeId, dict[NodeId, Edge]] = {}
+        #: Mutation counter: bumped by every node or edge added or removed.
+        self.version = 0
 
     # ------------------------------------------------------------------ nodes
 
@@ -64,6 +70,7 @@ class DiGraph:
         if node not in self._succ:
             self._succ[node] = {}
             self._pred[node] = {}
+            self.version += 1
 
     def has_node(self, node: NodeId) -> bool:
         return node in self._succ
@@ -91,6 +98,7 @@ class DiGraph:
             raise GraphError(f"duplicate edge {tail!r} -> {head!r}")
         self._succ[tail][head] = edge
         self._pred[head][tail] = edge
+        self.version += 1
         return edge
 
     def add_bidirectional(
@@ -115,6 +123,7 @@ class DiGraph:
             raise EdgeNotFoundError(f"no edge {tail!r} -> {head!r}")
         del self._succ[tail][head]
         del self._pred[head][tail]
+        self.version += 1
 
     @property
     def edges(self) -> list[Edge]:

@@ -7,14 +7,19 @@ Following the paper's MinCost baseline and the pricing model, path cost is
 the sum of per-unit bandwidth prices along the path, so "shortest" here
 means *cheapest*.
 
-Both algorithms are implemented from scratch on :class:`~repro.net.graph.DiGraph`;
-the test-suite cross-checks them against :mod:`networkx`.
+Both algorithms are implemented from scratch on :class:`~repro.net.graph.DiGraph`.
+Yen's spur searches run on the graph itself, skipping the banned nodes and
+edges instead of copying a trimmed graph per spur.  The runtime enumerates
+candidate paths only through :meth:`repro.net.topology.Topology.candidate_paths`,
+which memoizes them per topology.  The test-suite cross-checks both
+algorithms against :mod:`networkx` and Yen's against the graph-copying
+reference in ``tests/oracles/paths.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Sequence, Set
 from dataclasses import dataclass
 
 from repro.exceptions import NoPathError
@@ -87,24 +92,7 @@ def dijkstra(
     predecessor on one cheapest path.
     """
     graph._require_node(source)
-    dist: dict[NodeId, float] = {source: 0.0}
-    prev: dict[NodeId, NodeId] = {}
-    visited: set[NodeId] = set()
-    counter = 0  # tie-breaker so heapq never compares node ids
-    heap: list[tuple[float, int, NodeId]] = [(0.0, counter, source)]
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        for edge in graph.successors(node):
-            nd = d + edge.weight
-            if nd < dist.get(edge.head, float("inf")):
-                dist[edge.head] = nd
-                prev[edge.head] = node
-                counter += 1
-                heapq.heappush(heap, (nd, counter, edge.head))
-    return dist, prev
+    return _search(graph, source)
 
 
 def shortest_path(graph: DiGraph, source: NodeId, target: NodeId) -> Path:
@@ -113,14 +101,8 @@ def shortest_path(graph: DiGraph, source: NodeId, target: NodeId) -> Path:
     Raises :class:`~repro.exceptions.NoPathError` if ``target`` is unreachable.
     """
     graph._require_node(target)
-    dist, prev = dijkstra(graph, source)
-    if target not in dist:
-        raise NoPathError(f"no path {source!r} -> {target!r}")
-    nodes = [target]
-    while nodes[-1] != source:
-        nodes.append(prev[nodes[-1]])
-    nodes.reverse()
-    return Path(tuple(nodes), dist[target])
+    graph._require_node(source)
+    return _cheapest(graph, source, target)
 
 
 def k_shortest_paths(
@@ -130,6 +112,10 @@ def k_shortest_paths(
 
     Returns fewer than ``k`` paths when the graph does not contain that many
     simple paths.  Raises :class:`NoPathError` when no path exists at all.
+
+    Each spur search runs on ``graph`` itself, skipping the root's interior
+    nodes and the edges that would recreate an already-found path; nothing
+    is copied.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -145,7 +131,7 @@ def k_shortest_paths(
             spur_node = prev_path.nodes[spur_idx]
             root_nodes = prev_path.nodes[: spur_idx + 1]
 
-            # Remove edges that would recreate an already-found path sharing
+            # Skip edges that would recreate an already-found path sharing
             # this root, and the root's interior nodes.
             removed_edges: set[tuple[NodeId, NodeId]] = set()
             for path in found:
@@ -153,11 +139,10 @@ def k_shortest_paths(
                     removed_edges.add((path.nodes[spur_idx], path.nodes[spur_idx + 1]))
             banned_nodes = set(root_nodes[:-1])
 
-            trimmed = _trimmed_graph(graph, banned_nodes, removed_edges)
-            if not trimmed.has_node(spur_node) or not trimmed.has_node(target):
-                continue
             try:
-                spur_path = shortest_path(trimmed, spur_node, target)
+                spur_path = _cheapest(
+                    graph, spur_node, target, banned_nodes, removed_edges
+                )
             except NoPathError:
                 continue
 
@@ -169,10 +154,7 @@ def k_shortest_paths(
                 graph.edge(t, h).weight
                 for t, h in zip(root_nodes[:-1], root_nodes[1:])
             )
-            heapq.heappush(
-                candidates,
-                (root_cost + spur_path.cost, tuple(total_nodes)),
-            )
+            heapq.heappush(candidates, (root_cost + spur_path.cost, total_nodes))
 
         if not candidates:
             break
@@ -182,20 +164,61 @@ def k_shortest_paths(
     return found
 
 
-def _trimmed_graph(
+def _cheapest(
     graph: DiGraph,
-    banned_nodes: set[NodeId],
-    removed_edges: set[tuple[NodeId, NodeId]],
-) -> DiGraph:
-    """Copy of ``graph`` without ``banned_nodes`` and ``removed_edges``."""
-    g = DiGraph()
-    for node in graph.nodes:
-        if node not in banned_nodes:
-            g.add_node(node)
-    for edge in graph.edges:
-        if edge.tail in banned_nodes or edge.head in banned_nodes:
+    source: NodeId,
+    target: NodeId,
+    banned_nodes: Set[NodeId] = frozenset(),
+    removed_edges: Set[tuple[NodeId, NodeId]] = frozenset(),
+) -> Path:
+    """The cheapest ``source -> target`` path avoiding the given nodes/edges."""
+    dist, prev = _search(graph, source, target, banned_nodes, removed_edges)
+    if target not in dist:
+        raise NoPathError(f"no path {source!r} -> {target!r}")
+    nodes = [target]
+    while nodes[-1] != source:
+        nodes.append(prev[nodes[-1]])
+    nodes.reverse()
+    return Path(tuple(nodes), dist[target])
+
+
+_NO_TARGET = object()
+
+
+def _search(
+    graph: DiGraph,
+    source: NodeId,
+    target: NodeId = _NO_TARGET,
+    banned_nodes: Set[NodeId] = frozenset(),
+    removed_edges: Set[tuple[NodeId, NodeId]] = frozenset(),
+) -> tuple[dict[NodeId, float], dict[NodeId, NodeId]]:
+    """Dijkstra from ``source`` over ``graph`` minus the banned nodes/edges.
+
+    Successors are relaxed in insertion order and heap ties break on push
+    order, so the result equals a search over a copy of ``graph`` with the
+    banned nodes and edges deleted.  Stops once ``target`` is settled: its
+    distance and predecessor chain are final from then on.
+    """
+    succ = graph._succ
+    dist: dict[NodeId, float] = {source: 0.0}
+    prev: dict[NodeId, NodeId] = {}
+    visited: set[NodeId] = set()
+    counter = 0  # tie-breaker so heapq never compares node ids
+    heap: list[tuple[float, int, NodeId]] = [(0.0, counter, source)]
+    while heap:
+        d, _, node = heapq.heappop(heap)
+        if node in visited:
             continue
-        if (edge.tail, edge.head) in removed_edges:
-            continue
-        g.add_edge(edge.tail, edge.head, edge.weight)
-    return g
+        if node == target:
+            break
+        visited.add(node)
+        for head, edge in succ[node].items():
+            if head in banned_nodes or (node, head) in removed_edges:
+                continue
+            nd = d + edge.weight
+            if nd < dist.get(head, float("inf")):
+                dist[head] = nd
+                prev[head] = node
+                counter += 1
+                heapq.heappush(heap, (nd, counter, head))
+    return dist, prev

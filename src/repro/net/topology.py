@@ -7,13 +7,20 @@ A topology couples the directed graph with:
   bandwidth-limited problem (BL-SPM) and by Metis' BW Limiter.  ``None``
   means "unlimited" (RL-SPM: the provider may purchase as much as needed).
 * ``region[node]`` — optional region label used for pricing and reporting.
+
+:meth:`Topology.candidate_paths` is the one place the runtime enumerates
+candidate paths.  It memoizes each ``(source, target, k)`` answer for the
+topology's life.  Paths depend only on the graph and its weights (the
+prices), so a structural change to the graph (a new node, an added or
+removed edge; see :attr:`DiGraph.version`) discards the memo, while
+capacity changes keep it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
 
-from repro.exceptions import TopologyError
+from repro.exceptions import GraphError, TopologyError
 from repro.net.graph import DiGraph, Edge
 from repro.net.paths import Path, k_shortest_paths
 
@@ -40,6 +47,8 @@ class Topology:
         self.graph = DiGraph()
         self._capacity: dict[EdgeKey, int | None] = {}
         self.regions: dict[NodeId, str] = dict(regions or {})
+        self._paths: dict[tuple[NodeId, NodeId, int], tuple[Path, ...]] = {}
+        self._paths_version = self.graph.version
 
     # ----------------------------------------------------------- construction
 
@@ -67,6 +76,11 @@ class Topology:
             raise TopologyError(f"link price must be >= 0, got {price!r}")
         if capacity is not None and (not isinstance(capacity, int) or capacity < 0):
             raise TopologyError(f"capacity must be a non-negative int, got {capacity!r}")
+        # Check both directions before adding either, so a duplicate
+        # reverse edge leaves no half-link behind.
+        for tail, head in ((a, b), (b, a)) if bidirectional else ((a, b),):
+            if self.graph.has_edge(tail, head):
+                raise GraphError(f"duplicate edge {tail!r} -> {head!r}")
         self.graph.add_edge(a, b, price)
         self._capacity[(a, b)] = capacity
         if bidirectional:
@@ -125,8 +139,21 @@ class Topology:
     def candidate_paths(
         self, source: NodeId, target: NodeId, k: int = 3
     ) -> list[Path]:
-        """Up to ``k`` cheapest simple paths ``source -> target`` (the set P_i)."""
-        return k_shortest_paths(self.graph, source, target, k)
+        """Up to ``k`` cheapest simple paths ``source -> target`` (the set P_i).
+
+        Memoized per ``(source, target, k)`` until the graph's structure
+        changes; errors are never memoized.  Each call returns a new list.
+        """
+        if self._paths_version != self.graph.version:
+            self._paths.clear()
+            self._paths_version = self.graph.version
+        key = (source, target, k)
+        paths = self._paths.get(key)
+        if paths is None:
+            paths = self._paths[key] = tuple(
+                k_shortest_paths(self.graph, source, target, k)
+            )
+        return list(paths)
 
     # ------------------------------------------------------------------ misc
 

@@ -266,9 +266,9 @@ class CycleEngine:
     :class:`BatchRecord`, and the ``on_batch`` write-ahead hook.
 
     The engine owns the committed loads, the charged integer units, the
-    assignment and the batch records of the open cycle, plus a
-    (source, dest) path cache that lives as long as the engine.  Edge
-    indexing comes from the topology alone, so every per-batch
+    assignment and the batch records of the open cycle.  Candidate paths
+    come from the topology's own memo (:meth:`Topology.candidate_paths`).
+    Edge indexing comes from the topology alone, so every per-batch
     :class:`SPMInstance` agrees on the ledger arrays.
 
     The ladder is built here from ``budget``/``breaker``/``time_limit``/
@@ -316,7 +316,6 @@ class CycleEngine:
         self.edges = [e.key for e in topology.edges]
         self.prices = np.array([topology.price(*key) for key in self.edges])
         self.dual_prices = dual_prices
-        self._path_cache: dict[tuple, list] = {}
         #: The last closed cycle's :class:`Schedule`.
         self.schedule: Schedule | None = None
         self.start_cycle(0, slots_per_cycle)
@@ -355,15 +354,12 @@ class CycleEngine:
         self._opened_at = time.perf_counter()
 
     def _instance(self, requests: list[Request]) -> SPMInstance:
-        paths = {}
-        for req in requests:
-            key = (req.source, req.dest)
-            cached = self._path_cache.get(key)
-            if cached is None:
-                cached = self._path_cache[key] = self.topology.candidate_paths(
-                    req.source, req.dest, k=self.k_paths
-                )
-            paths[req.request_id] = cached
+        paths = {
+            req.request_id: self.topology.candidate_paths(
+                req.source, req.dest, k=self.k_paths
+            )
+            for req in requests
+        }
         requests = RequestSet(requests, self.slots_per_cycle)
         return SPMInstance(self.topology, requests, paths)
 

@@ -64,7 +64,9 @@ class SnapshotStore:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
+                # json.dumps encodes in one C call; json.dump would stream
+                # through the pure-Python encoder.  Same text either way.
+                handle.write(json.dumps(payload))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, self.path)

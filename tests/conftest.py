@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.net.topology as topology_module
 from repro.core.instance import SPMInstance
 from repro.net.topologies import b4, sub_b4
 from repro.net.topology import Topology
@@ -105,3 +106,17 @@ def reference_metis(monkeypatch):
     the array-native build.
     """
     return lambda: swap_into_metis(monkeypatch)
+
+
+@pytest.fixture
+def yen_calls(monkeypatch) -> list:
+    """Records each Yen enumeration ``Topology.candidate_paths`` runs."""
+    calls = []
+    enumerate_paths = topology_module.k_shortest_paths
+
+    def counting(graph, source, target, k):
+        calls.append((source, target, k))
+        return enumerate_paths(graph, source, target, k)
+
+    monkeypatch.setattr(topology_module, "k_shortest_paths", counting)
+    return calls

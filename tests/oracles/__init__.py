@@ -16,6 +16,8 @@ equivalence suites can compare the two on every run:
 * :mod:`tests.oracles.metis` — MAA and TAA on the expression layer, and a
   swap into ``repro.core.metis``;
 * :mod:`tests.oracles.local_search` — the scalar local-search loops.
+* :mod:`tests.oracles.paths` — Yen's algorithm with one trimmed graph
+  copy per spur search.
 
 Nothing under ``src/`` imports this package.
 """

@@ -83,8 +83,8 @@ class TestLoads:
             diamond_instance.path(42, 0)
 
 
-class TestPathCache:
-    def test_shared_pairs_share_paths(self, diamond):
+class TestPathMemo:
+    def test_shared_pairs_share_one_enumeration(self, diamond, yen_calls):
         requests = RequestSet(
             [
                 make_request(0, start=0, end=0),
@@ -93,4 +93,6 @@ class TestPathCache:
             num_slots=2,
         )
         inst = SPMInstance.build(diamond, requests, k_paths=2)
-        assert inst.paths[0] is inst.paths[1], "same (src, dst) shares the list"
+        assert len(yen_calls) == 1, "same (src, dst) is enumerated once"
+        assert inst.paths[0] is not inst.paths[1], "each request owns its list"
+        assert all(a is b for a, b in zip(inst.paths[0], inst.paths[1]))

@@ -1,4 +1,4 @@
-"""Tests for repro.net.paths — including a networkx oracle cross-check."""
+"""Tests for repro.net.paths — including networkx and reference-Yen oracles."""
 
 import networkx as nx
 import pytest
@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from repro.exceptions import NoPathError
 from repro.net.graph import DiGraph
 from repro.net.paths import Path, dijkstra, k_shortest_paths, shortest_path
+from repro.net.topologies import random_wan
+
+from tests.oracles import paths as reference
 
 
 def build_graph(edges):
@@ -163,3 +166,31 @@ class TestAgainstNetworkx:
         # differently.
         for got, want in zip(mine, expected):
             assert got.cost == pytest.approx(want)
+
+
+@st.composite
+def random_wan_graph(draw):
+    """A seeded ``random_wan`` of varied size, chord count and price range."""
+    n = draw(st.integers(min_value=3, max_value=9))
+    extra = draw(st.integers(min_value=0, max_value=n * (n - 1) // 2 - n))
+    low = draw(st.sampled_from([0.0, 1.0, 5.0]))
+    # A zero-width range makes every price equal: all ties.
+    width = draw(st.sampled_from([0.0, 1.0, 9.0]))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    return random_wan(n, extra, price_range=(low, low + width), rng=seed).graph
+
+
+class TestAgainstReferenceYen:
+    @given(random_wan_graph())
+    @settings(max_examples=30, deadline=None)
+    def test_same_paths_costs_and_order(self, graph):
+        for source in graph.nodes:
+            for target in graph.nodes:
+                if source == target:
+                    continue
+                for k in range(1, 6):
+                    got = k_shortest_paths(graph, source, target, k)
+                    want = reference.k_shortest_paths(graph, source, target, k)
+                    assert [(p.nodes, p.cost) for p in got] == [
+                        (p.nodes, p.cost) for p in want
+                    ], (source, target, k)

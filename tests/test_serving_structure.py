@@ -8,7 +8,9 @@ takes a ``fast_path`` switch, and no runtime module imports the
 test-suite's oracles (``tests``) or ``networkx`` (a test-only oracle
 dependency).  One durability design: exactly one function opens a
 journal for writing, and the shard package never reaches into the
-offline decomposition solver.
+offline decomposition solver.  One path enumerator: only
+``Topology.candidate_paths`` (which memoizes per topology) runs Yen's
+algorithm.
 """
 
 from __future__ import annotations
@@ -126,6 +128,20 @@ def _journal_open_callers() -> list[str]:
 
 def test_one_function_opens_the_journal():
     assert _journal_open_callers() == ["service/broker.py:open_state"]
+
+
+def test_only_candidate_paths_runs_yen():
+    callers = []
+    for path in _ALL_MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(call, ast.Call)
+                and _called_name(call) == "k_shortest_paths"
+                for call in ast.walk(node)
+            ):
+                callers.append(f"{path.parent.name}/{path.name}:{node.name}")
+    assert callers == ["net/topology.py:candidate_paths"]
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ approximately equal) to an uninterrupted run with the same seed.
 """
 
 import json
+import zlib
 
 import pytest
 
@@ -113,6 +114,21 @@ class TestSnapshotStore:
         seconds = store.publish({"cycles": [1, 2], "pi": 3.5})
         assert seconds >= 0.0
         assert store.load() == {"cycles": [1, 2], "pi": 3.5}
+
+    def test_publish_writes_the_one_shot_encoding(self, tmp_path):
+        store = SnapshotStore(tmp_path / "snap.json")
+        state = {
+            "cycles": [{"profit": 0.1 + 0.2, "ids": [3, 1]}],
+            "name": "Zürich",
+            "empty": None,
+        }
+        store.publish(state)
+        checksum = zlib.crc32(
+            json.dumps(state, sort_keys=True, separators=(",", ":")).encode()
+        )
+        expected = json.dumps({"checksum": checksum, "state": state})
+        assert store.path.read_bytes() == expected.encode("utf-8")
+        assert store.load() == state
 
     def test_publish_is_atomic_replace(self, tmp_path):
         store = SnapshotStore(tmp_path / "snap.json")
