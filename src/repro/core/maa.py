@@ -289,6 +289,7 @@ def improve_paths(
     *,
     max_passes: int = 5,
     memo: ImproveMemo | None = None,
+    loads: np.ndarray | None = None,
 ) -> dict[int, int | None]:
     """Greedy path-reassignment descent on the charged-bandwidth cost.
 
@@ -311,7 +312,10 @@ def improve_paths(
     from a per-edge charged-cost vector updated on each accepted move.
 
     ``memo`` carries the per-request move tables across calls (see
-    :class:`ImproveMemo`).
+    :class:`ImproveMemo`).  ``loads`` may hand in
+    ``instance.loads(assignment)`` when the caller already holds it (a
+    :class:`~repro.core.schedule.Schedule` of ``assignment`` does); it is
+    read, not modified.
     """
     if max_passes < 1:
         raise ValueError(f"max_passes must be >= 1, got {max_passes}")
@@ -329,7 +333,9 @@ def improve_paths(
         return assignment
     current = np.array([assignment[req.request_id] for req in live])
     prices = instance.prices
-    loads = instance.loads(assignment).T.copy()
+    if loads is None:
+        loads = instance.loads(assignment)
+    loads = loads.T.copy()
     charged = prices * np.ceil(loads.max(axis=0) - _CEIL_TOL).clip(min=0)
 
     def apply(q: int, best: int) -> np.ndarray:

@@ -326,7 +326,10 @@ class Metis:
             ).schedule
             if self.local_search:
                 improved = improve_paths(
-                    instance, candidate.assignment, memo=memo
+                    instance,
+                    candidate.assignment,
+                    memo=memo,
+                    loads=candidate.loads,
                 )
                 candidate = Schedule(instance, improved)
             if best is None or candidate.cost < best.cost:

@@ -1,4 +1,4 @@
-"""Array-native LP/MILP substrate over scipy's HiGHS solvers.
+"""Array-native LP/MILP substrate over HiGHS.
 
 The paper calls Gurobi for its LP relaxations and the exact OPT baselines;
 this package provides what those algorithms need:
@@ -8,9 +8,10 @@ this package provides what those algorithms need:
   the offline formulations (:mod:`repro.core.fastform`), the online batch
   MILP (:class:`~repro.core.online.IncrementalBatchCompiler`) and the
   flexible-window ILP (:mod:`repro.core.flexible`) all build through it;
-* :func:`solve_compiled_raw` — dispatch to ``scipy.optimize.linprog``
-  (pure LPs) or ``scipy.optimize.milp`` (with integer columns) and return
-  a :class:`RawSolution` holding the raw column vector;
+* :func:`solve_compiled_raw` — hand the model to HiGHS in process,
+  through scipy's HiGHS bindings, in the form scipy's ``linprog`` (pure
+  LPs) or ``milp`` (with integer columns) passed it, and return a
+  :class:`RawSolution` holding the raw column vector;
 * :class:`~repro.lp.warmstart.ResolveSession` — certified reuse across
   re-solves of one structure.
 

@@ -39,11 +39,11 @@ def with_row_upper(
     for formulations whose varying state enters solely through right-hand
     sides (the Metis BL-SPM re-solves under shrinking capacities).
 
-    The parent's solver-side row-split cache (stacked ``A_ub``/``A_eq``
-    and finite-bound masks, see :class:`~repro.lp.model.CompiledModel`)
+    The parent's solver-side form (row split, column-wise matrix and
+    finite-bound masks, see :class:`~repro.lp.model.CompiledModel`)
     rides along through ``dataclasses.replace``: the split depends only on
     which bounds are finite/equal, so the derived model's first solve
-    skips the mask computation and sparse re-stacking entirely.  The
+    skips the split and the matrix conversion entirely.  The
     solver still validates the masks against the new values before
     trusting the cache, so a rewrite that *does* change the partition
     (e.g. a bound pushed to infinity) falls back to a fresh split.

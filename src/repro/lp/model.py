@@ -4,8 +4,9 @@ Models are assembled straight into this form from array triplets by
 :func:`repro.lp.fastbuild.compile_coo` (the offline formulations through
 :class:`~repro.core.fastform.FormulationCompiler`, the online batch MILP
 through :class:`~repro.core.online.IncrementalBatchCompiler`) and solved
-by :func:`repro.lp.solvers.solve_compiled_raw`: ``scipy.optimize.linprog``
-for pure LPs, ``scipy.optimize.milp`` when any column is integral.
+by :func:`repro.lp.solvers.solve_compiled_raw`, the in-process HiGHS
+driver: in linprog's standard form for pure LPs, in milp's form when any
+column is integral.
 """
 
 from __future__ import annotations
@@ -26,15 +27,17 @@ class CompiledModel:
     objective vector ``c`` is already negated for maximization so the solver
     always minimizes); reported objectives are multiplied back by ``sign``.
 
-    ``split_cache`` holds the solver-side row-split structure (the
-    equality/upper/lower partition and the stacked ``A_ub``/``A_eq``
-    matrices scipy's linprog consumes), computed lazily by
-    :mod:`repro.lp.solvers` on first solve.  The partition depends only on
+    ``split_cache`` holds what the HiGHS driver needs of a pure LP's
+    structure (the equality/upper/lower row split, the column-wise matrix
+    in linprog's row order and the column bounds), built lazily by
+    :mod:`repro.lp.solvers` on first solve.  The split depends only on
     which row bounds are finite/equal — invariant under the row-*value*
     rewrites of :func:`repro.lp.fastbuild.with_row_upper` — so
     ``dataclasses.replace`` derivatives inherit it and the per-round
-    re-solves skip the split entirely (it is still validated against the
-    current bound masks before reuse).
+    re-solves skip building it (it is still validated against the
+    current bound masks before reuse).  It holds HiGHS objects, which do
+    not pickle, so a pickled model (a worker-pool payload) leaves it
+    behind and rebuilds it on its first solve.
     """
 
     c: np.ndarray
@@ -47,3 +50,6 @@ class CompiledModel:
     sign: float
     objective_constant: float = 0.0
     split_cache: object = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "split_cache": None}

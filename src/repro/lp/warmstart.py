@@ -25,9 +25,8 @@ unchanged dual objective, and (a) keeps ``x*`` primal feasible, so strong
 duality pins the optimum: both bounds meet at the old objective value.
 The session then returns the previous solution without dispatching HiGHS
 at all.  Rows whose bound change breaks the certificate (a tightened
-binding row, a nonzero dual) trigger an honest cold solve.  Duals come
-from HiGHS via ``linprog``'s ``ineqlin``/``eqlin`` marginals, captured on
-every cold LP solve.
+binding row, a nonzero dual) trigger an honest cold solve.  Duals are
+HiGHS's row duals, read by the driver on every cold LP solve.
 
 Only ``OPTIMAL`` results enter either tier: limit-hit incumbents are
 returned to the caller but never cached (an incumbent is not a certificate
@@ -214,7 +213,7 @@ class ResolveSession:
         if self._is_milp:
             solution = _solvers._solve_milp(compiled, time_limit=time_limit)
         else:
-            solution = _solvers._solve_linprog(
+            solution = _solvers._solve_lp(
                 compiled, time_limit=time_limit, duals=True
             )
         self.stats.cold_solves += 1

@@ -6,8 +6,10 @@ its hot loops.  The readable code those paths replaced lives here, so the
 equivalence suites can compare the two on every run:
 
 * :mod:`tests.oracles.lp` — the symbolic expression layer (``Variable``,
-  ``LinExpr``, ``Constraint``, ``Model``), its variable-keyed solve, and
-  the from-scratch simplex and branch-and-bound solvers;
+  ``LinExpr``, ``Constraint``, ``Model``), its variable-keyed solve, the
+  from-scratch simplex and branch-and-bound solvers, and
+  (``scipy_backend``) the scipy ``linprog``/``milp`` wrapper path the
+  HiGHS driver replaced;
 * :mod:`tests.oracles.formulations` — RL-SPM, BL-SPM, SPM and the
   flexible-window ILP stated symbolically;
 * :mod:`tests.oracles.online` — the incremental batch MILP and the batch

@@ -1,17 +1,29 @@
-"""Tests for repro.core.bounds — the theorems checked empirically."""
+"""Tests for repro.core.bounds — the theorems checked empirically.
+
+The last suite asserts the paper's theorems as properties of random
+small SUB-B4 instances; they drive the HiGHS driver under hypothesis too.
+"""
 
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.opt import solve_opt_spm
 from repro.core.bounds import (
     ceiling_ratio_bound,
     maa_bound_report,
     maa_ratio_bound,
     taa_certificate,
 )
+from repro.core.instance import SPMInstance
 from repro.core.maa import solve_maa
+from repro.core.metis import Metis
 from repro.core.taa import solve_taa
+from repro.net.topologies import sub_b4
+from repro.workload.generator import WorkloadConfig, generate_workload
+from repro.workload.value_models import FlatRateValueModel, PriceAwareValueModel
 
 
 class TestCeilingRatioBound:
@@ -78,3 +90,73 @@ class TestTaaCertificate:
         result = solve_taa(small_sub_b4_instance, caps)
         cert = taa_certificate(result)
         assert cert.floor_respected  # floor is 0 or the run is certified
+
+
+@st.composite
+def sub_b4_instances(draw):
+    """A small random SUB-B4 instance: K <= 8, random windows, rates, values."""
+    topology = sub_b4()
+    value_model = draw(st.sampled_from([
+        FlatRateValueModel(1.0), FlatRateValueModel(1.8), FlatRateValueModel(3.0),
+        PriceAwareValueModel(),
+    ]))
+    workload = generate_workload(
+        topology,
+        WorkloadConfig(
+            num_requests=draw(st.integers(min_value=1, max_value=8)),
+            num_slots=draw(st.sampled_from([4, 6, 12])),
+            max_duration=draw(st.sampled_from([1, 3, None])),
+            value_model=value_model,
+        ),
+        rng=draw(st.integers(min_value=0, max_value=10_000)),
+    )
+    return SPMInstance.build(
+        topology, workload, k_paths=draw(st.integers(min_value=1, max_value=3))
+    )
+
+
+theorem_settings = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestTheoremsOnRandomInstances:
+    """What the paper proves, checked on random instances.
+
+    Only theorems are asserted.  ``within_bound`` (Theorem 4) holds with
+    high probability, not always, so it is not among them.
+    """
+
+    @theorem_settings
+    @given(sub_b4_instances(), st.integers(min_value=0, max_value=2**16))
+    def test_maa_cost_is_at_least_its_relaxation(self, instance, seed):
+        result = solve_maa(instance, rng=seed)
+        assert result.cost >= result.fractional_cost - 1e-6
+
+    @theorem_settings
+    @given(sub_b4_instances(), st.data())
+    def test_certified_taa_run_respects_its_floor(self, instance, data):
+        capacities = {
+            key: data.draw(st.integers(min_value=0, max_value=3))
+            for key in instance.edges
+        }
+        cert = taa_certificate(solve_taa(instance, capacities))
+        assert cert.floor_respected
+        if cert.certified:
+            assert cert.observed_revenue >= cert.revenue_floor - 1e-9
+
+    @theorem_settings
+    @given(sub_b4_instances(), st.integers(min_value=0, max_value=2**16))
+    def test_metis_never_ends_below_its_start_or_zero(self, instance, seed):
+        outcome = Metis(theta=4).solve(instance, rng=seed)
+        assert outcome.best.profit >= max(0.0, outcome.initial_profit)
+
+    @theorem_settings
+    @given(sub_b4_instances(), st.integers(min_value=0, max_value=2**16))
+    def test_metis_never_beats_opt_spm(self, instance, seed):
+        # The slack covers HiGHS's default relative MIP gap (1e-4).
+        opt = solve_opt_spm(instance).profit
+        outcome = Metis(theta=4).solve(instance, rng=seed)
+        assert outcome.best.profit <= opt + 1e-4 * abs(opt) + 1e-6

@@ -176,6 +176,33 @@ class TestImprovePaths:
             child, sub, memo=old_memo
         )
 
+    @given(cases())
+    @kernel_settings
+    def test_handed_loads_give_the_same_moves(self, case):
+        """Loads handed in from the assignment's schedule change no move."""
+        instance, assignment = case
+        schedule = Schedule(instance, assignment)
+        before = schedule.loads.tobytes()
+        got = improve_paths(instance, schedule.assignment, loads=schedule.loads)
+        assert got == improve_paths(instance, assignment)
+        assert schedule.loads.tobytes() == before  # read, not modified
+
+    def test_metis_outcome_unchanged_by_handed_loads(self, monkeypatch):
+        """Metis with loads handed on == Metis recomputing them, bit for bit."""
+        instance = make_instance(ExperimentConfig(seed=3), 60)
+        handed = Metis(theta=4).solve(instance, rng=11)
+
+        def recomputing(instance, assignment, *, loads=None, **kwargs):
+            return improve_paths(instance, assignment, **kwargs)
+
+        monkeypatch.setattr(metis_module, "improve_paths", recomputing)
+        recomputed = Metis(theta=4).solve(instance, rng=11)
+        assert handed.best.profit.hex() == recomputed.best.profit.hex()
+        assert handed.best.source == recomputed.best.source
+        assert handed.best.schedule.assignment == recomputed.best.schedule.assignment
+        assert handed.best.schedule.charged == recomputed.best.schedule.charged
+        assert handed.rounds == recomputed.rounds
+
 
 class TestImproveMemoGuard:
     def test_rejects_an_unrelated_instance(self, diamond, diamond_requests):
@@ -284,8 +311,13 @@ class TestRoundPaths:
 def oracle_metis(monkeypatch):
     """Run Metis with every batched kernel swapped for its scalar oracle."""
 
+    def oracle_improve(instance, assignment, *, loads=None, **kwargs):
+        # The scalar descent derives the loads itself; Metis hands the
+        # batched kernel the loads its schedule already holds.
+        return oracle.improve_paths(instance, assignment, **kwargs)
+
     def patch():
-        monkeypatch.setattr(metis_module, "improve_paths", oracle.improve_paths)
+        monkeypatch.setattr(metis_module, "improve_paths", oracle_improve)
         monkeypatch.setattr(metis_module, "ImproveMemo", oracle.ImproveMemo)
         monkeypatch.setattr(
             metis_module, "prune_unprofitable", oracle.prune_unprofitable

@@ -10,7 +10,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from scipy.optimize._highspy._core import HighsModelStatus, kHighsInf
+
+from repro.lp.fastbuild import compile_coo
 from repro.lp.result import RawSolution, SolveStatus
+from repro.lp.solvers import solve_compiled_raw
 
 from tests.oracles.lp.model import Model
 
@@ -168,19 +172,34 @@ def _bounded_milp():
     return m, x
 
 
-class TestLimitStatuses:
-    """scipy's limit code (1) maps to FEASIBLE-with-incumbent or TIME_LIMIT.
+def _stub_highs(monkeypatch, status, *, objective=None, x=None, row_value=()):
+    """Make the driver's HiGHS run end in ``status`` with the given point.
 
-    The scipy result is faked at the backend boundary so the mapping is
+    ``repro.lp.solvers._run`` is the seam between the driver and HiGHS: it
+    returns the model status and the solved HiGHS object, which the driver
+    reads the objective and the point from.
+    """
+    highs = SimpleNamespace(
+        getInfo=lambda: SimpleNamespace(objective_function_value=objective),
+        getSolution=lambda: SimpleNamespace(
+            col_value=x, row_value=list(row_value), row_dual=[0.0] * len(row_value)
+        ),
+    )
+    monkeypatch.setattr(
+        "repro.lp.solvers._run", lambda lp, options: (status, highs)
+    )
+
+
+class TestLimitStatuses:
+    """HiGHS's limit statuses map to FEASIBLE-with-incumbent or TIME_LIMIT.
+
+    The HiGHS outcome is stubbed at the driver's boundary so the mapping is
     deterministic — real limit hits on problems this small are not.
     """
 
     def test_limit_with_incumbent_is_feasible(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.lp.solvers.optimize.milp",
-            lambda *a, **k: SimpleNamespace(
-                status=1, x=np.array([4.0]), fun=-4.0
-            ),
+        _stub_highs(
+            monkeypatch, HighsModelStatus.kTimeLimit, objective=-4.0, x=[4.0]
         )
         m, x = _bounded_milp()
         sol = m.solve(time_limit=1.0)
@@ -190,9 +209,10 @@ class TestLimitStatuses:
         assert sol[x] == 4  # the incumbent is kept, not discarded
 
     def test_limit_without_incumbent_is_time_limit(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.lp.solvers.optimize.milp",
-            lambda *a, **k: SimpleNamespace(status=1, x=None, fun=None),
+        # A MILP that stops on its limit with no incumbent reports an
+        # objective of kHighsInf.
+        _stub_highs(
+            monkeypatch, HighsModelStatus.kTimeLimit, objective=kHighsInf, x=[0.0]
         )
         m, _ = _bounded_milp()
         sol = m.solve(time_limit=1.0)
@@ -202,15 +222,118 @@ class TestLimitStatuses:
         assert sol.values == {}
 
     def test_lp_limit_without_incumbent_is_time_limit(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.lp.solvers.optimize.linprog",
-            lambda *a, **k: SimpleNamespace(status=1, x=None, fun=None),
+        _stub_highs(
+            monkeypatch, HighsModelStatus.kTimeLimit, objective=-3.0, x=[3.0]
         )
         m = Model()
         x = m.add_var("x", 0, 5)
         m.set_objective(x + 0, maximize=True)
         sol = m.solve(time_limit=1.0)
         assert sol.status is SolveStatus.TIME_LIMIT
+        assert sol.values == {}  # an LP stopped on a limit has no point
+
+    def test_milp_iteration_limit_with_incumbent_is_feasible(self, monkeypatch):
+        _stub_highs(
+            monkeypatch, HighsModelStatus.kIterationLimit, objective=-2.0, x=[2.0]
+        )
+        m, x = _bounded_milp()
+        sol = m.solve()
+        assert sol.status is SolveStatus.FEASIBLE
+        assert sol[x] == 2
+
+    def test_milp_solution_limit_is_error(self, monkeypatch):
+        _stub_highs(
+            monkeypatch, HighsModelStatus.kSolutionLimit, objective=-4.0, x=[4.0]
+        )
+        m, _ = _bounded_milp()
+        sol = m.solve()
+        assert sol.status is SolveStatus.ERROR
+        assert sol.values == {}
+
+    @pytest.mark.parametrize(
+        "status",
+        [HighsModelStatus.kUnknown, HighsModelStatus.kInterrupt,
+         HighsModelStatus.kUnboundedOrInfeasible],
+    )
+    def test_unknown_status_is_error(self, monkeypatch, status):
+        _stub_highs(monkeypatch, status, objective=-4.0, x=[4.0])
+        m, _ = _bounded_milp()
+        assert m.solve().status is SolveStatus.ERROR
+
+    def test_model_error_reads_as_infeasible(self, monkeypatch):
+        # scipy's status table maps kModelError to "infeasible"; the
+        # driver keeps the table whole.
+        _stub_highs(monkeypatch, HighsModelStatus.kModelError)
+        m, _ = _bounded_milp()
+        assert m.solve().status is SolveStatus.INFEASIBLE
+
+    def test_optimal_lp_point_outside_a_bound_is_error(self, monkeypatch):
+        # x in [0, 5]; an "optimal" x of 5.01 breaks the bound by more than
+        # linprog's tolerance, sqrt(1e-9) * 10.
+        _stub_highs(monkeypatch, HighsModelStatus.kOptimal, objective=-5.01, x=[5.01])
+        m = Model()
+        x = m.add_var("x", 0, 5)
+        m.set_objective(x + 0, maximize=True)
+        assert m.solve().status is SolveStatus.ERROR
+
+    def test_optimal_lp_point_within_tolerance_is_optimal(self, monkeypatch):
+        _stub_highs(monkeypatch, HighsModelStatus.kOptimal, objective=-5.0001, x=[5.0001])
+        m = Model()
+        x = m.add_var("x", 0, 5)
+        m.set_objective(x + 0, maximize=True)
+        sol = m.solve()
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol[x] == 5.0001
+
+    def test_optimal_lp_point_breaking_an_inequality_row_is_error(self, monkeypatch):
+        # x + y <= 4 with a row activity of 4.01.
+        _stub_highs(
+            monkeypatch, HighsModelStatus.kOptimal, objective=-4.01,
+            x=[2.0, 2.01], row_value=[4.01],
+        )
+        m = Model()
+        x = m.add_var("x", 0, 5)
+        y = m.add_var("y", 0, 5)
+        m.add_constr(x + y <= 4)
+        m.set_objective(x + y, maximize=True)
+        assert m.solve().status is SolveStatus.ERROR
+
+    def test_optimal_lp_point_breaking_an_equality_row_is_error(self, monkeypatch):
+        _stub_highs(
+            monkeypatch, HighsModelStatus.kOptimal, objective=-3.0,
+            x=[1.0, 1.999], row_value=[2.999],
+        )
+        m = Model()
+        x = m.add_var("x", 0, 5)
+        y = m.add_var("y", 0, 5)
+        m.add_constr(x + y == 3)
+        m.set_objective(x + y, maximize=True)
+        assert m.solve().status is SolveStatus.ERROR
+
+    @pytest.mark.parametrize("integral", [False, True])
+    def test_nan_objective_raises_value_error(self, integral):
+        compiled = compile_coo(
+            objective=np.array([1.0, np.nan]), maximize=False,
+            rows=np.array([0, 0]), cols=np.array([0, 1]), data=np.ones(2),
+            num_rows=1, row_lower=np.array([-np.inf]), row_upper=np.array([3.0]),
+            var_lower=np.zeros(2), var_upper=np.full(2, 5.0),
+            integrality=np.array([int(integral), 0]),
+        )
+        with pytest.raises(ValueError, match="objective"):
+            solve_compiled_raw(compiled)
+
+    @pytest.mark.parametrize("integral", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises_value_error(self, integral, bad):
+        compiled = compile_coo(
+            objective=np.ones(2), maximize=False,
+            rows=np.array([0, 0]), cols=np.array([0, 1]), data=np.array([1.0, bad]),
+            num_rows=1, row_lower=np.array([-np.inf]), row_upper=np.array([3.0]),
+            var_lower=np.zeros(2), var_upper=np.full(2, 5.0),
+            integrality=np.array([int(integral), 0]),
+        )
+        with pytest.raises(ValueError, match="matrix"):
+            solve_compiled_raw(compiled)
 
     def test_real_tiny_limit_never_raises(self):
         # Whatever HiGHS manages within ~0 seconds, the statuses stay in

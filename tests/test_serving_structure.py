@@ -10,7 +10,9 @@ dependency).  One durability design: exactly one function opens a
 journal for writing, and the shard package never reaches into the
 offline decomposition solver.  One path enumerator: only
 ``Topology.candidate_paths`` (which memoizes per topology) runs Yen's
-algorithm.
+algorithm.  One solver path: no runtime module reaches scipy's
+``linprog``/``milp`` wrappers; HiGHS is driven by ``repro.lp.solvers``
+alone.
 """
 
 from __future__ import annotations
@@ -159,3 +161,43 @@ def test_shard_never_imports_the_decomposition_solver(path):
     assert not {
         name for name in imported if name.startswith("repro.decomp.solver")
     }, f"{path.name} imports repro.decomp.solver"
+
+
+_SCIPY_LP_WRAPPERS = ("linprog", "milp")
+
+
+@pytest.mark.parametrize(
+    "path", _ALL_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_runtime_never_reaches_scipys_lp_wrappers(path):
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in _SCIPY_LP_WRAPPERS:
+            offenders.append(f"{node.attr}:{node.lineno}")
+        elif isinstance(node, ast.Name) and node.id in _SCIPY_LP_WRAPPERS:
+            offenders.append(f"{node.id}:{node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+            "scipy.optimize"
+        ):
+            offenders += [
+                f"import {alias.name}:{node.lineno}"
+                for alias in node.names
+                if alias.name in _SCIPY_LP_WRAPPERS
+            ]
+    assert not offenders, (
+        f"{path.name} reaches scipy's LP wrappers {offenders}; "
+        "solve through repro.lp.solvers"
+    )
+
+
+def test_only_the_driver_imports_the_highs_bindings():
+    importers = sorted(
+        str(path.relative_to(_SRC))
+        for path in _ALL_MODULES
+        if any(
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("scipy.optimize._highspy")
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    )
+    assert importers == ["lp/solvers.py"]
