@@ -554,6 +554,15 @@ def _run_serve_live(parser: argparse.ArgumentParser, args: argparse.Namespace) -
 
     from repro.gateway import GatewayConfig, run_gateway
 
+    # Flags of the simulated broker the gateway has no use for: refuse
+    # them rather than serve as if they had been applied.
+    for flag, value in (
+        ("--lp-screen", args.lp_screen),
+        ("--workers", args.workers),
+        ("--trace", args.trace),
+    ):
+        if value:
+            parser.error(f"{flag} is not supported with --listen")
     overrides = {}
     if args.time_limit is not None:
         overrides["time_limit"] = args.time_limit

@@ -64,11 +64,9 @@ from repro.service.broker import (
     _StateWriter,
     open_state,
 )
-from repro.service.cache import DecisionCache
 from repro.service.ingest import AdmissionQueue, PushSource
 from repro.service.telemetry import LatencyHistogram, TelemetryCollector
 from repro.state import FaultPlan, SimulatedCrash, broker_snapshot_state
-from repro.state.journal import FSYNC_POLICIES
 
 __all__ = ["GatewayConfig", "GatewayServer", "run_gateway"]
 
@@ -121,12 +119,6 @@ class GatewayConfig:
     breaker_reset: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.slots_per_cycle < 1:
-            raise ValueError(
-                f"slots_per_cycle must be >= 1, got {self.slots_per_cycle}"
-            )
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
         if not (self.slot_seconds > 0):
             raise ValueError(f"slot_seconds must be > 0, got {self.slot_seconds!r}")
         if self.num_cycles is not None and self.num_cycles < 1:
@@ -141,18 +133,8 @@ class GatewayConfig:
             raise ValueError(
                 f"max_batch must be >= 1 or None, got {self.max_batch}"
             )
-        if self.cache_size < 0:
-            raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
         if self.conn_buffer < 1:
             raise ValueError(f"conn_buffer must be >= 1, got {self.conn_buffer}")
-        if self.snapshot_every < 1:
-            raise ValueError(
-                f"snapshot_every must be >= 1, got {self.snapshot_every}"
-            )
-        if self.fsync not in FSYNC_POLICIES:
-            raise ValueError(
-                f"fsync must be one of {FSYNC_POLICIES}, got {self.fsync!r}"
-            )
         if self.resume and self.wal_path is None:
             raise ValueError("resume=True requires wal_path")
         if self.shards < 1:
@@ -162,27 +144,25 @@ class GatewayConfig:
                 f"partition must be one of {PARTITION_MODES}, "
                 f"got {self.partition!r}"
             )
-        if self.cycle_budget is not None and not (self.cycle_budget > 0):
-            raise ValueError(
-                f"cycle_budget must be > 0 or None, got {self.cycle_budget!r}"
-            )
-        if self.breaker_failures < 0:
-            raise ValueError(
-                f"breaker_failures must be >= 0, got {self.breaker_failures}"
-            )
         if not (self.breaker_reset > 0):
             raise ValueError(
                 f"breaker_reset must be > 0, got {self.breaker_reset!r}"
             )
+        # The fields shared with BrokerConfig are checked by its own
+        # validation: cycle shape, time limit, cache, WAL and resilience.
+        self.broker_config()
 
     def broker_config(self) -> BrokerConfig:
         """The decision-equivalent :class:`BrokerConfig` surrogate.
 
         This is what the WAL fingerprint is computed over, so a gateway
         journal refuses to resume under a changed decision-relevant
-        configuration through exactly the broker's guard.  Live-only
-        fields (address, ``slot_seconds``, buffers) are execution levers
-        and deliberately absent, like ``workers`` for the broker.
+        configuration through exactly the broker's guard.  It also
+        carries the execution levers the gateway's engine is built from
+        (``cache_size``, ``cycle_budget``, ``breaker_*``), which the
+        fingerprint does not read.  Live-only fields (address,
+        ``slot_seconds``, buffers) are absent, like ``workers`` for the
+        broker.
         """
         return BrokerConfig(
             topology=self.topology,
@@ -194,11 +174,15 @@ class GatewayConfig:
             k_paths=self.k_paths,
             max_duration=None,
             time_limit=self.time_limit,
+            cache_size=self.cache_size,
             queue_capacity=self.queue_capacity,
             max_batch=self.max_batch,
             wal_path=self.wal_path,
             snapshot_every=self.snapshot_every,
             fsync=self.fsync,
+            cycle_budget=self.cycle_budget,
+            breaker_failures=self.breaker_failures,
+            breaker_reset=self.breaker_reset,
         )
 
     def clock(self) -> WallClock:
@@ -299,13 +283,14 @@ class GatewayServer:
         config = self.config
         self._stopping = asyncio.Event()
         self._done = asyncio.Event()
+        surrogate = config.broker_config()
 
         recovered: list = []
         if config.wal_path is not None:
             # Sharding changes decisions (partitioned MILPs), so a sharded
             # gateway's WAL refuses to splice runs with different setups.
             self._writer = open_state(
-                config.broker_config(),
+                surrogate,
                 self.faults,
                 resume=config.resume,
                 sharding=(
@@ -323,29 +308,15 @@ class GatewayServer:
             self.telemetry.record_cycle(result.cycle, result.profit)
         self.telemetry.recovered_batches = sum(len(c.batches) for c in recovered)
 
-        cache = (
-            DecisionCache(config.cache_size) if config.cache_size > 0 else None
-        )
-        self._budget = (
-            CycleBudget(config.cycle_budget)
-            if config.cycle_budget is not None
-            else None
-        )
-        check_cancelled = None
-        if self.faults is not None:
-            faults = self.faults
-
-            def check_cancelled() -> None:
-                faults.maybe_hang_solver()
-
-        options = dict(
-            k_paths=config.k_paths,
-            time_limit=config.time_limit,
-            cache=cache,
-            max_batch=config.max_batch,
+        self._budget = surrogate.budget()
+        runtime = dict(
+            cache=surrogate.cache(),
             on_batch=self._on_batch,
             budget=self._budget,
-            check_cancelled=check_cancelled,
+            # An injected hang stalls the solve poll; it never cancels.
+            check_cancelled=(
+                self.faults.maybe_hang_solver if self.faults is not None else None
+            ),
         )
         if config.shards > 1:
             from repro.shard.live import ShardedLiveEngine
@@ -355,22 +326,17 @@ class GatewayServer:
                 config.slots_per_cycle,
                 shards=config.shards,
                 partition=config.partition,
-                breaker_failures=config.breaker_failures,
-                breaker_reset=config.breaker_reset,
-                **options,
+                k_paths=config.k_paths,
+                time_limit=config.time_limit,
+                max_batch=config.max_batch,
+                make_breaker=surrogate.breaker,
+                **runtime,
             )
             self._breakers = self._engine.breakers
         else:
-            breaker = (
-                CircuitBreaker(
-                    failure_threshold=config.breaker_failures,
-                    reset_seconds=config.breaker_reset,
-                )
-                if config.breaker_failures > 0
-                else None
-            )
-            self._engine = LiveCycleEngine(
-                self.topology, config.slots_per_cycle, breaker=breaker, **options
+            breaker = surrogate.breaker()
+            self._engine = LiveCycleEngine.from_config(
+                self.topology, surrogate, breaker=breaker, **runtime
             )
             self._breakers = [breaker]
         if recovered:

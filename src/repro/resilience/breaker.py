@@ -58,7 +58,7 @@ class CircuitBreaker:
             raise ValueError(
                 f"failure_threshold must be >= 1, got {failure_threshold}"
             )
-        if reset_seconds < 0:
+        if not reset_seconds >= 0:
             raise ValueError(f"reset_seconds must be >= 0, got {reset_seconds!r}")
         self.failure_threshold = failure_threshold
         self.reset_seconds = float(reset_seconds)

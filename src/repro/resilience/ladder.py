@@ -246,8 +246,6 @@ class DegradationLadder:
     unarmed ladder answers a limit-hit solve with no incumbent by
     declining the whole batch (rung ``decline``), so an unbudgeted run
     never trades exactness for a heuristic answer.
-
-    Per-rung decision counts accumulate in :attr:`counts` for telemetry.
     """
 
     def __init__(
@@ -263,7 +261,6 @@ class DegradationLadder:
         self.time_limit = time_limit
         self.lp_screen = lp_screen
         self.armed = budget is not None or breaker is not None
-        self.counts: dict[str, int] = dict.fromkeys(RUNGS, 0)
 
     def solve_limit(self) -> float | None:
         """The time limit the exact rung would get right now."""
@@ -272,7 +269,6 @@ class DegradationLadder:
         return self.budget.solve_limit(cap=self.time_limit)
 
     def _decided(self, choices, rung: str, **flags) -> LadderDecision:
-        self.counts[rung] += 1
         return LadderDecision(choices=tuple(choices), rung=rung, **flags)
 
     def decide(

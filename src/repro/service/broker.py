@@ -38,8 +38,10 @@ from __future__ import annotations
 
 import hashlib
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,6 +188,10 @@ class BrokerConfig:
             raise ValueError(
                 f"requests_per_cycle must be >= 0, got {self.requests_per_cycle}"
             )
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise ValueError(
+                f"time_limit must be > 0 (or None), got {self.time_limit!r}"
+            )
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.cache_size < 0:
@@ -206,7 +212,7 @@ class BrokerConfig:
             raise ValueError(
                 f"breaker_failures must be >= 0, got {self.breaker_failures}"
             )
-        if self.breaker_reset < 0:
+        if not self.breaker_reset >= 0:
             raise ValueError(
                 f"breaker_reset must be >= 0, got {self.breaker_reset!r}"
             )
@@ -214,6 +220,25 @@ class BrokerConfig:
     def clock(self) -> SimClock:
         return SimClock(
             self.slots_per_cycle, window=self.window, num_cycles=self.num_cycles
+        )
+
+    def cache(self) -> DecisionCache | None:
+        """A fresh decision cache; ``None`` when ``cache_size`` is 0."""
+        return DecisionCache(self.cache_size) if self.cache_size > 0 else None
+
+    def budget(self) -> CycleBudget | None:
+        """A fresh cycle budget; ``None`` when ``cycle_budget`` is unset."""
+        if self.cycle_budget is None:
+            return None
+        return CycleBudget(self.cycle_budget)
+
+    def breaker(self) -> CircuitBreaker | None:
+        """A fresh circuit breaker; ``None`` when ``breaker_failures`` is 0."""
+        if self.breaker_failures == 0:
+            return None
+        return CircuitBreaker(
+            failure_threshold=self.breaker_failures,
+            reset_seconds=self.breaker_reset,
         )
 
 
@@ -319,6 +344,25 @@ class CycleEngine:
         #: The last closed cycle's :class:`Schedule`.
         self.schedule: Schedule | None = None
         self.start_cycle(0, slots_per_cycle)
+
+    @classmethod
+    def from_config(cls, topology: Topology, config: BrokerConfig, **runtime):
+        """An engine over ``topology`` with ``config``'s decision settings.
+
+        Reads ``slots_per_cycle``, ``k_paths``, ``time_limit``,
+        ``max_batch`` and ``lp_screen``; ``runtime`` passes what each
+        serving front owns (``cache``, ``budget``, ``breaker``,
+        ``check_cancelled``, ``on_batch``, ``dual_prices``).
+        """
+        return cls(
+            topology,
+            config.slots_per_cycle,
+            k_paths=config.k_paths,
+            time_limit=config.time_limit,
+            max_batch=config.max_batch,
+            lp_screen=config.lp_screen,
+            **runtime,
+        )
 
     @property
     def dual_prices(self) -> np.ndarray | None:
@@ -566,61 +610,89 @@ def run_cycle(
     return replace(engine.close_cycle(), assignment=assignment)
 
 
-def _pool_check_cancelled(faults: FaultPlan | None, cycle_index: int):
-    """The pool's cancellation poll, with a fault plan's injections.
+class CycleJob(NamedTuple):
+    """One billing cycle's bids, or one shard's slice of them, to serve.
 
-    A :class:`~repro.state.FaultPlan` riding on a worker payload is
-    consulted at the poll, so an injected worker death or solver hang
-    lands mid-cycle between solves — the crash points the pool's restart
-    path and the cycle budget must survive.
+    The one payload that pooled work ships to a worker: the broker's
+    pooled cycles and the sharded fleet's pooled and hedged shard cycles.
+    ``faults`` is consulted only at a pool worker's cancellation poll;
+    ``duals`` steers the decisions (see :class:`CycleEngine`); ``shard_id``
+    comes back with the result so a fleet can route it.
     """
-    if faults is None:
-        return pool_mod.check_cancelled
 
-    def check_cancelled():
-        faults.maybe_kill_worker(cycle_index)
-        faults.maybe_hang_solver()
-        faults.maybe_slow_worker()
-        return pool_mod.check_cancelled()
-
-    return check_cancelled
+    topology: Topology
+    requests: RequestSet
+    cycle_index: int
+    config: BrokerConfig
+    faults: FaultPlan | None = None
+    duals: np.ndarray | None = None
+    shard_id: int = 0
 
 
-def _cycle_worker(payload: tuple) -> CycleResult:
-    """Pool entry point: serve one cycle inside a worker process.
+def serve_job(
+    job: CycleJob,
+    *,
+    cache: DecisionCache | None,
+    budget: CycleBudget | None = None,
+    breaker: CircuitBreaker | None = None,
+    check_cancelled=None,
+):
+    """Serve one job's cycle through a fresh engine, in or out of process.
+
+    Returns ``(shard_id, CycleResult, loads)``: the realized (edge, slot)
+    loads of the close's :class:`Schedule` ride along so a fleet can post
+    them to its ledger without re-enumerating paths.  Decisions are the
+    same wherever it runs (the cache is exact and the loop
+    deterministic); only cache residency, the budget and the breaker
+    differ.
+    """
+    config = job.config
+    engine = CycleEngine.from_config(
+        job.topology,
+        config,
+        cache=cache,
+        budget=budget,
+        breaker=breaker,
+        check_cancelled=check_cancelled,
+        dual_prices=job.duals,
+    )
+    result = run_cycle(
+        job.topology,
+        job.requests,
+        cycle_index=job.cycle_index,
+        window=config.window,
+        queue_capacity=config.queue_capacity,
+        engine=engine,
+    )
+    return job.shard_id, result, engine.schedule.loads
+
+
+def serve_pooled_job(job: CycleJob):
+    """Pool entry point: :func:`serve_job` inside a worker process.
 
     Uses the worker's per-process decision cache and the pool's
     cooperative-cancellation flag (both installed by the pool
-    initializer).  ``cycle_budget`` (seconds, or ``None``) arms a fresh
-    in-worker :class:`CycleBudget` so pooled cycles are
-    deadline-guaranteed too.
+    initializer), and arms a fresh in-worker :class:`CycleBudget` from
+    the job's config, so pooled cycles are deadline-guaranteed too.  A
+    :class:`~repro.state.FaultPlan` riding on the job is consulted at the
+    cancellation poll, so an injected worker death or solver hang lands
+    mid-cycle between solves — the crash points the pool's restart path
+    and the cycle budget must survive.
     """
-    (
-        topology,
-        requests,
-        cycle_index,
-        window,
-        k_paths,
-        time_limit,
-        queue_capacity,
-        max_batch,
-        lp_screen,
-        faults,
-        cycle_budget,
-    ) = payload
-    return run_cycle(
-        topology,
-        requests,
-        cycle_index=cycle_index,
-        window=window,
-        queue_capacity=queue_capacity,
-        k_paths=k_paths,
-        time_limit=time_limit,
+    faults = job.faults
+
+    def check_cancelled():
+        if faults is not None:
+            faults.maybe_kill_worker(job.cycle_index)
+            faults.maybe_hang_solver()
+            faults.maybe_slow_worker()
+        return pool_mod.check_cancelled()
+
+    return serve_job(
+        job,
         cache=pool_mod.worker_cache(),
-        max_batch=max_batch,
-        lp_screen=lp_screen,
-        check_cancelled=_pool_check_cancelled(faults, cycle_index),
-        budget=None if cycle_budget is None else CycleBudget(cycle_budget),
+        budget=job.config.budget(),
+        check_cancelled=check_cancelled,
     )
 
 
@@ -774,7 +846,16 @@ class Broker:
     With the default source, bids come from the paper's synthetic workload
     model, cycle-varied but fully seed-deterministic.  Pass a
     :class:`~repro.service.ingest.TraceSource` to replay recorded traffic.
+
+    :meth:`run` is the one shell around every broker: durability, the
+    commit loop and the report.  A subclass changes how cycles are
+    served (:meth:`_serve`), what its WAL fingerprint mixes in
+    (:meth:`_sharding`) and which fleet counters the report adds
+    (:meth:`_record_fleet`).
     """
+
+    #: The config a broker built without one starts from.
+    config_class = BrokerConfig
 
     def __init__(
         self,
@@ -782,7 +863,7 @@ class Broker:
         source: ArrivalSource | None = None,
         faults: FaultPlan | None = None,
     ) -> None:
-        self.config = config if config is not None else BrokerConfig()
+        self.config = config if config is not None else self.config_class()
         self.faults = faults
         self._stop_requested = False
         self.topology = _make_topology(self.config.topology)
@@ -828,28 +909,33 @@ class Broker:
         """
         config = self.config
         if resume and config.wal_path is None:
-            raise ValueError("resume=True requires BrokerConfig.wal_path")
+            raise ValueError(
+                f"resume=True requires {type(config).__name__}.wal_path"
+            )
         t0 = time.perf_counter()
         self._worker_restarts = 0
         self._backoff_seconds = 0.0
-        self._breaker = None
+        self._breakers: list[CircuitBreaker | None] = []
 
         recovered: list[CycleResult] = []
         writer = None
         wal_bytes = 0
         if config.wal_path is not None:
-            writer = open_state(config, self.faults, resume=resume)
+            writer = open_state(
+                config, self.faults, resume=resume, sharding=self._sharding()
+            )
             recovered = list(writer.completed)
 
+        fresh: list[CycleResult] = []
+        cycles = self._serve(recovered, writer)
         try:
-            start = len(recovered)
-            if start >= config.num_cycles:
-                fresh: list[CycleResult] = []
-            elif config.workers >= 2 and config.num_cycles - start > 1:
-                fresh = self._run_pooled(start, writer)
-            else:
-                fresh = self._run_serial(start, writer)
+            for result in cycles:
+                if writer is not None:
+                    writer.commit_cycle(result)
+                fresh.append(result)
         finally:
+            # Release a pool at once, also when a commit raised.
+            cycles.close()
             if writer is not None:
                 wal_bytes = writer.journal.size_bytes
                 writer.journal.close()
@@ -861,6 +947,9 @@ class Broker:
             for record in result.batches:
                 telemetry.record_batch(record)
             telemetry.record_cycle(result.cycle, result.profit)
+            if result.fleet is not None:
+                for shard_id, counters in enumerate(result.fleet["shards"]):
+                    telemetry.record_shard(shard_id, counters)
         telemetry.wall_seconds = elapsed
         telemetry.recovered_batches = sum(len(c.batches) for c in recovered)
         telemetry.wal_bytes = wal_bytes
@@ -869,61 +958,73 @@ class Broker:
         )
         telemetry.worker_restarts = self._worker_restarts
         telemetry.backoff_seconds = self._backoff_seconds
-        if self._breaker is not None:
-            telemetry.breaker_opens = self._breaker.opens
-            telemetry.breaker_failures = self._breaker.failures
-            telemetry.breaker_probes = self._breaker.probes
-            telemetry.breaker_short_circuits = self._breaker.short_circuits
+        for breaker in self._breakers:
+            if breaker is not None:
+                telemetry.breaker_opens += breaker.opens
+                telemetry.breaker_failures += breaker.failures
+                telemetry.breaker_probes += breaker.probes
+                telemetry.breaker_short_circuits += breaker.short_circuits
+        self._record_fleet(telemetry)
         return BrokerReport(config=config, cycles=results, telemetry=telemetry)
 
-    def _run_serial(
-        self, start: int, writer: _StateWriter | None
-    ) -> list[CycleResult]:
+    def _sharding(self) -> tuple | None:
+        """What :func:`open_state` mixes into the WAL fingerprint."""
+        return None
+
+    def _record_fleet(self, telemetry: TelemetryCollector) -> None:
+        """Add fleet-only counters to the report (none for one broker)."""
+
+    def _serve(
+        self, recovered: list[CycleResult], writer: _StateWriter | None
+    ) -> Iterator[CycleResult]:
+        """Serve the cycles after ``recovered``, yielding each in order.
+
+        :meth:`run` commits each result before it asks for the next, so
+        the pooled loop checks the stop flag after a commit and the
+        serial loop checks it before serving a cycle.  Pooled cycles are
+        journaled at their commit; serial ones journal each decision
+        live through ``writer.on_batch``.
+        """
         config = self.config
-        cache = DecisionCache(config.cache_size) if config.cache_size > 0 else None
-        budget = (
-            CycleBudget(config.cycle_budget)
-            if config.cycle_budget is not None
-            else None
-        )
-        breaker = (
-            CircuitBreaker(
-                failure_threshold=config.breaker_failures,
-                reset_seconds=config.breaker_reset,
-            )
-            if config.breaker_failures > 0
-            else None
-        )
-        self._breaker = breaker
-        check_cancelled = None
-        if self.faults is not None:
-            faults = self.faults
+        start = len(recovered)
+        if config.workers >= 2 and config.num_cycles - start > 1:
+            jobs = [
+                CycleJob(
+                    self.topology, self.source.cycle(index), index, config, self.faults
+                )
+                for index in range(start, config.num_cycles)
+            ]
+            with SolverPool(config.workers, cache_size=config.cache_size) as pool:
+                for _, result, _ in pool.imap(serve_pooled_job, jobs):
+                    yield result
+                    if self._stop_requested:
+                        break
+                self._worker_restarts = pool.worker_restarts
+                self._backoff_seconds = pool.backoff_seconds
+            return
 
-            def check_cancelled():
-                faults.maybe_hang_solver()
-                return False
-
+        budget = config.budget()
+        breaker = config.breaker()
+        self._breakers = [breaker]
         # One engine for the whole run: its path cache outlives the cycle.
-        engine = CycleEngine(
+        engine = CycleEngine.from_config(
             self.topology,
-            config.slots_per_cycle,
-            k_paths=config.k_paths,
-            time_limit=config.time_limit,
-            cache=cache,
-            max_batch=config.max_batch,
-            lp_screen=config.lp_screen,
+            config,
+            cache=config.cache(),
             budget=budget,
             breaker=breaker,
-            check_cancelled=check_cancelled,
+            # An injected hang stalls the solve poll; it never cancels.
+            check_cancelled=(
+                self.faults.maybe_hang_solver if self.faults is not None else None
+            ),
             on_batch=writer.on_batch if writer is not None else None,
         )
-        results = []
         for index in range(start, config.num_cycles):
             if self._stop_requested:
-                break
+                return
             if budget is not None:
                 budget.restart()
-            result = run_cycle(
+            yield run_cycle(
                 self.topology,
                 self.source.cycle(index),
                 cycle_index=index,
@@ -931,46 +1032,10 @@ class Broker:
                 queue_capacity=config.queue_capacity,
                 engine=engine,
             )
-            if writer is not None:
-                writer.commit_cycle(result)
-            results.append(result)
-        return results
-
-    def _run_pooled(
-        self, start: int, writer: _StateWriter | None
-    ) -> list[CycleResult]:
-        config = self.config
-        payloads = [
-            (
-                self.topology,
-                self.source.cycle(index),
-                index,
-                config.window,
-                config.k_paths,
-                config.time_limit,
-                config.queue_capacity,
-                config.max_batch,
-                config.lp_screen,
-                self.faults,
-                config.cycle_budget,
-            )
-            for index in range(start, config.num_cycles)
-        ]
-        results = []
-        with SolverPool(config.workers, cache_size=config.cache_size) as solver_pool:
-            for result in solver_pool.imap(_cycle_worker, payloads):
-                if writer is not None:
-                    writer.commit_cycle(result)
-                results.append(result)
-                if self._stop_requested:
-                    break
-            self._worker_restarts = solver_pool.worker_restarts
-            self._backoff_seconds = solver_pool.backoff_seconds
-        return results
 
     def with_config(self, **changes) -> "Broker":
-        """A new broker over the same source with config fields replaced."""
-        return Broker(
+        """A new broker of this class over the same source, fields replaced."""
+        return type(self)(
             replace(self.config, **changes), source=self.source, faults=self.faults
         )
 

@@ -1,11 +1,13 @@
 """The sharded multi-region broker: N shard workers, one bandwidth ledger.
 
-:class:`ShardedBroker` scales the serving loop *within* a billing cycle:
-each cycle's bid stream is partitioned by source DC
+:class:`ShardedBroker` is a :class:`~repro.service.broker.Broker` that
+scales the serving loop *within* a billing cycle: each cycle's bid
+stream is partitioned by source DC
 (:func:`repro.decomp.partition_requests`), every shard serves its slice
-through the unchanged :func:`repro.service.broker.run_cycle` admission
-loop — in parallel across a :class:`~repro.service.pool.SolverPool` when
-``workers >= 2`` — and the shards coordinate only through the
+through :func:`repro.service.broker.serve_job` (the unchanged
+:func:`~repro.service.broker.run_cycle` admission loop) — in parallel
+across a :class:`~repro.service.pool.SolverPool` when ``workers >= 2``
+— and the shards coordinate only through the
 :class:`~repro.decomp.ledger.BandwidthLedger`:
 
 * shard MILPs solve against the effective prices ``u_e + lambda_e``
@@ -38,40 +40,28 @@ uninterrupted runs, produce identical decision logs.
 
 from __future__ import annotations
 
-import time
+from collections.abc import Iterator
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import NamedTuple
-
-import numpy as np
 
 from repro.core.instance import SPMInstance
 from repro.core.schedule import Schedule
 from repro.decomp.ledger import BandwidthLedger, reconcile
 from repro.decomp.partition import PARTITION_MODES, partition_requests
-from repro.net.topology import Topology
-from repro.resilience import CircuitBreaker, CycleBudget
-from repro.service import pool as pool_mod
 from repro.service.broker import (
+    Broker,
     BrokerConfig,
-    BrokerReport,
-    CycleEngine,
+    CycleJob,
     CycleResult,
-    _make_topology,
-    _pool_check_cancelled,
     _StateWriter,
-    open_state,
-    run_cycle,
+    serve_job,
+    serve_pooled_job,
 )
 from repro.service.cache import DecisionCache
-from repro.service.ingest import ArrivalSource, GeneratorSource
 from repro.service.pool import SolverPool
 from repro.service.telemetry import TelemetryCollector
 from repro.shard.live import merge_shard_cycles
-from repro.state import FaultPlan
-from repro.workload.generator import WorkloadConfig
-from repro.workload.request import RequestSet
 
 __all__ = ["ShardConfig", "ShardedBroker"]
 
@@ -117,247 +107,78 @@ class ShardConfig(BrokerConfig):
             )
 
 
-class _ShardJob(NamedTuple):
-    """One shard's slice of one billing cycle, as shipped to a worker."""
-
-    shard_id: int
-    topology: Topology
-    requests: RequestSet
-    cycle_index: int
-    duals: np.ndarray
-    config: ShardConfig
-    faults: FaultPlan | None = None
-
-
-def _serve_shard(
-    job: _ShardJob,
-    *,
-    cache: DecisionCache | None,
-    budget: CycleBudget | None = None,
-    breaker: CircuitBreaker | None = None,
-    check_cancelled=None,
-):
-    """Serve one shard's slice of one billing cycle, in or out of process.
-
-    Returns ``(shard_id, CycleResult, loads)`` — the realized (edge,
-    slot) loads of the close's :class:`Schedule` ride along so the
-    coordinator can post them to the ledger without re-enumerating
-    paths.  Decisions are identical wherever it runs (the cache is exact
-    and the loop deterministic); only cache residency and the budget
-    differ.
-    """
-    config = job.config
-    engine = CycleEngine(
-        job.topology,
-        job.requests.num_slots,
-        k_paths=config.k_paths,
-        time_limit=config.time_limit,
-        cache=cache,
-        max_batch=config.max_batch,
-        lp_screen=config.lp_screen,
-        budget=budget,
-        breaker=breaker,
-        check_cancelled=check_cancelled,
-        dual_prices=job.duals,
-    )
-    result = run_cycle(
-        job.topology,
-        job.requests,
-        cycle_index=job.cycle_index,
-        window=config.window,
-        queue_capacity=config.queue_capacity,
-        engine=engine,
-    )
-    return job.shard_id, result, engine.schedule.loads
-
-
-def _shard_cycle_worker(job: _ShardJob):
-    """Pool entry point: a worker's cache, cancellation poll and budget."""
-    cycle_budget = job.config.cycle_budget
-    return _serve_shard(
-        job,
-        cache=pool_mod.worker_cache(),
-        budget=None if cycle_budget is None else CycleBudget(cycle_budget),
-        check_cancelled=_pool_check_cancelled(job.faults, job.cycle_index),
-    )
-
-
-class ShardedBroker:
+class ShardedBroker(Broker):
     """Runs the sharded serving loop over an arrival source.
 
-    The same construction contract as :class:`~repro.service.broker.Broker`
-    — default source is the seed-deterministic synthetic workload; pass a
+    A :class:`~repro.service.broker.Broker` in everything but how a
+    cycle is served: the same construction contract (default source is
+    the seed-deterministic synthetic workload; pass a
     :class:`~repro.service.ingest.TraceSource` to replay recorded
     traffic; ``faults`` wires the §6 fault matrix into journal appends,
-    cycle commits and worker kills.
+    cycle commits and worker kills), stop flag, WAL, commit loop and
+    report.  Each cycle is one merged :class:`CycleResult`; a resumed
+    run restores the ledger from the last committed ``fleet`` block.
     """
 
-    def __init__(
-        self,
-        config: ShardConfig | None = None,
-        source: ArrivalSource | None = None,
-        faults: FaultPlan | None = None,
-    ) -> None:
-        self.config = config if config is not None else ShardConfig()
-        self.faults = faults
-        self._stop_requested = False
-        self.topology = _make_topology(self.config.topology)
-        if source is None:
-            source = GeneratorSource(
-                self.topology,
-                WorkloadConfig(
-                    num_requests=self.config.requests_per_cycle,
-                    num_slots=self.config.slots_per_cycle,
-                    max_duration=self.config.max_duration,
-                    value_model=self.config.value_model,
-                ),
-                seed=self.config.seed,
-            )
-        self.source = source
+    config_class = ShardConfig
 
-    def request_stop(self) -> None:
-        """Stop at the next cycle boundary (signal-safe, like the broker)."""
-        self._stop_requested = True
+    def _sharding(self) -> tuple:
+        return (self.config.shards, self.config.partition, "fleet")
 
-    @property
-    def stop_requested(self) -> bool:
-        return self._stop_requested
-
-    # ------------------------------------------------------------------ run
-
-    def run(self, *, resume: bool = False) -> BrokerReport:
-        """Serve every configured cycle across the fleet.
-
-        Each cycle is one merged :class:`CycleResult`.  With
-        ``config.wal_path`` set, every cycle commits (batch records, then
-        the cycle record with its ``fleet`` block) to the one WAL;
-        ``resume=True`` first recovers the committed prefix, restores the
-        ledger from its last ``fleet`` block and re-serves only what never
-        committed — bit-identical to an uninterrupted run.
-        """
-        config = self.config
-        if resume and config.wal_path is None:
-            raise ValueError("resume=True requires ShardConfig.wal_path")
-        t0 = time.perf_counter()
-        self._worker_restarts = 0
-        self._backoff_seconds = 0.0
-        self._shard_concurrency = 1
-        self._budget = (
-            CycleBudget(config.cycle_budget)
-            if config.cycle_budget is not None
-            else None
-        )
-        self._breakers: list[CircuitBreaker | None] = [
-            CircuitBreaker(
-                failure_threshold=config.breaker_failures,
-                reset_seconds=config.breaker_reset,
-            )
-            if config.breaker_failures > 0
-            else None
-            for _ in range(config.shards)
-        ]
-        self._hedges = [0] * config.shards
-
-        ledger = BandwidthLedger.for_topology(
-            self.topology,
-            config.slots_per_cycle,
-            step=config.step,
-            step0=config.step0,
-            decay=config.decay,
-        )
-        recovered: list[CycleResult] = []
-        writer = None
-        wal_bytes = 0
-        if config.wal_path is not None:
-            writer = open_state(
-                config,
-                self.faults,
-                resume=resume,
-                sharding=(config.shards, config.partition, "fleet"),
-            )
-            recovered = list(writer.completed)
-            if recovered:
-                ledger.apply_record(recovered[-1].fleet["ledger"])
-
-        try:
-            fresh = self._serve(len(recovered), ledger, writer)
-        finally:
-            if writer is not None:
-                wal_bytes = writer.journal.size_bytes
-                writer.journal.close()
-        cycles = recovered + fresh
-        elapsed = time.perf_counter() - t0
-
-        telemetry = TelemetryCollector()
-        for result in cycles:
-            for record in result.batches:
-                telemetry.record_batch(record)
-            telemetry.record_cycle(result.cycle, result.profit)
-            for shard_id, counters in enumerate(result.fleet["shards"]):
-                telemetry.record_shard(shard_id, counters)
-        telemetry.wall_seconds = elapsed
-        telemetry.recovered_batches = sum(len(c.batches) for c in recovered)
-        telemetry.wal_bytes = wal_bytes
-        telemetry.snapshot_seconds = (
-            writer.snapshot_seconds if writer is not None else 0.0
-        )
-        telemetry.worker_restarts = self._worker_restarts
-        telemetry.backoff_seconds = self._backoff_seconds
-        telemetry.ledger_price_iterations = ledger.price_iterations
-        telemetry.reconciliation_evictions = ledger.evictions
+    def _record_fleet(self, telemetry: TelemetryCollector) -> None:
+        telemetry.ledger_price_iterations = self._ledger.price_iterations
+        telemetry.reconciliation_evictions = self._ledger.evictions
         telemetry.shard_concurrency = self._shard_concurrency
         for shard_id, breaker in enumerate(self._breakers):
             if breaker is None and not self._hedges[shard_id]:
                 continue
             section: dict = {"hedged_solves": self._hedges[shard_id]}
             if breaker is not None:
-                telemetry.breaker_opens += breaker.opens
-                telemetry.breaker_failures += breaker.failures
-                telemetry.breaker_probes += breaker.probes
-                telemetry.breaker_short_circuits += breaker.short_circuits
                 section.update(
                     breaker_opens=breaker.opens,
                     breaker_failures=breaker.failures,
                     breaker_state=breaker.state,
                 )
             telemetry.record_shard(shard_id, section)
-        return BrokerReport(config=config, cycles=cycles, telemetry=telemetry)
 
     # ---------------------------------------------------------- the loop
 
     def _serve(
-        self,
-        start: int,
-        ledger: BandwidthLedger,
-        writer: _StateWriter | None,
-    ) -> list[CycleResult]:
+        self, recovered: list[CycleResult], writer: _StateWriter | None
+    ) -> Iterator[CycleResult]:
+        """Serve cycle by cycle: each cycle's duals steer the next one's
+        decisions, so fleet cycles never run ahead of their commit."""
         config = self.config
-        results: list[CycleResult] = []
+        self._ledger = ledger = BandwidthLedger.for_topology(
+            self.topology,
+            config.slots_per_cycle,
+            step=config.step,
+            step0=config.step0,
+            decay=config.decay,
+        )
+        if recovered:
+            ledger.apply_record(recovered[-1].fleet["ledger"])
+        self._budget = config.budget()
+        self._breakers = [config.breaker() for _ in range(config.shards)]
+        self._hedges = [0] * config.shards
+        self._shard_concurrency = 1
+        caches = [config.cache() for _ in range(config.shards)]
+        start = len(recovered)
         pool = None
-        caches: list[DecisionCache | None] = [
-            DecisionCache(config.cache_size) if config.cache_size > 0 else None
-            for _ in range(config.shards)
-        ]
         try:
             if config.workers >= 2 and start < config.num_cycles:
-                pool = SolverPool(
-                    config.workers, cache_size=config.cache_size
-                )
+                pool = SolverPool(config.workers, cache_size=config.cache_size)
                 self._shard_concurrency = pool.workers
             for index in range(start, config.num_cycles):
                 if self._stop_requested:
                     break
-                result = self._serve_cycle(index, ledger, pool, caches)
-                if writer is not None:
-                    writer.commit_cycle(result)
-                results.append(result)
+                yield self._serve_cycle(index, ledger, pool, caches)
             if pool is not None:
                 self._worker_restarts = pool.worker_restarts
                 self._backoff_seconds = pool.backoff_seconds
         finally:
             if pool is not None:
                 pool.shutdown()
-        return results
 
     def _serve_cycle(
         self,
@@ -375,14 +196,14 @@ class ShardedBroker:
             self._budget.restart()
         duals = ledger.duals.copy()
         jobs = [
-            _ShardJob(
-                shard_id,
+            CycleJob(
                 self.topology,
                 requests.subset(ids),
                 index,
-                duals,
                 config,
-                self.faults if pool is not None else None,
+                self.faults,
+                duals,
+                shard_id,
             )
             for shard_id, ids in enumerate(shard_ids)
         ]
@@ -392,7 +213,7 @@ class ShardedBroker:
         if pool is not None and self._budget is not None:
             outcomes = self._serve_cycle_hedged(pool, jobs, caches)
         elif pool is not None:
-            outcomes = pool.imap(_shard_cycle_worker, jobs)
+            outcomes = pool.imap(serve_pooled_job, jobs)
         else:
             outcomes = (self._serve_local(job, caches) for job in jobs)
         for shard_id, result, loads in outcomes:
@@ -440,7 +261,7 @@ class ShardedBroker:
             if breaker is not None and not breaker.allow():
                 futures.append((job, None))
             else:
-                futures.append((job, pool.submit(_shard_cycle_worker, job)))
+                futures.append((job, pool.submit(serve_pooled_job, job)))
         for job, future in futures:
             shard_id = job.shard_id
             breaker = self._breakers[shard_id]
@@ -466,7 +287,7 @@ class ShardedBroker:
                     breaker.record_success()
                 yield outcome
 
-    def _serve_local(self, job: _ShardJob, caches):
+    def _serve_local(self, job: CycleJob, caches: list[DecisionCache | None]):
         """Serve a shard in process with its cache, budget and breaker.
 
         The cache persists per shard id, the budget is the fleet's shared
@@ -474,7 +295,7 @@ class ShardedBroker:
         path's local fallback — a budget already drained by a hung pool
         solve lands the whole shard on the greedy rung.
         """
-        return _serve_shard(
+        return serve_job(
             job,
             cache=caches[job.shard_id],
             budget=self._budget,
@@ -537,14 +358,6 @@ class ShardedBroker:
                 },
             )
         return evicted
-
-    def with_config(self, **changes) -> "ShardedBroker":
-        """A new sharded broker over the same source with fields replaced."""
-        return ShardedBroker(
-            replace(self.config, **changes),
-            source=self.source,
-            faults=self.faults,
-        )
 
     def __repr__(self) -> str:
         return (

@@ -110,7 +110,9 @@ class ShardedLiveEngine:
 
     ``engine_options`` (``k_paths``, ``time_limit``, ``cache``,
     ``max_batch``, ``budget``, ``check_cancelled``) configure every
-    shard's :class:`LiveCycleEngine` alike.  The decision cache is
+    shard's :class:`LiveCycleEngine` alike; ``make_breaker`` (e.g. a
+    config's :meth:`~repro.service.broker.BrokerConfig.breaker`) builds
+    each shard's own circuit breaker, or ``None``.  The decision cache is
     shared: keys fold the per-shard committed state (and the dual digest
     when steering), so entries never collide across shards.  A
     ``budget`` is one wall-clock deadline for the whole fleet's cycle —
@@ -129,8 +131,7 @@ class ShardedLiveEngine:
         step: str = "harmonic",
         step0: float | None = None,
         decay: float = 0.5,
-        breaker_failures: int = 0,
-        breaker_reset: float = 5.0,
+        make_breaker=None,
         **engine_options,
     ) -> None:
         if shards < 1:
@@ -154,11 +155,7 @@ class ShardedLiveEngine:
         #: Per-shard breakers: one sick shard degrades alone while its
         #: siblings keep solving exactly.
         self.breakers: list[CircuitBreaker | None] = [
-            CircuitBreaker(
-                failure_threshold=breaker_failures, reset_seconds=breaker_reset
-            )
-            if breaker_failures > 0
-            else None
+            make_breaker() if make_breaker is not None else None
             for _ in range(shards)
         ]
         self._engines = [

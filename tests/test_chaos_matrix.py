@@ -225,3 +225,113 @@ class TestTornLedgerWrite:
             c.fleet for c in baseline.cycles
         ]
         assert resumed.summary()["recovered_batches"] == 0
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Record every breaker a config builds and every pool a fleet opens."""
+    import repro.shard.broker as shard_broker
+    from repro.service.pool import SolverPool
+
+    built = {"breakers": [], "pools": []}
+    make_breaker = BrokerConfig.breaker
+
+    def breaker(self):
+        made = make_breaker(self)
+        built["breakers"].append(made)
+        return made
+
+    class SpyPool(SolverPool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built["pools"].append(self)
+
+    monkeypatch.setattr(BrokerConfig, "breaker", breaker)
+    monkeypatch.setattr(shard_broker, "SolverPool", SpyPool)
+    return built
+
+
+def _breaker_totals(breakers) -> dict:
+    return {
+        f"breaker_{name}": sum(getattr(b, name) for b in breakers)
+        for name in ("opens", "failures", "probes", "short_circuits")
+    }
+
+
+class TestReportedCounters:
+    """The report's breaker, pool and per-shard counters under a hang."""
+
+    def test_broker_reports_its_breakers_counters(self, tmp_path, spies):
+        # One window per cycle makes every batch too large to enumerate,
+        # so the hang lands inside the LP screen's share of the limit.
+        config = BrokerConfig(
+            **{
+                **_BASE,
+                "num_cycles": 3,
+                "slots_per_cycle": 4,
+                "window": 4,
+                "time_limit": 0.3,
+            },
+            lp_screen=True,
+            breaker_failures=1,
+            breaker_reset=1e6,
+        )
+        faults = FaultPlan(
+            hang_solver_seconds=0.5, hang_once_path=str(tmp_path / "hang.latch")
+        )
+        summary = Broker(config, faults=faults).run().summary()
+
+        [breaker] = spies["breakers"]
+        assert (breaker.opens, breaker.failures, breaker.state) == (1, 1, "open")
+        assert breaker.short_circuits == 2
+        assert {key: summary[key] for key in _breaker_totals([])} == (
+            _breaker_totals([breaker])
+        )
+        assert summary["rung_counts"] == {"lp_round": 1, "greedy": 2}
+        assert summary["shard_concurrency"] == 1
+        assert "shards" not in summary
+
+    def test_hedged_fleet_reports_breakers_hedges_and_pool(self, tmp_path, spies):
+        config = ShardConfig(
+            **_BASE,
+            shards=2,
+            workers=2,
+            cycle_budget=0.75,
+            breaker_failures=1,
+            breaker_reset=1e6,
+        )
+        faults = FaultPlan(
+            hang_solver_seconds=2.0, hang_once_path=str(tmp_path / "hang.latch")
+        )
+        report = ShardedBroker(config, faults=faults).run()
+        _assert_cycles_commit(report, config.num_cycles)
+        summary = report.summary()
+
+        breakers = spies["breakers"]
+        [pool] = spies["pools"]
+        assert summary["shard_concurrency"] == pool.workers == 2
+        assert summary["worker_restarts"] == pool.worker_restarts
+        assert {key: summary[key] for key in _breaker_totals([])} == (
+            _breaker_totals(breakers)
+        )
+        sections = summary["shards"]
+        assert sorted(sections) == ["0", "1"]
+        for shard_id, breaker in enumerate(breakers):
+            section = sections[str(shard_id)]
+            assert section["breaker_state"] == breaker.state
+            assert section["breaker_opens"] == breaker.opens
+            assert section["breaker_failures"] == breaker.failures
+            # A hedged shard solve is the only way a breaker fails here.
+            assert section["hedged_solves"] == breaker.failures
+        assert sum(s["hedged_solves"] for s in sections.values()) >= 1
+        assert "open" in [b.state for b in breakers]
+
+    def test_serial_fleet_runs_at_concurrency_one(self, spies):
+        summary = ShardedBroker(ShardConfig(**_BASE, shards=2)).run().summary()
+        assert summary["shard_concurrency"] == 1
+        assert spies["pools"] == []
+        # No breaker and no hedge: the shard sections hold only the
+        # per-cycle counters.
+        for section in summary["shards"].values():
+            assert "breaker_state" not in section
+            assert "hedged_solves" not in section

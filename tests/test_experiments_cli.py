@@ -140,3 +140,34 @@ class TestServe:
     def test_serve_bad_topology_exits(self):
         with pytest.raises(SystemExit):
             main(["serve", "--topology", "nope"])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--time-limit", "-1"],
+            ["--time-limit", "0"],
+            ["--time-limit", "nan"],
+            ["--breaker-reset", "nan"],
+        ],
+    )
+    @pytest.mark.parametrize("listen", [[], ["--listen", "127.0.0.1:0"]])
+    def test_serve_rejects_bad_limits_as_usage_errors(self, flags, listen, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--topology", "sub-b4", "--cycles", "1", *listen, *flags])
+        assert excinfo.value.code == 2
+        field = flags[0].lstrip("-").replace("-", "_")
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lp-screen"],
+            ["--workers", "4"],
+            ["--trace", "/nonexistent.jsonl"],
+        ],
+    )
+    def test_serve_listen_refuses_broker_only_flags(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--listen", "127.0.0.1:0", "--cycles", "1", *flags])
+        assert excinfo.value.code == 2
+        assert f"{flags[0]} is not supported with --listen" in capsys.readouterr().err

@@ -77,6 +77,42 @@ def _assert_reconciled(server: GatewayServer) -> None:
     server.counters.assert_reconciled(where="test epilogue")
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("time_limit", 0.0),
+            ("time_limit", -1.0),
+            ("time_limit", float("nan")),
+            ("breaker_reset", float("nan")),
+        ],
+    )
+    def test_rejects_bad_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GatewayConfig(**{**_FAST, field: value})
+
+    def test_unlimited_time_limit_is_none(self):
+        assert GatewayConfig(**{**_FAST, "time_limit": None}).time_limit is None
+
+    def test_surrogate_carries_the_engine_levers(self):
+        config = GatewayConfig(
+            **_FAST,
+            cache_size=7,
+            cycle_budget=2.5,
+            breaker_failures=3,
+            breaker_reset=0.5,
+        )
+        surrogate = config.broker_config()
+        assert surrogate.cache().maxsize == 7
+        assert surrogate.budget().deadline_seconds == 2.5
+        breaker = surrogate.breaker()
+        assert (breaker.failure_threshold, breaker.reset_seconds) == (3, 0.5)
+        # Execution levers only: the WAL fingerprint ignores them.
+        assert config_fingerprint(surrogate) == config_fingerprint(
+            GatewayConfig(**_FAST).broker_config()
+        )
+
+
 class TestLiveDecisions:
     def test_streams_decisions_then_bye_on_eof(self):
         async def scenario():

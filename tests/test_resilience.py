@@ -167,6 +167,8 @@ class TestCircuitBreaker:
             CircuitBreaker(failure_threshold=0)
         with pytest.raises(ValueError):
             CircuitBreaker(reset_seconds=-1.0)
+        with pytest.raises(ValueError):
+            CircuitBreaker(reset_seconds=float("nan"))
 
 
 # ------------------------------------------------------ ExponentialBackoff
@@ -246,7 +248,6 @@ class TestDegradationLadder:
         )
         assert outcome.rung == "exact"
         assert outcome.cacheable
-        assert ladder.counts["exact"] == 1
 
     def test_starved_budget_goes_straight_to_greedy(self, diamond_instance):
         clock = FakeClock()
@@ -257,7 +258,6 @@ class TestDegradationLadder:
         outcome = ladder.decide(diamond_instance, [0, 1, 2], loads, charged)
         assert outcome.rung == "greedy"
         assert not outcome.cacheable
-        assert ladder.counts["greedy"] == 1
 
     def test_open_breaker_goes_straight_to_greedy(self, diamond_instance):
         breaker = CircuitBreaker(failure_threshold=1, clock=FakeClock())

@@ -276,6 +276,11 @@ class TestConfigValidation:
             ("requests_per_cycle", -1),
             ("workers", -1),
             ("cache_size", -1),
+            ("time_limit", 0.0),
+            ("time_limit", -1.0),
+            ("time_limit", float("nan")),
+            ("breaker_reset", -1.0),
+            ("breaker_reset", float("nan")),
         ],
     )
     def test_rejects_bad_fields(self, field, value):
@@ -285,6 +290,9 @@ class TestConfigValidation:
     def test_unknown_topology(self):
         with pytest.raises(ValueError, match="unknown topology"):
             Broker(BrokerConfig(topology="nope"))
+
+    def test_unlimited_time_limit_is_none(self):
+        assert BrokerConfig(time_limit=None).time_limit is None
 
     def test_top_level_exports(self):
         import repro

@@ -8,7 +8,10 @@ takes a ``fast_path`` switch, and no runtime module imports the
 test-suite's oracles (``tests``) or ``networkx`` (a test-only oracle
 dependency).  One durability design: exactly one function opens a
 journal for writing, and the shard package never reaches into the
-offline decomposition solver.  One path enumerator: only
+offline decomposition solver.  One broker shell: ``ShardedBroker``
+is a ``Broker`` that overrides how cycles are served, not the run
+around them, and pooled work enters worker processes through one
+function.  One path enumerator: only
 ``Topology.candidate_paths`` (which memoizes per topology) runs Yen's
 algorithm.  One solver path: no runtime module reaches scipy's
 ``linprog``/``milp`` wrappers; HiGHS is driven by ``repro.lp.solvers``
@@ -130,6 +133,44 @@ def _journal_open_callers() -> list[str]:
 
 def test_one_function_opens_the_journal():
     assert _journal_open_callers() == ["service/broker.py:open_state"]
+
+
+def _class_def(path: Path, name: str) -> ast.ClassDef:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    [node] = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == name
+    ]
+    return node
+
+
+def test_sharded_broker_is_a_broker_shell():
+    node = _class_def(_SRC / "shard" / "broker.py", "ShardedBroker")
+    assert [ast.unparse(base) for base in node.bases] == ["Broker"]
+    defined = {
+        item.name
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    shell = {"__init__", "run", "request_stop", "stop_requested", "with_config"}
+    assert not defined & shell, f"ShardedBroker redefines {sorted(defined & shell)}"
+
+
+def test_one_pool_entry_point():
+    handed = set()
+    for path in _modules(("service", "shard")):
+        if path.name == "pool.py":
+            continue  # the pool forwards what it is handed
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("imap", "submit")
+                and node.args
+            ):
+                handed.add(ast.unparse(node.args[0]))
+    assert handed == {"serve_pooled_job"}
 
 
 def test_only_candidate_paths_runs_yen():
