@@ -131,69 +131,6 @@ def test_fast_build_speedup(benchmark, instance):
     )
 
 
-def test_lp_screening_latency(benchmark, monkeypatch):
-    """LP relaxation bound screening on a low-value admission flood.
-
-    When every request's value sits far below its cheapest path cost, each
-    arrival batch is provably hopeless: the LP relaxation bound of the batch
-    MILP is <= 0, so all-decline is certified optimal without branching.
-    ``OnlineScheduler(lp_screen=True)`` must return bitwise-identical
-    decisions and cut mean batch-decision latency by >= 25% (reported, not
-    enforced, in smoke mode).  The screen guards the MILP only, so the
-    enumeration cap is set to 0 to send every batch there.
-    """
-    monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
-    flood_cfg = ExperimentConfig(
-        topology="sub-b4",
-        request_counts=(_NUM_REQUESTS,),
-        value_model=FlatRateValueModel(0.2),
-        time_limit=240.0,
-    )
-    flood = make_instance(flood_cfg, _NUM_REQUESTS)
-
-    plain_sched = OnlineScheduler(lp_screen=False)
-    plain = plain_sched.run(flood)
-    screened_sched = OnlineScheduler(lp_screen=True)
-    screened = screened_sched.run(flood)
-    assert screened.profit == plain.profit
-    assert screened.schedule.assignment == plain.schedule.assignment
-    assert screened_sched.screened_batches > 0, (
-        "the flood workload must actually trigger the screen"
-    )
-
-    def best_of(fn, rounds):
-        times = []
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
-    rounds = 3
-    t_plain = best_of(lambda: OnlineScheduler(lp_screen=False).run(flood), rounds)
-    t_screen = best_of(lambda: OnlineScheduler(lp_screen=True).run(flood), rounds)
-    benchmark.pedantic(
-        lambda: OnlineScheduler(lp_screen=True).run(flood),
-        rounds=1,
-        iterations=1,
-    )
-    reduction = 1.0 - t_screen / t_plain
-    benchmark.extra_info["screened_batches"] = screened_sched.screened_batches
-    benchmark.extra_info["latency_reduction"] = reduction
-    benchmark.extra_info["floor"] = 0.0 if _SMOKE else 0.25
-    print(
-        f"\nonline flood at K={_NUM_REQUESTS}: plain {t_plain * 1e3:.1f} ms, "
-        f"screened {t_screen * 1e3:.1f} ms "
-        f"({screened_sched.screened_batches} batches screened, "
-        f"latency -{reduction:.0%})"
-    )
-    if not _SMOKE:
-        assert reduction >= 0.25, (
-            f"LP screening cut mean batch latency by only {reduction:.0%} "
-            f"(floor 25%)"
-        )
-
-
 def test_enumeration_crossover_floor(benchmark, monkeypatch):
     """Exact enumeration vs HiGHS on live-shaped batches up to the cap.
 

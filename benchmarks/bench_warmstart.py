@@ -1,15 +1,12 @@
 """Benchmark of the warm-started re-solve layer.
 
-Three headline rows, each pinned against its cold oracle *after* an
+Two headline rows, each pinned against its cold oracle *after* an
 equivalence assertion (warm-start reuse is only allowed to change wall
 clock, never results):
 
 * **Metis alternation** — ``Metis(warm_start=True)`` (resolve sessions +
   incremental local search) against the cold fast path at benchmark
   scale; the full configuration asserts a >= 1.5x end-to-end floor.
-* **Online LP screening** — a low-value flood where most batches are
-  provably hopeless; declining them on the LP relaxation bound must cut
-  mean batch-decision latency by >= 25% with bitwise-identical decisions.
 * **Concurrent shard rounds** — the decomposed price loop with per-round
   shard solves fanned across a process pool; equivalence, feasibility and
   the ``(S - 1) * sum_e u_e`` gap bound are asserted on every run, while
@@ -27,11 +24,9 @@ import time
 import numpy as np
 import pytest
 
-import repro.core.online as online_mod
 from repro import b4
 from repro.core.instance import SPMInstance
 from repro.core.metis import Metis
-from repro.core.online import OnlineScheduler
 from repro.decomp.solver import (
     DecompConfig,
     profit_gap_bound,
@@ -41,7 +36,6 @@ from repro.decomp.solver import (
 from repro.experiments.common import ExperimentConfig, make_instance
 from repro.service.pool import SolverPool
 from repro.workload.request import Request, RequestSet
-from repro.workload.value_models import FlatRateValueModel
 
 _SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 _TOL = 1e-9
@@ -50,17 +44,6 @@ _METIS_REQUESTS = 30 if _SMOKE else 200
 _METIS_CFG = ExperimentConfig(
     topology="sub-b4" if _SMOKE else "b4",
     request_counts=(_METIS_REQUESTS,),
-    time_limit=240.0,
-)
-
-_ONLINE_REQUESTS = 20 if _SMOKE else 60
-_ONLINE_CFG = ExperimentConfig(
-    topology="sub-b4",
-    request_counts=(_ONLINE_REQUESTS,),
-    # A flat value far below the typical path's integer-unit cost: most
-    # admission batches are hopeless, which is exactly the regime the LP
-    # bound screen is for.
-    value_model=FlatRateValueModel(0.2),
     time_limit=240.0,
 )
 
@@ -120,53 +103,6 @@ def test_metis_warm_alternation_speedup(benchmark):
         assert speedup >= 1.5, (
             f"warm-started alternation managed only {speedup:.2f}x over the "
             f"cold fast path (floor 1.5x)"
-        )
-
-
-def test_online_screening_latency(benchmark, monkeypatch):
-    """LP bound screening on a hopeless flood: latency down, decisions equal."""
-    # The screen guards the MILP, which small batches skip for exact
-    # enumeration; a zero cap sends every batch to the screened MILP.
-    monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
-    instance = make_instance(_ONLINE_CFG, _ONLINE_REQUESTS)
-
-    plain_sched = OnlineScheduler(lp_screen=False)
-    plain = plain_sched.run(instance)
-    screened_sched = OnlineScheduler(lp_screen=True)
-    screened = screened_sched.run(instance)
-    assert screened.profit == plain.profit
-    assert screened.schedule.assignment == plain.schedule.assignment
-    assert screened_sched.screened_batches > 0, (
-        "the flood workload must actually trigger the screen"
-    )
-
-    rounds = 3
-    t_plain = best_of(
-        lambda: OnlineScheduler(lp_screen=False).run(instance), rounds
-    )
-    t_screen = best_of(
-        lambda: OnlineScheduler(lp_screen=True).run(instance), rounds
-    )
-    benchmark.pedantic(
-        lambda: OnlineScheduler(lp_screen=True).run(instance),
-        rounds=1,
-        iterations=1,
-    )
-    reduction = 1.0 - t_screen / t_plain
-    benchmark.extra_info["requests"] = _ONLINE_REQUESTS
-    benchmark.extra_info["screened_batches"] = screened_sched.screened_batches
-    benchmark.extra_info["latency_reduction"] = reduction
-    benchmark.extra_info["floor"] = 0.0 if _SMOKE else 0.25
-    print(
-        f"\nonline flood at K={_ONLINE_REQUESTS}: plain {t_plain * 1e3:.1f} ms, "
-        f"screened {t_screen * 1e3:.1f} ms "
-        f"({screened_sched.screened_batches} batches screened, "
-        f"latency -{reduction:.0%})"
-    )
-    if not _SMOKE:
-        assert reduction >= 0.25, (
-            f"LP screening cut mean batch latency by only {reduction:.0%} "
-            f"(floor 25%)"
         )
 
 

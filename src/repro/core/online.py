@@ -49,7 +49,6 @@ from repro.lp.fastbuild import compile_coo
 from repro.lp.model import CompiledModel
 from repro.lp.result import SolveStatus
 from repro.lp.solvers import solve_compiled_raw
-from repro.lp.warmstart import relax
 
 __all__ = [
     "OnlineOutcome",
@@ -221,18 +220,12 @@ class BatchDecision:
 
     ``suboptimal`` flags a decision read from a limit-hit incumbent
     (status ``FEASIBLE``): still a valid, capacity-respecting decision,
-    just without an optimality certificate.  ``screened`` marks a batch
-    decided by the LP bound alone (see :func:`solve_batch`'s
-    ``lp_screen``): the relaxation proved no acceptance can beat
-    declining everything, so the all-decline decision carries a full
-    optimality certificate without an integer solve — status ``OPTIMAL``,
-    cacheable like any exact decision.
+    just without an optimality certificate.
     """
 
     choices: tuple
     status: SolveStatus
     objective: float
-    screened: bool = False
 
     @property
     def suboptimal(self) -> bool:
@@ -331,8 +324,6 @@ def solve_batch(
     *,
     time_limit: float | None = None,
     check_cancelled=None,
-    accept_feasible: bool = True,
-    lp_screen: bool = False,
 ) -> BatchDecision:
     """Decide one arrival batch: a chosen path (or ``None``) per position.
 
@@ -341,40 +332,26 @@ def solve_batch(
     what lets :mod:`repro.service` cache decisions and ship them across
     solver worker processes.
 
-    The MILP is assembled by the instance's cached
-    :class:`IncrementalBatchCompiler`.  With ``accept_feasible`` (default)
-    a solve that hits ``time_limit`` with an
-    incumbent returns it as a valid (possibly suboptimal) decision; set it
-    ``False`` for strict raise-on-non-optimal semantics.
-
-    ``lp_screen`` solves the batch model's LP relaxation
-    first and skips the integer solve when its bound certifies that no
-    acceptance can be profitable.  The screen is *sound*, never
-    heuristic: declining everything is always feasible at objective 0
-    (the capacity rows' headroom is non-negative by the charged-units
-    invariant), so the MILP optimum is ``>= 0``; the relaxation optimum
-    is an upper bound on it; hence a relaxation bound ``<= 0`` pins the
-    MILP optimum to exactly 0 and all-decline is optimal.  A bound above
-    0 falls through to the normal integer solve — screening never changes
-    a decision's objective, only the price paid for hopeless batches
-    (the relaxation solves in a fraction of the MILP's time).  The screen
-    and the integer solve share one ``time_limit``: the MILP gets what the
-    screen left, and a screen that used it all is a timeout.
+    ``check_cancelled`` is polled once, first; returning truthy raises
+    :class:`~repro.exceptions.SolverError`.  ``time_limit`` covers the
+    whole call from entry: the poll, then either the enumeration or the
+    MILP build plus the HiGHS solve, which gets only what is left.
 
     A batch whose joint choice space is at most :data:`ENUMERATION_CAP`
-    skips the build and the screen: :func:`enumerate_batch` certifies
-    it exactly (status ``OPTIMAL``, cacheable like a HiGHS optimum).  Its
-    result is a timeout, as a solve's would be, when it took longer than
-    ``time_limit``.
+    is decided by :func:`enumerate_batch` (status ``OPTIMAL``, cacheable
+    like a HiGHS optimum).  Above the cap the instance's cached
+    :class:`IncrementalBatchCompiler` builds the MILP; a solve that hits
+    the limit with an incumbent returns it with status ``FEASIBLE`` (a
+    valid, possibly suboptimal decision).
 
     Raises :class:`~repro.exceptions.SolverTimeoutError` when the limit is
     hit with no usable incumbent, so callers (the broker) can decline the
     batch instead of crashing.
     """
+    started = time.perf_counter()
+    if check_cancelled is not None and check_cancelled():
+        raise SolverError("solve cancelled before dispatch")
     if choice_space(instance, batch_ids) <= ENUMERATION_CAP:
-        if check_cancelled is not None and check_cancelled():
-            raise SolverError("solve cancelled before dispatch")
-        started = time.perf_counter()
         choices, objective = enumerate_batch(
             instance, batch_ids, committed_loads, charged
         )
@@ -388,45 +365,24 @@ def solve_batch(
     compiled, x_offsets = instance.batch_compiler().compile_batch(
         batch_ids, committed_loads, charged
     )
-    if lp_screen:
-        started = time.perf_counter()
-        bound = solve_compiled_raw(
-            relax(compiled),
-            time_limit=time_limit,
-            check_cancelled=check_cancelled,
-        )
-        if bound.status is SolveStatus.OPTIMAL and bound.objective <= 0.0:
-            return BatchDecision(
-                choices=(None,) * len(batch_ids),
-                status=SolveStatus.OPTIMAL,
-                objective=0.0,
-                screened=True,
+    if time_limit is not None:
+        time_limit -= time.perf_counter() - started
+        if time_limit <= 0.0:
+            raise SolverTimeoutError(
+                "batch MILP used up its time limit before dispatch"
             )
-        if time_limit is not None:
-            time_limit -= time.perf_counter() - started
-            if time_limit <= 0.0:
-                raise SolverTimeoutError(
-                    "LP screen used up the batch's time limit"
-                )
-    raw = solve_compiled_raw(
-        compiled, time_limit=time_limit, check_cancelled=check_cancelled
-    )
+    raw = solve_compiled_raw(compiled, time_limit=time_limit)
     status = raw.status
     if status is SolveStatus.INFEASIBLE:
         raise InfeasibleError("incremental batch MILP infeasible")
-    if status is SolveStatus.OPTIMAL or (
-        accept_feasible and status is SolveStatus.FEASIBLE
-    ):
+    if status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE):
         return BatchDecision(
             choices=_choices_from_x(raw.x, x_offsets),
             status=status,
             objective=raw.objective,
         )
-    if status in (SolveStatus.TIME_LIMIT, SolveStatus.FEASIBLE):
-        raise SolverTimeoutError(
-            f"batch MILP hit its time limit ({status.value}, "
-            f"accept_feasible={accept_feasible})"
-        )
+    if status is SolveStatus.TIME_LIMIT:
+        raise SolverTimeoutError("batch MILP hit its time limit with no incumbent")
     raise SolverError(f"batch MILP did not reach optimality: {status}")
 
 
@@ -495,20 +451,11 @@ class OnlineScheduler:
     ``time_limit`` bounds each batch MILP (they are small — one slot's
     arrivals); a limit-hit batch keeps its feasible incumbent when one
     exists and raises :class:`~repro.exceptions.SolverTimeoutError`
-    otherwise, rather than guessing.  ``lp_screen`` enables the sound
-    relaxation-bound skip of :func:`solve_batch` for every batch;
-    ``screened_batches`` counts how many batches it answered.
+    otherwise, rather than guessing.
     """
 
-    def __init__(
-        self,
-        *,
-        time_limit: float | None = 60.0,
-        lp_screen: bool = False,
-    ) -> None:
+    def __init__(self, *, time_limit: float | None = 60.0) -> None:
         self.time_limit = time_limit
-        self.lp_screen = lp_screen
-        self.screened_batches = 0
 
     def run(self, instance: SPMInstance) -> OnlineOutcome:
         """Process every arrival batch in slot order and return the outcome."""
@@ -547,10 +494,7 @@ class OnlineScheduler:
             committed_loads,
             charged,
             time_limit=self.time_limit,
-            lp_screen=self.lp_screen,
         )
-        if outcome.screened:
-            self.screened_batches += 1
         decision = list(outcome.choices)
         assignment.update(zip(batch, decision))
         return commit_decision(instance, batch, decision, committed_loads, charged)

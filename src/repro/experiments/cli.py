@@ -227,17 +227,17 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--slot-seconds",
         type=float,
-        default=1.0,
+        default=None,
         metavar="S",
-        help="gateway only: real seconds per billing slot",
+        help="gateway only: real seconds per billing slot (default 1)",
     )
     parser.add_argument(
         "--conn-buffer",
         type=int,
-        default=4096,
+        default=None,
         metavar="N",
         help="gateway only: per-connection response buffer (slow readers "
-        "beyond it are disconnected)",
+        "beyond it are disconnected; default 4096)",
     )
     parser.add_argument(
         "--window",
@@ -249,9 +249,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--requests",
         type=int,
-        default=100,
+        default=None,
         metavar="K",
-        help="bid arrivals per cycle (synthetic source)",
+        help="broker only: bid arrivals per cycle (synthetic source; "
+        "default 100)",
     )
     parser.add_argument(
         "--trace",
@@ -260,7 +261,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="replay a recorded trace (.json or .jsonl) instead of generating",
     )
-    parser.add_argument("--seed", type=int, default=2019, help="master seed")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="broker only: master seed (default 2019)"
+    )
     parser.add_argument(
         "--shards",
         type=int,
@@ -288,15 +291,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         help="decision-cache entries (0 disables)",
-    )
-    parser.add_argument(
-        "--lp-screen",
-        action="store_true",
-        help=(
-            "screen each exact batch MILP with its LP relaxation bound: "
-            "provably hopeless batches are declined without an integer "
-            "solve (decisions unchanged)"
-        ),
     )
     parser.add_argument(
         "--max-batch",
@@ -423,17 +417,22 @@ def run_serve(argv: Sequence[str] | None = None) -> int:
         parser.error(f"--shards must be >= 1, got {args.shards}")
     if args.listen is not None:
         return _run_serve_live(parser, args)
+    for flag, value in (
+        ("--slot-seconds", args.slot_seconds),
+        ("--conn-buffer", args.conn_buffer),
+    ):
+        if value is not None:
+            parser.error(f"{flag} requires --listen")
     try:
         fields = dict(
             topology=args.topology,
             num_cycles=1 if args.cycles is None else args.cycles,
             slots_per_cycle=args.duration,
             window=args.window,
-            requests_per_cycle=args.requests,
-            seed=args.seed,
+            requests_per_cycle=100 if args.requests is None else args.requests,
+            seed=2019 if args.seed is None else args.seed,
             workers=args.workers,
             cache_size=args.cache_size,
-            lp_screen=args.lp_screen,
             max_batch=args.max_batch,
             queue_capacity=args.queue_capacity,
             time_limit=(
@@ -517,11 +516,6 @@ def run_serve(argv: Sequence[str] | None = None) -> int:
             f"{summary['reconciliation_evictions']} eviction(s), "
             f"concurrency {summary['shard_concurrency']}"
         )
-    if args.lp_screen:
-        print(
-            f"warm start: {summary['screened_batches']} batch(es) screened "
-            f"by LP bound, {summary['warm_start_hits']} session hit(s)"
-        )
     if args.cycle_budget is not None or args.breaker_failures:
         rungs = summary.get("rung_counts", {})
         rung_line = ", ".join(
@@ -556,12 +550,13 @@ def _run_serve_live(parser: argparse.ArgumentParser, args: argparse.Namespace) -
 
     # Flags of the simulated broker the gateway has no use for: refuse
     # them rather than serve as if they had been applied.
-    for flag, value in (
-        ("--lp-screen", args.lp_screen),
-        ("--workers", args.workers),
-        ("--trace", args.trace),
+    for flag, given in (
+        ("--workers", args.workers != 0),
+        ("--trace", bool(args.trace)),
+        ("--requests", args.requests is not None),
+        ("--seed", args.seed is not None),
     ):
-        if value:
+        if given:
             parser.error(f"{flag} is not supported with --listen")
     overrides = {}
     if args.time_limit is not None:
@@ -578,10 +573,10 @@ def _run_serve_live(parser: argparse.ArgumentParser, args: argparse.Namespace) -
             topology=args.topology,
             slots_per_cycle=args.duration,
             window=args.window,
-            slot_seconds=args.slot_seconds,
+            slot_seconds=1.0 if args.slot_seconds is None else args.slot_seconds,
             num_cycles=args.cycles if args.cycles else None,
             cache_size=args.cache_size,
-            conn_buffer=args.conn_buffer,
+            conn_buffer=4096 if args.conn_buffer is None else args.conn_buffer,
             wal_path=args.wal,
             snapshot_every=args.snapshot_every,
             fsync=args.fsync,
@@ -607,7 +602,7 @@ def _run_serve_live(parser: argparse.ArgumentParser, args: argparse.Namespace) -
         print(
             f"gateway listening on {bound_host}:{bound_port} "
             f"({args.topology}, {horizon} cycle(s) x {args.duration} slots "
-            f"x {args.slot_seconds}s, window {args.window})",
+            f"x {config.slot_seconds}s, window {args.window})",
             file=sys.stderr,
             flush=True,
         )

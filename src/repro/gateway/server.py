@@ -305,7 +305,7 @@ class GatewayServer:
             self.cycles.append(result)
             for record in result.batches:
                 self.telemetry.record_batch(record)
-            self.telemetry.record_cycle(result.cycle, result.profit)
+            self.telemetry.record_result(result)
         self.telemetry.recovered_batches = sum(len(c.batches) for c in recovered)
 
         self._budget = surrogate.budget()
@@ -487,13 +487,7 @@ class GatewayServer:
         if self._writer is not None:
             self._writer.commit_cycle(result)
         self.cycles.append(result)
-        self.telemetry.record_cycle(result.cycle, result.profit)
-        if result.fleet is not None:
-            for shard_id, counters in enumerate(result.fleet["shards"]):
-                self.telemetry.record_shard(shard_id, counters)
-            self.telemetry.ledger_price_iterations = result.fleet["ledger"][
-                "price_iterations"
-            ]
+        self.telemetry.record_result(result)
 
     async def _shutdown(self) -> None:
         """Tear down: close the listener, flush the WAL, say goodbye."""

@@ -37,7 +37,6 @@ profitable under the real tariff too.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +46,7 @@ from repro.core.online import _CEIL_TOL, commit_decision, solve_batch
 from repro.exceptions import SolverError, SolverTimeoutError
 from repro.lp.result import SolveStatus
 from repro.lp.solvers import solve_compiled_raw
+from repro.lp.warmstart import relax
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.budget import CycleBudget
 
@@ -80,10 +80,6 @@ class LadderDecision:
     timed_out: bool = False
     suboptimal: bool = False
     cacheable: bool = False
-    #: The exact rung answered from the LP relaxation bound alone (a sound
-    #: certificate — see ``lp_screen`` in :func:`repro.core.online.solve_batch`);
-    #: the decision is still certified-optimal and cacheable.
-    screened: bool = False
 
 
 def _density_order(instance: SPMInstance, batch_ids: list[int]) -> list[int]:
@@ -192,12 +188,9 @@ def lp_round_admission(
     compiled, x_offsets = instance.batch_compiler().compile_batch(
         batch_ids, committed_loads, charged
     )
-    relaxed = dataclasses.replace(
-        compiled, integrality=np.zeros_like(compiled.integrality)
-    )
     try:
         raw = solve_compiled_raw(
-            relaxed, time_limit=time_limit, check_cancelled=check_cancelled
+            relax(compiled), time_limit=time_limit, check_cancelled=check_cancelled
         )
     except SolverError:
         return None
@@ -254,12 +247,10 @@ class DegradationLadder:
         budget: CycleBudget | None = None,
         breaker: CircuitBreaker | None = None,
         time_limit: float | None = None,
-        lp_screen: bool = False,
     ) -> None:
         self.budget = budget
         self.breaker = breaker
         self.time_limit = time_limit
-        self.lp_screen = lp_screen
         self.armed = budget is not None or breaker is not None
 
     def solve_limit(self) -> float | None:
@@ -299,8 +290,6 @@ class DegradationLadder:
                     charged,
                     time_limit=self.solve_limit(),
                     check_cancelled=check_cancelled,
-                    accept_feasible=True,
-                    lp_screen=self.lp_screen,
                 )
             except SolverTimeoutError:
                 if self.breaker is not None:
@@ -315,7 +304,6 @@ class DegradationLadder:
                     "exact" if exact else "incumbent",
                     suboptimal=decided.suboptimal,
                     cacheable=exact,
-                    screened=decided.screened,
                 )
             if not self.armed:
                 return self._decided(

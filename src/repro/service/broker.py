@@ -125,10 +125,7 @@ class BrokerConfig:
     into admission windows; ``workers >= 2`` enables the process pool;
     ``cache_size=0`` disables the decision cache; ``queue_capacity`` and
     ``max_batch`` bound the admission queue and per-MILP batch size
-    (``None`` = unbounded).  ``lp_screen`` enables the LP relaxation-bound
-    screen for exact batch solves (:func:`repro.core.online.solve_batch`):
-    hopeless batches are declined with a certificate instead of paying
-    for an integer solve — decisions and profit are unchanged.
+    (``None`` = unbounded).
 
     Durability (see :mod:`repro.state`): setting ``wal_path`` makes the
     broker journal every admission decision and cycle commit to a
@@ -167,7 +164,6 @@ class BrokerConfig:
     cache_size: int = 1024
     queue_capacity: int | None = None
     max_batch: int | None = None
-    lp_screen: bool = False
     wal_path: str | Path | None = None
     snapshot_every: int = 1
     fsync: str = "batch"
@@ -296,9 +292,9 @@ class CycleEngine:
     Edge indexing comes from the topology alone, so every per-batch
     :class:`SPMInstance` agrees on the ledger arrays.
 
-    The ladder is built here from ``budget``/``breaker``/``time_limit``/
-    ``lp_screen``; whoever creates ``budget`` re-arms it at each cycle
-    open (a sharded fleet shares one budget across its shard engines).
+    The ladder is built here from ``budget``/``breaker``/``time_limit``;
+    whoever creates ``budget`` re-arms it at each cycle open (a sharded
+    fleet shares one budget across its shard engines).
     ``dual_prices`` steers the *decisions* only: batch MILPs solve
     against ``u_e + dual_prices`` (a zero-copy :meth:`SPMInstance.reprice`
     view) while revenue, cost and purchased units stay on the true
@@ -315,7 +311,6 @@ class CycleEngine:
         time_limit: float | None = None,
         cache: DecisionCache | None = None,
         max_batch: int | None = None,
-        lp_screen: bool = False,
         budget: CycleBudget | None = None,
         breaker: CircuitBreaker | None = None,
         check_cancelled=None,
@@ -336,7 +331,6 @@ class CycleEngine:
             budget=budget,
             breaker=breaker,
             time_limit=time_limit,
-            lp_screen=lp_screen,
         )
         self.edges = [e.key for e in topology.edges]
         self.prices = np.array([topology.price(*key) for key in self.edges])
@@ -349,10 +343,10 @@ class CycleEngine:
     def from_config(cls, topology: Topology, config: BrokerConfig, **runtime):
         """An engine over ``topology`` with ``config``'s decision settings.
 
-        Reads ``slots_per_cycle``, ``k_paths``, ``time_limit``,
-        ``max_batch`` and ``lp_screen``; ``runtime`` passes what each
-        serving front owns (``cache``, ``budget``, ``breaker``,
-        ``check_cancelled``, ``on_batch``, ``dual_prices``).
+        Reads ``slots_per_cycle``, ``k_paths``, ``time_limit`` and
+        ``max_batch``; ``runtime`` passes what each serving front owns
+        (``cache``, ``budget``, ``breaker``, ``check_cancelled``,
+        ``on_batch``, ``dual_prices``).
         """
         return cls(
             topology,
@@ -360,7 +354,6 @@ class CycleEngine:
             k_paths=config.k_paths,
             time_limit=config.time_limit,
             max_batch=config.max_batch,
-            lp_screen=config.lp_screen,
             **runtime,
         )
 
@@ -510,7 +503,6 @@ class CycleEngine:
                 timed_out=outcome.timed_out,
                 suboptimal=outcome.suboptimal,
                 rung=outcome.rung,
-                screened=outcome.screened,
             )
         )
         return decision
@@ -573,7 +565,7 @@ def run_cycle(
     ``engine`` reuses a long-lived engine (and its path cache) across
     cycles; otherwise a fresh one is built over ``topology`` from
     ``engine_options`` (``k_paths``, ``time_limit``, ``cache``,
-    ``max_batch``, ``lp_screen``, ``check_cancelled``, ``on_batch``,
+    ``max_batch``, ``check_cancelled``, ``on_batch``,
     ``dual_prices``, ...).  ``time_limit`` caps each batch solve in
     seconds; ``None`` means *unlimited* (the config-level default is
     :data:`DEFAULT_TIME_LIMIT`).
@@ -946,10 +938,7 @@ class Broker:
         for result in results:
             for record in result.batches:
                 telemetry.record_batch(record)
-            telemetry.record_cycle(result.cycle, result.profit)
-            if result.fleet is not None:
-                for shard_id, counters in enumerate(result.fleet["shards"]):
-                    telemetry.record_shard(shard_id, counters)
+            telemetry.record_result(result)
         telemetry.wall_seconds = elapsed
         telemetry.recovered_batches = sum(len(c.batches) for c in recovered)
         telemetry.wal_bytes = wal_bytes

@@ -194,10 +194,7 @@ class BatchRecord:
     produced the decision (see :data:`repro.resilience.ladder.RUNGS`),
     ``"cache"`` for decision-cache hits and ``"shed"`` for shed-only
     records; it defaults to ``"exact"`` so WALs written before the field
-    existed replay.  ``screened`` marks an exact
-    decision answered by the LP relaxation bound alone (``lp_screen`` —
-    certified-optimal, no integer solve dispatched); it defaults off so
-    pre-screening WALs replay unchanged.
+    existed replay.
     """
 
     cycle: int
@@ -213,7 +210,6 @@ class BatchRecord:
     timed_out: bool = False
     suboptimal: bool = False
     rung: str = "exact"
-    screened: bool = False
 
 
 @dataclass
@@ -247,12 +243,6 @@ class TelemetryCollector:
     reconciliation_evictions: int = 0
     #: Worker processes the per-round shard solves ran on (1 = serial).
     shard_concurrency: int = 1
-    #: Warm-start counters (see :mod:`repro.lp.warmstart`): solves the
-    #: resolve sessions answered without dispatching the backend, summed
-    #: across whatever sessions the run wired in (shard price loops, the
-    #: decomposed solver).  ``screened_batches`` is derived from the batch
-    #: records; this one is set by the component that owns the sessions.
-    warm_start_hits: int = 0
 
     def record_batch(self, record: BatchRecord) -> None:
         self.batches.append(record)
@@ -281,6 +271,19 @@ class TelemetryCollector:
         worker pool's speedup is visible in it.
         """
         self._cycle_profit[cycle] = profit
+
+    def record_result(self, result) -> None:
+        """Book a committed :class:`~repro.service.broker.CycleResult`.
+
+        Records its cycle profit and, for a sharded fleet's merged cycle,
+        each shard's counter section and the ledger's run-total price
+        iterations.  Its batch records are booked by the caller.
+        """
+        self.record_cycle(result.cycle, result.profit)
+        if result.fleet is not None:
+            for shard_id, counters in enumerate(result.fleet["shards"]):
+                self.record_shard(shard_id, counters)
+            self.ledger_price_iterations = result.fleet["ledger"]["price_iterations"]
 
     # ------------------------------------------------------------- aggregates
 
@@ -344,8 +347,6 @@ class TelemetryCollector:
             ],
             "timed_out_batches": sum(1 for r in self.batches if r.timed_out),
             "suboptimal_batches": sum(1 for r in self.batches if r.suboptimal),
-            "screened_batches": sum(1 for r in self.batches if r.screened),
-            "warm_start_hits": self.warm_start_hits,
             "rung_counts": self.rung_counts(),
             "cache_hits": hits,
             "cache_misses": solved,

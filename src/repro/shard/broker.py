@@ -126,7 +126,6 @@ class ShardedBroker(Broker):
         return (self.config.shards, self.config.partition, "fleet")
 
     def _record_fleet(self, telemetry: TelemetryCollector) -> None:
-        telemetry.ledger_price_iterations = self._ledger.price_iterations
         telemetry.reconciliation_evictions = self._ledger.evictions
         telemetry.shard_concurrency = self._shard_concurrency
         for shard_id, breaker in enumerate(self._breakers):

@@ -169,7 +169,11 @@ def cycle_from_record(record: dict[str, Any]):
         cost=record["cost"],
         profit=record["profit"],
         wall_seconds=record["wall_seconds"],
-        batches=[BatchRecord(**b) for b in record["batches"]],
+        # Records written before the LP screen was removed carry "screened".
+        batches=[
+            BatchRecord(**{k: v for k, v in b.items() if k != "screened"})
+            for b in record["batches"]
+        ],
         assignment={
             int(request_id): (None if path is None else int(path))
             for request_id, path in record["assignment"].items()

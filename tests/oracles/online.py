@@ -8,8 +8,8 @@ choices (read at call time, so a monkeypatched cap applies to both
 sides), and above the cap the expression build solved through
 :class:`~tests.oracles.lp.model.Model`.  Swap it into
 ``repro.core.online`` to run :class:`~repro.core.online.OnlineScheduler`
-on the reference.  ``lp_screen`` is accepted for signature parity and
-ignored: the screen only ever ran on the array-native build.
+on the reference.  It polls ``check_cancelled`` and charges ``time_limit``
+from entry exactly as the runtime does.
 
 Test-only code: nothing under ``src/`` imports it.
 """
@@ -113,14 +113,12 @@ def solve_batch(
     *,
     time_limit: float | None = None,
     check_cancelled=None,
-    accept_feasible: bool = True,
-    lp_screen: bool = False,
 ) -> BatchDecision:
     """Decide one arrival batch on the expression build (see module doc)."""
+    started = time.perf_counter()
+    if check_cancelled is not None and check_cancelled():
+        raise SolverError("solve cancelled before dispatch")
     if online.choice_space(instance, batch_ids) <= online.ENUMERATION_CAP:
-        if check_cancelled is not None and check_cancelled():
-            raise SolverError("solve cancelled before dispatch")
-        started = time.perf_counter()
         choices, objective = online.enumerate_batch(
             instance, batch_ids, committed_loads, charged
         )
@@ -134,23 +132,24 @@ def solve_batch(
     model, x_vars, _ = build_incremental_spm(
         instance, batch_ids, committed_loads, charged
     )
-    solution = model.solve(time_limit=time_limit, check_cancelled=check_cancelled)
+    if time_limit is not None:
+        time_limit -= time.perf_counter() - started
+        if time_limit <= 0.0:
+            raise SolverTimeoutError(
+                "batch MILP used up its time limit before dispatch"
+            )
+    solution = model.solve(time_limit=time_limit)
     status, objective = solution.status, solution.objective
 
     if status is SolveStatus.INFEASIBLE:
         raise InfeasibleError("incremental batch MILP infeasible")
-    if status is SolveStatus.OPTIMAL or (
-        accept_feasible and status is SolveStatus.FEASIBLE
-    ):
+    if status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE):
         choices = _choices_from_values(
             instance, batch_ids, solution.values, x_vars
         )
         return BatchDecision(choices=choices, status=status, objective=objective)
-    if status in (SolveStatus.TIME_LIMIT, SolveStatus.FEASIBLE):
-        raise SolverTimeoutError(
-            f"batch MILP hit its time limit ({status.value}, "
-            f"accept_feasible={accept_feasible})"
-        )
+    if status is SolveStatus.TIME_LIMIT:
+        raise SolverTimeoutError("batch MILP hit its time limit with no incumbent")
     raise SolverError(f"batch MILP did not reach optimality: {status}")
 
 

@@ -213,7 +213,7 @@ class TestSeams:
     def test_decision_is_cacheable_optimal(self):
         decided = solve_batch(*self._one_bid())
         assert decided.status is SolveStatus.OPTIMAL
-        assert not decided.suboptimal and not decided.screened
+        assert not decided.suboptimal
 
     def test_cancellation_poll_fires_the_fault_hang(self, tmp_path):
         faults = FaultPlan(
@@ -228,7 +228,7 @@ class TestSeams:
         )
         assert (tmp_path / "hang.latch").exists()
         assert time.perf_counter() - started >= 0.05
-        # The hang eats wall clock before enumeration, not its limit.
+        # The hang counts against the limit, which still has room.
         assert decided.status is SolveStatus.OPTIMAL
 
     def test_cancelled_batch_is_not_enumerated(self, monkeypatch):

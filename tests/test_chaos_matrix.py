@@ -262,8 +262,8 @@ class TestReportedCounters:
     """The report's breaker, pool and per-shard counters under a hang."""
 
     def test_broker_reports_its_breakers_counters(self, tmp_path, spies):
-        # One window per cycle makes every batch too large to enumerate,
-        # so the hang lands inside the LP screen's share of the limit.
+        # One window per cycle makes every batch too large to enumerate;
+        # the hang at the solve poll counts against the batch's limit.
         config = BrokerConfig(
             **{
                 **_BASE,
@@ -272,7 +272,6 @@ class TestReportedCounters:
                 "window": 4,
                 "time_limit": 0.3,
             },
-            lp_screen=True,
             breaker_failures=1,
             breaker_reset=1e6,
         )

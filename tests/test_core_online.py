@@ -140,8 +140,8 @@ class TestLimitHandling:
             ),
         )
         inst, committed, charged = _one_request_state(diamond)
-        with pytest.raises(SolverTimeoutError):
-            solve_batch(inst, [0], committed, charged, time_limit=1e-9)
+        with pytest.raises(SolverTimeoutError, match="no incumbent"):
+            solve_batch(inst, [0], committed, charged, time_limit=5.0)
 
     def test_feasible_incumbent_accepted_and_flagged(self, diamond, monkeypatch):
         # One bid is enumerated by default; force it to the MILP backend.
@@ -165,46 +165,41 @@ class TestLimitHandling:
         assert decision.suboptimal
         assert decision.choices == optimal.choices
 
-    def test_lp_screen_and_milp_share_one_time_limit(self, diamond, monkeypatch):
-        monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
+    @pytest.mark.parametrize(
+        "cap", [online_mod.ENUMERATION_CAP, 0], ids=["enumeration", "milp"]
+    )
+    def test_poll_counts_against_the_time_limit(self, diamond, monkeypatch, cap):
+        # One bid is enumerated by default; a zero cap sends it to HiGHS.
+        monkeypatch.setattr(online_mod, "ENUMERATION_CAP", cap)
         real = online_mod.solve_compiled_raw
         milp_limits = []
 
-        def slow_screen(compiled, *, time_limit=None, check_cancelled=None):
-            if compiled.integrality.any():
-                milp_limits.append(time_limit)
-            else:
-                time.sleep(0.05)
+        def recording(compiled, *, time_limit=None, check_cancelled=None):
+            assert check_cancelled is None  # the batch was polled already
+            milp_limits.append(time_limit)
             return real(compiled, time_limit=time_limit)
 
-        monkeypatch.setattr(online_mod, "solve_compiled_raw", slow_screen)
-        inst, committed, charged = _one_request_state(diamond)
-        decision = solve_batch(
-            inst, [0], committed, charged, time_limit=0.2, lp_screen=True
-        )
-        assert decision.status is SolveStatus.OPTIMAL and not decision.screened
-        assert milp_limits[0] < 0.2 - 0.05
-        # A screen that uses up the whole limit leaves the MILP nothing.
-        with pytest.raises(SolverTimeoutError, match="LP screen"):
-            solve_batch(
-                inst, [0], committed, charged, time_limit=0.04, lp_screen=True
-            )
-        assert len(milp_limits) == 1
+        monkeypatch.setattr(online_mod, "solve_compiled_raw", recording)
+        polls = []
 
-    def test_feasible_rejected_when_strict(self, diamond, monkeypatch):
-        monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
+        def slow_poll():
+            polls.append(None)
+            time.sleep(0.1)
+            return False
+
         inst, committed, charged = _one_request_state(diamond)
-        real = online_mod.solve_compiled_raw
-        monkeypatch.setattr(
-            online_mod,
-            "solve_compiled_raw",
-            lambda *a, **k: RawSolution(
-                status=SolveStatus.FEASIBLE,
-                objective=real(*a, **k).objective,
-                x=real(*a, **k).x,
-            ),
-        )
-        with pytest.raises(SolverTimeoutError, match="accept_feasible=False"):
+        with pytest.raises(SolverTimeoutError):
             solve_batch(
-                inst, [0], committed, charged, accept_feasible=False
+                inst, [0], committed, charged,
+                time_limit=0.05, check_cancelled=slow_poll,
             )
+        assert len(polls) == 1 and milp_limits == []
+        # With time to spare, HiGHS gets only what the poll left.
+        decision = solve_batch(
+            inst, [0], committed, charged,
+            time_limit=1.0, check_cancelled=slow_poll,
+        )
+        assert decision.status is SolveStatus.OPTIMAL and len(polls) == 2
+        if cap == 0:
+            [limit] = milp_limits
+            assert limit < 1.0 - 0.1

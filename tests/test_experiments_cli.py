@@ -161,9 +161,10 @@ class TestServe:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--lp-screen"],
             ["--workers", "4"],
             ["--trace", "/nonexistent.jsonl"],
+            ["--requests", "100"],
+            ["--seed", "2019"],
         ],
     )
     def test_serve_listen_refuses_broker_only_flags(self, flags, capsys):
@@ -171,3 +172,12 @@ class TestServe:
             main(["serve", "--listen", "127.0.0.1:0", "--cycles", "1", *flags])
         assert excinfo.value.code == 2
         assert f"{flags[0]} is not supported with --listen" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--slot-seconds", "1.0"], ["--conn-buffer", "4096"]]
+    )
+    def test_serve_broker_refuses_gateway_only_flags(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--topology", "sub-b4", "--requests", "4", *flags])
+        assert excinfo.value.code == 2
+        assert f"{flags[0]} requires --listen" in capsys.readouterr().err

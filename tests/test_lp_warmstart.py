@@ -4,9 +4,8 @@ The warm-start layer (:mod:`repro.lp.warmstart`) is allowed to skip
 solver dispatches only when the answer is *certified* unchanged, so every
 suite here pits a warm path against its cold oracle and demands matching
 results: byte-identical repeats, dual-certified bound shrinks, the Metis
-alternation with and without warm starts, LP screening of the online
-batch MILPs, and the decomposition's per-shard sessions — serial,
-screened, and pooled.
+alternation with and without warm starts, and the decomposition's
+per-shard sessions — serial, screened, and pooled.
 """
 
 from __future__ import annotations
@@ -16,11 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.core.online as online_mod
 from repro.core.instance import SPMInstance
 from repro.core.maa import ImproveMemo, improve_paths, solve_maa
 from repro.core.metis import Metis
-from repro.core.online import OnlineScheduler, solve_batch
 from repro.core.schedule import Schedule
 from repro.decomp.solver import (
     DecompConfig,
@@ -249,52 +246,6 @@ class TestMetisWarmEquivalence:
         sub_assignment = solve_maa(sub, rng=0).schedule.assignment
         expected_sub = improve_paths(sub, sub_assignment)
         assert improve_paths(sub, sub_assignment, memo=memo) == expected_sub
-
-
-class TestScreeningEquivalence:
-    @given(random_instance(value_max=1.5))
-    @common_settings
-    def test_online_screening_is_decision_identical(self, instance):
-        plain = OnlineScheduler(lp_screen=False).run(instance)
-        screened_sched = OnlineScheduler(lp_screen=True)
-        screened = screened_sched.run(instance)
-        assert screened.profit == plain.profit
-        assert screened.schedule.assignment == plain.schedule.assignment
-        assert screened_sched.screened_batches >= 0
-
-    def test_screened_batch_is_certified_all_decline(self, monkeypatch):
-        """A provably hopeless batch returns screened OPTIMAL all-decline."""
-        # The screen only runs above the enumeration cap; lower it to 0.
-        monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
-        topo = random_wan(4, 1, price_range=(5.0, 9.0), rng=3)
-        dcs = topo.datacenters
-        requests = RequestSet(
-            [
-                Request(
-                    request_id=i,
-                    source=dcs[i % 4],
-                    dest=dcs[(i + 1) % 4],
-                    start=0,
-                    end=3,
-                    rate=0.4,
-                    value=0.01,  # far below any path's integer-unit cost
-                )
-                for i in range(4)
-            ],
-            4,
-        )
-        instance = SPMInstance.build(topo, requests, k_paths=2)
-        batch = list(instance.requests.request_ids)
-        committed = np.zeros((instance.num_edges, instance.num_slots))
-        charged = np.zeros(instance.num_edges)
-        screened = solve_batch(
-            instance, batch, committed, charged, lp_screen=True
-        )
-        cold = solve_batch(instance, batch, committed, charged)
-        assert screened.screened
-        assert screened.status is SolveStatus.OPTIMAL
-        assert screened.objective == 0.0
-        assert screened.choices == cold.choices == (None,) * len(batch)
 
 
 class TestDecompWarmEquivalence:

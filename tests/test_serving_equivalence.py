@@ -49,7 +49,6 @@ def _decision_fields(record) -> tuple:
         record.timed_out,
         record.suboptimal,
         record.rung,
-        record.screened,
     )
 
 

@@ -15,7 +15,9 @@ function.  One path enumerator: only
 ``Topology.candidate_paths`` (which memoizes per topology) runs Yen's
 algorithm.  One solver path: no runtime module reaches scipy's
 ``linprog``/``milp`` wrappers; HiGHS is driven by ``repro.lp.solvers``
-alone.
+alone.  One exact rung: no LP screen and no strict mode reach
+``solve_batch`` (no ``lp_screen`` or ``accept_feasible`` name in the
+online core, the ladder, the broker or the CLI).
 """
 
 from __future__ import annotations
@@ -98,6 +100,34 @@ def test_runtime_never_imports_test_only_code(path):
 def test_serving_code_never_calls_solve_batch(path):
     assert not _calls(path, "solve_batch"), (
         f"{path.name} calls solve_batch; decide through CycleEngine's ladder"
+    )
+
+
+_EXACT_RUNG_MODULES = [
+    _SRC / "core" / "online.py",
+    *_modules(("resilience", "service")),
+    _SRC / "experiments" / "cli.py",
+]
+_RETIRED_NAMES = {"lp_screen", "accept_feasible"}
+
+
+@pytest.mark.parametrize(
+    "path", _EXACT_RUNG_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_exact_rung_has_one_path(path):
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            names.append((node.attr, node.lineno))
+        elif isinstance(node, ast.arg):
+            names.append((node.arg, node.lineno))
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            names.append((node.arg, node.value.lineno))
+    offenders = [f"{name}:{line}" for name, line in names if name in _RETIRED_NAMES]
+    assert not offenders, (
+        f"{path.name} uses {offenders}; solve_batch has one exact path"
     )
 
 

@@ -252,6 +252,18 @@ class TestShardedGateway:
             assert replayed.purchased == reference.purchased
             assert replayed.profit == reference.profit
 
+    def test_resumed_gateway_keeps_recovered_shard_counters(self, tmp_path):
+        wal = tmp_path / "sharded.wal"
+        self._serve(wal=wal, count=10)
+        resumed, _ = self._serve(wal=wal, resume=True, count=10)
+        summary = resumed.report()
+        assert summary["decisions"] == 20
+        sections = summary["shards"]
+        assert sum(section["decisions"] for section in sections.values()) == 20
+        assert summary["ledger_price_iterations"] == (
+            resumed.cycles[-1].fleet["ledger"]["price_iterations"]
+        )
+
     def test_resume_restores_duals_from_the_last_commit(self, tmp_path):
         # A capped star: rate-2 bids from three shards jointly load the
         # (DC0, DC1) hub link of capacity 2 past its ceiling, so the

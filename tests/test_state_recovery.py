@@ -346,6 +346,43 @@ class TestUnshardedRecordFormat:
         assert all(set(r) == _CYCLE_KEYS for r in commits)
 
 
+class TestOldRecordFormat:
+    def test_wal_with_screened_batches_resumes_bit_identically(
+        self, tmp_path, baseline
+    ):
+        # Older builds journaled a "screened" flag on every batch record,
+        # both alone and inside cycle records and snapshots.
+        config = _config(tmp_path)
+        with pytest.raises(SimulatedCrash):
+            Broker(config, faults=FaultPlan(crash_after_cycles=2)).run()
+
+        def with_flag(record):
+            if record["type"] == "batch":
+                return {**record, "screened": False}
+            if record["type"] == "cycle":
+                batches = [{**b, "screened": False} for b in record["batches"]]
+                return {**record, "batches": batches}
+            return record
+
+        records = [with_flag(r) for r in read_wal(config.wal_path)]
+        config.wal_path.unlink()
+        with Journal.open(config.wal_path) as journal:
+            for record in records:
+                journal.append(record)
+        store = SnapshotStore(snapshot_path(config.wal_path))
+        snapshot = store.load()
+        store.publish(
+            {**snapshot, "cycles": [with_flag(c) for c in snapshot["cycles"]]}
+        )
+
+        resumed = Broker(config).run(resume=True)
+        assert_equivalent(resumed, baseline)
+        for recovered, reference in zip(resumed.cycles, baseline.cycles):
+            assert [
+                {**vars(r), "solver_seconds": 0} for r in recovered.batches
+            ] == [{**vars(r), "solver_seconds": 0} for r in reference.batches]
+
+
 class TestTelemetryCounters:
     def test_wal_run_reports_durability_counters(self, tmp_path):
         config = _config(tmp_path)
