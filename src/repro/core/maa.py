@@ -143,17 +143,14 @@ def solve_maa(
     *,
     rng: int | np.random.Generator | None = None,
     time_limit: float | None = None,
-    accept_feasible: bool = False,
     warm_start: bool = False,
 ) -> MAAResult:
     """Run Algorithm 1 (MAA) on ``instance``.
 
     ``time_limit`` (seconds) bounds the RL-SPM relaxation solve, so
-    serving-path callers can guarantee a decision deadline.  By default a
-    limit-hit relaxation raises even when an incumbent exists (the
-    approximation ratios are stated against the true LP optimum);
-    ``accept_feasible=True`` rounds the incumbent weights instead —
-    explicitly trading the certificate for availability.
+    serving-path callers can guarantee a decision deadline.  A limit-hit
+    relaxation raises even when an incumbent exists: the approximation
+    ratios are stated against the true LP optimum.
 
     The RL-SPM relaxation is assembled by the instance's cached
     :class:`~repro.core.fastform.FormulationCompiler` and the weights /
@@ -183,9 +180,7 @@ def solve_maa(
         solution = solve_compiled_raw(formulation.compiled, time_limit=time_limit)
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError("RL-SPM relaxation is infeasible")
-    if not solution.is_optimal and not (
-        accept_feasible and solution.status is SolveStatus.FEASIBLE
-    ):
+    if not solution.is_optimal:
         raise SolverError(f"RL-SPM relaxation failed: {solution.status}")
 
     weights = FormulationCompiler.weights_from_raw(formulation, solution.x)

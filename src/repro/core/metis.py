@@ -266,10 +266,9 @@ class Metis:
     descent of :func:`~repro.core.maa.improve_paths` on each rounding —
     both only ever lower the recorded cost.  ``time_limit`` (seconds) bounds
     every LP relaxation solve inside MAA/TAA, so a serving loop can put a
-    hard ceiling on one Metis invocation's solver time; by default a
-    limit-hit relaxation raises (the paper's guarantees are stated against
-    true LP optima), while ``accept_feasible=True`` lets MAA/TAA proceed
-    from limit-hit incumbents instead.
+    hard ceiling on one Metis invocation's solver time; a limit-hit
+    relaxation raises (the paper's guarantees are stated against true LP
+    optima).
 
     ``warm_start`` (default) reuses work across the
     alternation's structurally-identical re-solves: RL/BL relaxations go
@@ -291,7 +290,6 @@ class Metis:
         local_search: bool = True,
         prune: bool = True,
         time_limit: float | None = None,
-        accept_feasible: bool = False,
         warm_start: bool = True,
     ) -> None:
         if theta < 1:
@@ -306,7 +304,6 @@ class Metis:
         self.local_search = local_search
         self.prune = prune
         self.time_limit = time_limit
-        self.accept_feasible = accept_feasible
         self.warm_start = warm_start
 
     def _best_maa_schedule(
@@ -321,7 +318,6 @@ class Metis:
                 instance,
                 rng=rng,
                 time_limit=self.time_limit,
-                accept_feasible=self.accept_feasible,
                 warm_start=self.warm_start,
             ).schedule
             if self.local_search:
@@ -404,7 +400,6 @@ class Metis:
                 current,
                 capacities,
                 time_limit=self.time_limit,
-                accept_feasible=self.accept_feasible,
                 warm_start=self.warm_start,
             )
             taa_profit = taa.schedule.profit

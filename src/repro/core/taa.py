@@ -105,18 +105,15 @@ def solve_taa(
     fallback_mu: float = 0.5,
     augment: bool = True,
     time_limit: float | None = None,
-    accept_feasible: bool = False,
     warm_start: bool = False,
 ) -> TAAResult:
     """Run Algorithm 2 (TAA) on ``instance`` under ``capacities``.
 
     ``capacities`` must give a finite integer bandwidth for every directed
     edge of the instance.  TAA is deterministic: no RNG is involved.
-    ``time_limit`` (seconds) bounds the BL-SPM relaxation solve; by
-    default a limit-hit relaxation raises even when an incumbent exists
-    (the rounding analysis assumes the true LP optimum ``I_hat``), but
-    ``accept_feasible=True`` proceeds from the incumbent weights —
-    explicitly trading the certificate for availability.
+    ``time_limit`` (seconds) bounds the BL-SPM relaxation solve; a
+    limit-hit relaxation raises even when an incumbent exists (the
+    rounding analysis assumes the true LP optimum ``I_hat``).
 
     The BL-SPM relaxation is assembled by the instance's cached
     :class:`~repro.core.fastform.FormulationCompiler` (weights read
@@ -167,9 +164,7 @@ def solve_taa(
         solution = solve_compiled_raw(formulation.compiled, time_limit=time_limit)
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError("BL-SPM relaxation is infeasible")
-    if not solution.is_optimal and not (
-        accept_feasible and solution.status is SolveStatus.FEASIBLE
-    ):
+    if not solution.is_optimal:
         raise SolverError(f"BL-SPM relaxation failed: {solution.status}")
     weights = FormulationCompiler.weights_from_raw(formulation, solution.x)
     relaxation_revenue = float(solution.objective)

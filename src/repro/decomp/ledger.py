@@ -196,32 +196,16 @@ class BandwidthLedger:
         )
 
     @classmethod
-    def for_topology(
-        cls,
-        topology,
-        num_slots: int,
-        *,
-        step: str = "harmonic",
-        step0: float | None = None,
-        decay: float = 0.5,
-    ) -> "BandwidthLedger":
+    def for_topology(cls, topology, num_slots: int) -> "BandwidthLedger":
         """A ledger over every edge of ``topology`` (a sharded fleet's).
 
         The edge order is the topology's, which every
-        :class:`~repro.core.instance.SPMInstance` over it shares.
-        ``step0=None`` scales the step schedule to the mean link price.
+        :class:`~repro.core.instance.SPMInstance` over it shares.  The
+        duals step on the default schedule.
         """
         edges = [e.key for e in topology.edges]
         prices = np.array([topology.price(*key) for key in edges])
-        if step0 is None:
-            step0 = max(float(prices.mean()) if prices.size else 1.0, 1e-12)
-        return cls(
-            edges,
-            prices,
-            _capacities(topology, edges),
-            num_slots,
-            schedule=make_step_schedule(step, step0, decay=decay),
-        )
+        return cls(edges, prices, _capacities(topology, edges), num_slots)
 
     # ------------------------------------------------------------- rounds
 

@@ -403,11 +403,37 @@ def _install_drain_signals(on_first) -> None:
     signal.signal(signal.SIGTERM, handler)
 
 
+def _serve_fields(args: argparse.Namespace) -> dict:
+    """The config fields both serving fronts read from the same flags.
+
+    The cycle shape, the decision cache, durability, the resilience
+    levers and, when sharded, ``shards``/``partition`` (a monolithic
+    ``BrokerConfig`` has neither).  Each front adds its own fields and
+    defaults.
+    """
+    fields = dict(
+        topology=args.topology,
+        slots_per_cycle=args.duration,
+        window=args.window,
+        cache_size=args.cache_size,
+        wal_path=args.wal,
+        snapshot_every=args.snapshot_every,
+        fsync=args.fsync,
+        cycle_budget=args.cycle_budget,
+        breaker_failures=args.breaker_failures,
+        breaker_reset=args.breaker_reset,
+    )
+    if args.shards > 1:
+        fields.update(shards=args.shards, partition=args.partition)
+    return fields
+
+
 def run_serve(argv: Sequence[str] | None = None) -> int:
     """The ``serve`` subcommand: run the broker and print its report."""
     from repro.exceptions import StateError, WorkloadError
-    from repro.service import Broker, BrokerConfig, TraceSource
+    from repro.service import Broker, TraceSource
     from repro.service.broker import DEFAULT_TIME_LIMIT
+    from repro.shard import ShardedBroker
 
     parser = build_serve_parser()
     args = parser.parse_args(argv)
@@ -423,43 +449,24 @@ def run_serve(argv: Sequence[str] | None = None) -> int:
     ):
         if value is not None:
             parser.error(f"{flag} requires --listen")
+    broker_class = ShardedBroker if args.shards > 1 else Broker
     try:
-        fields = dict(
-            topology=args.topology,
+        config = broker_class.config_class(
+            **_serve_fields(args),
             num_cycles=1 if args.cycles is None else args.cycles,
-            slots_per_cycle=args.duration,
-            window=args.window,
             requests_per_cycle=100 if args.requests is None else args.requests,
             seed=2019 if args.seed is None else args.seed,
             workers=args.workers,
-            cache_size=args.cache_size,
             max_batch=args.max_batch,
             queue_capacity=args.queue_capacity,
             time_limit=(
                 DEFAULT_TIME_LIMIT if args.time_limit is None else args.time_limit
             ),
-            wal_path=args.wal,
-            snapshot_every=args.snapshot_every,
-            fsync=args.fsync,
-            cycle_budget=args.cycle_budget,
-            breaker_failures=args.breaker_failures,
-            breaker_reset=args.breaker_reset,
         )
-        if args.shards > 1:
-            from repro.shard import ShardConfig, ShardedBroker
-
-            config = ShardConfig(
-                **fields, shards=args.shards, partition=args.partition
-            )
-        else:
-            config = BrokerConfig(**fields)
         source = TraceSource(args.trace) if args.trace else None
     except (ValueError, OSError, WorkloadError) as exc:
         parser.error(str(exc))
-    if args.shards > 1:
-        broker = ShardedBroker(config, source=source)
-    else:
-        broker = Broker(config, source=source)
+    broker = broker_class(config, source=source)
     # A first SIGINT/SIGTERM stops at the next cycle boundary — the WAL
     # commit + snapshot there make the exit durable — and still exits 0
     # with the partial report; a second signal forces exit 130.
@@ -558,35 +565,27 @@ def _run_serve_live(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     ):
         if given:
             parser.error(f"{flag} is not supported with --listen")
-    overrides = {}
-    if args.time_limit is not None:
-        overrides["time_limit"] = args.time_limit
-    if args.queue_capacity is not None:
-        overrides["queue_capacity"] = args.queue_capacity
-    if args.max_batch is not None:
-        overrides["max_batch"] = args.max_batch
+    # Unset limits keep the gateway's real-time defaults.
+    overrides = {
+        name: value
+        for name, value in (
+            ("time_limit", args.time_limit),
+            ("queue_capacity", args.queue_capacity),
+            ("max_batch", args.max_batch),
+        )
+        if value is not None
+    }
     try:
         host, port = _parse_listen(args.listen)
         config = GatewayConfig(
+            **_serve_fields(args),
+            **overrides,
             host=host,
             port=port,
-            topology=args.topology,
-            slots_per_cycle=args.duration,
-            window=args.window,
             slot_seconds=1.0 if args.slot_seconds is None else args.slot_seconds,
             num_cycles=args.cycles if args.cycles else None,
-            cache_size=args.cache_size,
             conn_buffer=4096 if args.conn_buffer is None else args.conn_buffer,
-            wal_path=args.wal,
-            snapshot_every=args.snapshot_every,
-            fsync=args.fsync,
             resume=args.resume,
-            shards=args.shards,
-            partition=args.partition,
-            cycle_budget=args.cycle_budget,
-            breaker_failures=args.breaker_failures,
-            breaker_reset=args.breaker_reset,
-            **overrides,
         )
     except ValueError as exc:
         parser.error(str(exc))

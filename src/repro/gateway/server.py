@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.decomp.partition import PARTITION_MODES
 from repro.exceptions import GatewayError, ProtocolError
 from repro.gateway.backpressure import GatewayCounters, PendingBid, ResponseChannel
 from repro.gateway.engine import LiveCycleEngine
@@ -58,14 +57,11 @@ from repro.gateway.protocol import (
 )
 from repro.gateway.wallclock import WallClock
 from repro.resilience import CircuitBreaker, CycleBudget
-from repro.service.broker import (
-    BrokerConfig,
-    _make_topology,
-    _StateWriter,
-    open_state,
-)
+from repro.service.broker import _make_topology, _StateWriter, open_state
 from repro.service.ingest import AdmissionQueue, PushSource
 from repro.service.telemetry import LatencyHistogram, TelemetryCollector
+from repro.shard.broker import ShardConfig
+from repro.shard.live import ShardedLiveEngine
 from repro.state import FaultPlan, SimulatedCrash, broker_snapshot_state
 
 __all__ = ["GatewayConfig", "GatewayServer", "run_gateway"]
@@ -76,11 +72,11 @@ class GatewayConfig:
     """Everything that pins a gateway run.
 
     The decision-relevant core (topology, cycle shape, ``k_paths``,
-    queue bounds) mirrors :class:`~repro.service.broker.BrokerConfig`;
-    what is new is real time (``slot_seconds``), the listen address, and
-    the per-connection response buffer.  ``num_cycles=None`` serves until
-    stopped.  ``resume=True`` (requires ``wal_path``) recovers the
-    committed-cycle prefix before listening.
+    queue bounds, sharding) mirrors :class:`~repro.shard.broker.ShardConfig`,
+    which validates it; what is new is real time (``slot_seconds``), the
+    listen address, and the per-connection response buffer.
+    ``num_cycles=None`` serves until stopped.  ``resume=True`` (requires
+    ``wal_path``) recovers the committed-cycle prefix before listening.
     """
 
     host: str = "127.0.0.1"
@@ -125,46 +121,29 @@ class GatewayConfig:
             raise ValueError(
                 f"num_cycles must be >= 1 or None, got {self.num_cycles}"
             )
-        if self.queue_capacity is not None and self.queue_capacity < 1:
-            raise ValueError(
-                f"queue_capacity must be >= 1 or None, got {self.queue_capacity}"
-            )
-        if self.max_batch is not None and self.max_batch < 1:
-            raise ValueError(
-                f"max_batch must be >= 1 or None, got {self.max_batch}"
-            )
         if self.conn_buffer < 1:
             raise ValueError(f"conn_buffer must be >= 1, got {self.conn_buffer}")
         if self.resume and self.wal_path is None:
             raise ValueError("resume=True requires wal_path")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.partition not in PARTITION_MODES:
-            raise ValueError(
-                f"partition must be one of {PARTITION_MODES}, "
-                f"got {self.partition!r}"
-            )
-        if not (self.breaker_reset > 0):
-            raise ValueError(
-                f"breaker_reset must be > 0, got {self.breaker_reset!r}"
-            )
-        # The fields shared with BrokerConfig are checked by its own
-        # validation: cycle shape, time limit, cache, WAL and resilience.
+        # The fields shared with ShardConfig are checked by its own
+        # validation: cycle shape, limits, queue, cache, WAL, sharding
+        # and resilience.
         self.broker_config()
 
-    def broker_config(self) -> BrokerConfig:
-        """The decision-equivalent :class:`BrokerConfig` surrogate.
+    def broker_config(self) -> ShardConfig:
+        """The decision-equivalent :class:`ShardConfig` surrogate.
 
         This is what the WAL fingerprint is computed over, so a gateway
         journal refuses to resume under a changed decision-relevant
-        configuration through exactly the broker's guard.  It also
-        carries the execution levers the gateway's engine is built from
-        (``cache_size``, ``cycle_budget``, ``breaker_*``), which the
-        fingerprint does not read.  Live-only fields (address,
+        configuration through exactly the broker's guard.  It is also
+        what the gateway's engine or shard fleet is built from: it
+        carries the execution levers (``cache_size``, ``cycle_budget``,
+        ``breaker_*``) and the fleet's ``shards``/``partition``, none of
+        which the fingerprint reads.  Live-only fields (address,
         ``slot_seconds``, buffers) are absent, like ``workers`` for the
         broker.
         """
-        return BrokerConfig(
+        return ShardConfig(
             topology=self.topology,
             num_cycles=1 if self.num_cycles is None else self.num_cycles,
             slots_per_cycle=self.slots_per_cycle,
@@ -183,6 +162,8 @@ class GatewayConfig:
             cycle_budget=self.cycle_budget,
             breaker_failures=self.breaker_failures,
             breaker_reset=self.breaker_reset,
+            shards=self.shards,
+            partition=self.partition,
         )
 
     def clock(self) -> WallClock:
@@ -301,11 +282,8 @@ class GatewayServer:
             )
             recovered = list(self._writer.completed)
         next_cycle = len(recovered)
-        for result in recovered:
-            self.cycles.append(result)
-            for record in result.batches:
-                self.telemetry.record_batch(record)
-            self.telemetry.record_result(result)
+        self.cycles.extend(recovered)
+        self.telemetry.record_cycles(recovered)
         self.telemetry.recovered_batches = sum(len(c.batches) for c in recovered)
 
         self._budget = surrogate.budget()
@@ -319,19 +297,7 @@ class GatewayServer:
             ),
         )
         if config.shards > 1:
-            from repro.shard.live import ShardedLiveEngine
-
-            self._engine = ShardedLiveEngine(
-                self.topology,
-                config.slots_per_cycle,
-                shards=config.shards,
-                partition=config.partition,
-                k_paths=config.k_paths,
-                time_limit=config.time_limit,
-                max_batch=config.max_batch,
-                make_breaker=surrogate.breaker,
-                **runtime,
-            )
+            self._engine = ShardedLiveEngine(self.topology, surrogate, **runtime)
             self._breakers = self._engine.breakers
         else:
             breaker = surrogate.breaker()
@@ -517,13 +483,10 @@ class GatewayServer:
         self.telemetry.wal_bytes = (
             self._writer.journal.size_bytes if self._writer is not None else 0
         )
-        for shard_id, breaker in enumerate(self._breakers):
-            if breaker is not None:
-                self.telemetry.breaker_opens += breaker.opens
-                self.telemetry.breaker_failures += breaker.failures
-                self.telemetry.breaker_probes += breaker.probes
-                self.telemetry.breaker_short_circuits += breaker.short_circuits
-                if self.config.shards > 1:
+        self.telemetry.record_breakers(self._breakers)
+        if self.config.shards > 1:
+            for shard_id, breaker in enumerate(self._breakers):
+                if breaker is not None:
                     self.telemetry.record_shard(
                         shard_id,
                         {

@@ -85,10 +85,6 @@ class SessionStats:
         """Solves answered without dispatching the backend."""
         return self.repeat_hits + self.certified_hits
 
-    @property
-    def total_solves(self) -> int:
-        return self.cold_solves + self.warm_hits
-
 
 class _LastSolve:
     """The certificate state of the most recent cold OPTIMAL LP solve."""

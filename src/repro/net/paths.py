@@ -19,7 +19,7 @@ reference in ``tests/oracles/paths.py``.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Hashable, Sequence, Set
+from collections.abc import Hashable, Set
 from dataclasses import dataclass
 
 from repro.exceptions import NoPathError
@@ -71,15 +71,6 @@ class Path:
 
     def __hash__(self) -> int:
         return hash(self.nodes)
-
-
-def path_from_nodes(graph: DiGraph, nodes: Sequence[NodeId]) -> Path:
-    """Build a :class:`Path` over ``graph``, computing its cost.
-
-    Raises :class:`~repro.exceptions.EdgeNotFoundError` if any hop is missing.
-    """
-    cost = sum(graph.edge(t, h).weight for t, h in zip(nodes[:-1], nodes[1:]))
-    return Path(tuple(nodes), cost)
 
 
 def dijkstra(

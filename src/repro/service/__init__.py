@@ -23,7 +23,7 @@ from repro.service.ingest import (
     PushSource,
     TraceSource,
 )
-from repro.service.pool import SolverPool, default_workers
+from repro.service.pool import SolverPool
 from repro.service.telemetry import (
     BatchRecord,
     LatencyHistogram,
@@ -46,7 +46,6 @@ __all__ = [
     "PushSource",
     "TraceSource",
     "SolverPool",
-    "default_workers",
     "BatchRecord",
     "LatencyHistogram",
     "TelemetryCollector",

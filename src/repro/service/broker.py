@@ -192,6 +192,14 @@ class BrokerConfig:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
+        if self.queue_capacity is not None and self.queue_capacity < 1:
+            raise ValueError(
+                f"queue_capacity must be >= 1 or None, got {self.queue_capacity}"
+            )
+        if self.max_batch is not None and self.max_batch < 1:
+            raise ValueError(
+                f"max_batch must be >= 1 or None, got {self.max_batch}"
+            )
         if self.snapshot_every < 1:
             raise ValueError(
                 f"snapshot_every must be >= 1, got {self.snapshot_every}"
@@ -212,11 +220,6 @@ class BrokerConfig:
             raise ValueError(
                 f"breaker_reset must be >= 0, got {self.breaker_reset!r}"
             )
-
-    def clock(self) -> SimClock:
-        return SimClock(
-            self.slots_per_cycle, window=self.window, num_cycles=self.num_cycles
-        )
 
     def cache(self) -> DecisionCache | None:
         """A fresh decision cache; ``None`` when ``cache_size`` is 0."""
@@ -935,10 +938,7 @@ class Broker:
         elapsed = time.perf_counter() - t0
 
         telemetry = TelemetryCollector()
-        for result in results:
-            for record in result.batches:
-                telemetry.record_batch(record)
-            telemetry.record_result(result)
+        telemetry.record_cycles(results)
         telemetry.wall_seconds = elapsed
         telemetry.recovered_batches = sum(len(c.batches) for c in recovered)
         telemetry.wal_bytes = wal_bytes
@@ -947,12 +947,7 @@ class Broker:
         )
         telemetry.worker_restarts = self._worker_restarts
         telemetry.backoff_seconds = self._backoff_seconds
-        for breaker in self._breakers:
-            if breaker is not None:
-                telemetry.breaker_opens += breaker.opens
-                telemetry.breaker_failures += breaker.failures
-                telemetry.breaker_probes += breaker.probes
-                telemetry.breaker_short_circuits += breaker.short_circuits
+        telemetry.record_breakers(self._breakers)
         self._record_fleet(telemetry)
         return BrokerReport(config=config, cycles=results, telemetry=telemetry)
 

@@ -34,7 +34,6 @@ Two serving-specific behaviors are layered on top of the bare executor:
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -46,7 +45,7 @@ from repro.resilience.breaker import ExponentialBackoff
 
 from repro.service.cache import DecisionCache
 
-__all__ = ["SolverPool", "worker_cache", "check_cancelled", "default_workers"]
+__all__ = ["SolverPool", "worker_cache", "check_cancelled"]
 
 # Per-worker-process state, installed by _initialize_worker.
 _WORKER_CACHE: DecisionCache | None = None
@@ -67,11 +66,6 @@ def worker_cache() -> DecisionCache | None:
 def check_cancelled() -> bool:
     """Whether the owning pool has requested cooperative cancellation."""
     return _CANCEL_EVENT is not None and _CANCEL_EVENT.is_set()
-
-
-def default_workers() -> int:
-    """A sensible worker count: the machine's cores, capped at 8."""
-    return min(os.cpu_count() or 1, 8)
 
 
 class SolverPool:

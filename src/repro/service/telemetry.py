@@ -277,13 +277,30 @@ class TelemetryCollector:
 
         Records its cycle profit and, for a sharded fleet's merged cycle,
         each shard's counter section and the ledger's run-total price
-        iterations.  Its batch records are booked by the caller.
+        iterations.  Its batch records are booked by the caller, live or
+        through :meth:`record_cycles`.
         """
         self.record_cycle(result.cycle, result.profit)
         if result.fleet is not None:
             for shard_id, counters in enumerate(result.fleet["shards"]):
                 self.record_shard(shard_id, counters)
             self.ledger_price_iterations = result.fleet["ledger"]["price_iterations"]
+
+    def record_cycles(self, results) -> None:
+        """Book finished cycles whole: each one's batch records, then it."""
+        for result in results:
+            for record in result.batches:
+                self.record_batch(record)
+            self.record_result(result)
+
+    def record_breakers(self, breakers) -> None:
+        """Add up the lifecycle counters of every armed circuit breaker."""
+        for breaker in breakers:
+            if breaker is not None:
+                self.breaker_opens += breaker.opens
+                self.breaker_failures += breaker.failures
+                self.breaker_probes += breaker.probes
+                self.breaker_short_circuits += breaker.short_circuits
 
     # ------------------------------------------------------------- aggregates
 
@@ -309,19 +326,6 @@ class TelemetryCollector:
             return 0.0
         times = np.array([record.solver_seconds for record in self.batches])
         return float(np.percentile(times, q))
-
-    def latency_histogram(self, **kwargs) -> LatencyHistogram:
-        """The per-batch decision latencies as a :class:`LatencyHistogram`.
-
-        The log-bucketed form the gateway and load generator share — exact
-        per-sample percentiles stay available through
-        :meth:`latency_percentile` for the batch-count regime the broker
-        runs in.
-        """
-        hist = LatencyHistogram(**kwargs)
-        for record in self.batches:
-            hist.record(record.solver_seconds)
-        return hist
 
     def summary(self) -> dict[str, Any]:
         """The run-level JSON-compatible summary."""

@@ -74,11 +74,13 @@ class ShardConfig(BrokerConfig):
     """A :class:`~repro.service.broker.BrokerConfig` plus sharding knobs.
 
     ``shards`` fixes the worker fleet size; ``partition`` picks the
-    request-to-shard rule (:data:`~repro.decomp.partition.PARTITION_MODES`);
-    ``step``/``step0``/``decay`` configure the ledger's dual-price step
-    schedule (``step0=None`` scales to the topology's mean link price).
-    ``workers`` retains its meaning — with ``workers >= 2`` the shard
-    cycles of each billing cycle are decided in parallel processes.
+    request-to-shard rule (:data:`~repro.decomp.partition.PARTITION_MODES`).
+    The ledger's duals step on its default schedule (harmonic, scaled to
+    the topology's mean link price).  ``workers`` retains its meaning —
+    with ``workers >= 2`` the shard cycles of each billing cycle are
+    decided in parallel processes.  The live gateway's decision surrogate
+    is a ``ShardConfig`` too, and its fleet
+    (:class:`~repro.shard.live.ShardedLiveEngine`) is built from one.
 
     The inherited resilience knobs compose with sharding: with
     ``cycle_budget`` set the fleet shares one
@@ -92,9 +94,6 @@ class ShardConfig(BrokerConfig):
 
     shards: int = 2
     partition: str = "hash"
-    step: str = "harmonic"
-    step0: float | None = None
-    decay: float = 0.5
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -149,11 +148,7 @@ class ShardedBroker(Broker):
         decisions, so fleet cycles never run ahead of their commit."""
         config = self.config
         self._ledger = ledger = BandwidthLedger.for_topology(
-            self.topology,
-            config.slots_per_cycle,
-            step=config.step,
-            step0=config.step0,
-            decay=config.decay,
+            self.topology, config.slots_per_cycle
         )
         if recovered:
             ledger.apply_record(recovered[-1].fleet["ledger"])

@@ -34,18 +34,19 @@ import time
 
 import numpy as np
 
+from typing import TYPE_CHECKING
+
 from repro.decomp.ledger import BandwidthLedger
-from repro.decomp.partition import (
-    PARTITION_MODES,
-    shard_of_source,
-    source_shard_map,
-)
+from repro.decomp.partition import shard_of_source, source_shard_map
 from repro.gateway.engine import LiveCycleEngine
 from repro.net.topology import Topology
 from repro.resilience import CircuitBreaker
 from repro.service.broker import CycleResult
 from repro.service.telemetry import BatchRecord
 from repro.workload.request import Request
+
+if TYPE_CHECKING:
+    from repro.shard.broker import ShardConfig
 
 __all__ = ["ShardedLiveEngine", "merge_shard_cycles"]
 
@@ -108,65 +109,51 @@ def merge_shard_cycles(
 class ShardedLiveEngine:
     """N per-shard cycle engines coordinated by one bandwidth ledger.
 
-    ``engine_options`` (``k_paths``, ``time_limit``, ``cache``,
-    ``max_batch``, ``budget``, ``check_cancelled``) configure every
-    shard's :class:`LiveCycleEngine` alike; ``make_breaker`` (e.g. a
-    config's :meth:`~repro.service.broker.BrokerConfig.breaker`) builds
-    each shard's own circuit breaker, or ``None``.  The decision cache is
-    shared: keys fold the per-shard committed state (and the dual digest
-    when steering), so entries never collide across shards.  A
-    ``budget`` is one wall-clock deadline for the whole fleet's cycle —
-    sequential shard decides split what remains of it — and its creator
-    re-arms it at each cycle open.
+    Built from a :class:`~repro.shard.broker.ShardConfig` the way
+    :meth:`~repro.service.broker.CycleEngine.from_config` builds one
+    engine: ``config`` fixes the fleet (``shards``, ``partition``), every
+    shard's decision settings and each shard's own circuit breaker
+    (:meth:`~repro.service.broker.BrokerConfig.breaker`).  ``runtime``
+    (``cache``, ``budget``, ``check_cancelled``) is handed to every shard
+    engine alike.  The decision cache is shared: keys fold the per-shard
+    committed state (and the dual digest when steering), so entries never
+    collide across shards.  A ``budget`` is one wall-clock deadline for
+    the whole fleet's cycle — sequential shard decides split what remains
+    of it — and its creator re-arms it at each cycle open.
     """
 
     def __init__(
         self,
         topology: Topology,
-        slots_per_cycle: int,
+        config: ShardConfig,
         *,
-        shards: int,
-        partition: str = "hash",
         on_batch=None,
-        step: str = "harmonic",
-        step0: float | None = None,
-        decay: float = 0.5,
-        make_breaker=None,
-        **engine_options,
+        **runtime,
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if partition not in PARTITION_MODES:
-            raise ValueError(
-                f"partition must be one of {PARTITION_MODES}, got {partition!r}"
-            )
         self.topology = topology
-        self.num_shards = shards
-        self.partition = partition
+        self.num_shards = shards = config.shards
+        self.partition = config.partition
         self.on_batch = on_batch
         # Every datacenter's shard is known up front, so routing a bid is
         # a dict lookup on the hot path.
         self._shard_of = source_shard_map(
-            topology, topology.datacenters, shards, partition
+            topology, topology.datacenters, shards, config.partition
         )
-        self.ledger = BandwidthLedger.for_topology(
-            topology, slots_per_cycle, step=step, step0=step0, decay=decay
-        )
+        self.ledger = BandwidthLedger.for_topology(topology, config.slots_per_cycle)
         #: Per-shard breakers: one sick shard degrades alone while its
         #: siblings keep solving exactly.
         self.breakers: list[CircuitBreaker | None] = [
-            make_breaker() if make_breaker is not None else None
-            for _ in range(shards)
+            config.breaker() for _ in range(shards)
         ]
         self._engines = [
-            LiveCycleEngine(
+            LiveCycleEngine.from_config(
                 topology,
-                slots_per_cycle,
+                config,
                 on_batch=self._on_sub_batch,
-                breaker=self.breakers[shard],
-                **engine_options,
+                breaker=breaker,
+                **runtime,
             )
-            for shard in range(shards)
+            for breaker in self.breakers
         ]
         self.requests: list[Request] = []
         self.batches: list[BatchRecord] = []

@@ -46,7 +46,6 @@ def solve_maa(
     *,
     rng: int | np.random.Generator | None = None,
     time_limit: float | None = None,
-    accept_feasible: bool = False,
     warm_start: bool = False,
 ) -> MAAResult:
     """Algorithm 1 (MAA) with the RL-SPM relaxation on the expression layer."""
@@ -54,9 +53,7 @@ def solve_maa(
     solution = problem.model.solve(time_limit=time_limit)
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError("RL-SPM relaxation is infeasible")
-    if not solution.is_optimal and not (
-        accept_feasible and solution.status is SolveStatus.FEASIBLE
-    ):
+    if not solution.is_optimal:
         raise SolverError(f"RL-SPM relaxation failed: {solution.status}")
 
     weights = fractional_x(problem, solution)
@@ -83,7 +80,6 @@ def solve_taa(
     fallback_mu: float = 0.5,
     augment: bool = True,
     time_limit: float | None = None,
-    accept_feasible: bool = False,
     warm_start: bool = False,
 ) -> TAAResult:
     """Algorithm 2 (TAA) with the BL-SPM relaxation and estimator of reference."""
@@ -113,9 +109,7 @@ def solve_taa(
     solution = problem.model.solve(time_limit=time_limit)
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError("BL-SPM relaxation is infeasible")
-    if not solution.is_optimal and not (
-        accept_feasible and solution.status is SolveStatus.FEASIBLE
-    ):
+    if not solution.is_optimal:
         raise SolverError(f"BL-SPM relaxation failed: {solution.status}")
     weights = fractional_x(problem, solution)
     relaxation_revenue = float(solution.objective)

@@ -148,6 +148,9 @@ class TestServe:
             ["--time-limit", "0"],
             ["--time-limit", "nan"],
             ["--breaker-reset", "nan"],
+            ["--breaker-reset", "-1"],
+            ["--queue-capacity", "0"],
+            ["--max-batch", "0"],
         ],
     )
     @pytest.mark.parametrize("listen", [[], ["--listen", "127.0.0.1:0"]])
@@ -157,6 +160,18 @@ class TestServe:
         assert excinfo.value.code == 2
         field = flags[0].lstrip("-").replace("-", "_")
         assert field in capsys.readouterr().err
+
+    def test_serve_listen_accepts_an_immediate_breaker_probe(self, capsys):
+        # --breaker-reset follows one rule (>= 0) in both modes.
+        code = main(
+            [
+                "serve", "--listen", "127.0.0.1:0", "--topology", "sub-b4",
+                "--duration", "1", "--cycles", "1", "--slot-seconds", "0.02",
+                "--breaker-failures", "1", "--breaker-reset", "0",
+            ]
+        )
+        assert code == 0
+        assert "gateway: sub-b4, 1 cycle(s) served" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flags",

@@ -23,6 +23,7 @@ import pytest
 
 from repro.gateway import GatewayConfig, GatewayServer
 from repro.gateway.protocol import decode_message
+from repro.shard import ShardConfig
 from repro.state import FaultPlan, SimulatedCrash, config_fingerprint, recover
 
 # Small sub-B4 cycles so every test finishes in well under a second of
@@ -103,6 +104,8 @@ class TestConfigValidation:
             breaker_reset=0.5,
         )
         surrogate = config.broker_config()
+        assert isinstance(surrogate, ShardConfig)
+        assert (surrogate.shards, surrogate.partition) == (1, "hash")
         assert surrogate.cache().maxsize == 7
         assert surrogate.budget().deadline_seconds == 2.5
         breaker = surrogate.breaker()
@@ -111,6 +114,14 @@ class TestConfigValidation:
         assert config_fingerprint(surrogate) == config_fingerprint(
             GatewayConfig(**_FAST).broker_config()
         )
+        for shards in (1, 4):
+            fleet = GatewayConfig(
+                shards=shards, partition="region", cycle_budget=1.5, breaker_failures=3
+            ).broker_config()
+            assert (fleet.shards, fleet.partition) == (shards, "region")
+            # The digest such a gateway's WAL carried while its surrogate
+            # was a plain BrokerConfig: those journals still resume.
+            assert config_fingerprint(fleet) == "e8ac1337eec747db07e2ac58cc8f6670"
 
 
 class TestLiveDecisions:

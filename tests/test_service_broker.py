@@ -276,6 +276,8 @@ class TestConfigValidation:
             ("requests_per_cycle", -1),
             ("workers", -1),
             ("cache_size", -1),
+            ("queue_capacity", 0),
+            ("max_batch", 0),
             ("time_limit", 0.0),
             ("time_limit", -1.0),
             ("time_limit", float("nan")),

@@ -17,7 +17,11 @@ algorithm.  One solver path: no runtime module reaches scipy's
 ``linprog``/``milp`` wrappers; HiGHS is driven by ``repro.lp.solvers``
 alone.  One exact rung: no LP screen and no strict mode reach
 ``solve_batch`` (no ``lp_screen`` or ``accept_feasible`` name in the
-online core, the ladder, the broker or the CLI).
+online core, MAA, TAA, Metis, the ladder, the broker or the CLI).  One
+serving config: the serving packages name no dual-step knob and no
+breaker factory (fleets are built from a ``ShardConfig``), and the
+partition modes are checked by the partitioner, the decomposition
+config and ``ShardConfig`` alone.
 """
 
 from __future__ import annotations
@@ -103,18 +107,8 @@ def test_serving_code_never_calls_solve_batch(path):
     )
 
 
-_EXACT_RUNG_MODULES = [
-    _SRC / "core" / "online.py",
-    *_modules(("resilience", "service")),
-    _SRC / "experiments" / "cli.py",
-]
-_RETIRED_NAMES = {"lp_screen", "accept_feasible"}
-
-
-@pytest.mark.parametrize(
-    "path", _EXACT_RUNG_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
-)
-def test_exact_rung_has_one_path(path):
+def _names(path: Path) -> list[tuple[str, int]]:
+    """Every name, attribute, parameter and keyword in ``path``, with its line."""
     names = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Name):
@@ -125,10 +119,60 @@ def test_exact_rung_has_one_path(path):
             names.append((node.arg, node.lineno))
         elif isinstance(node, ast.keyword) and node.arg is not None:
             names.append((node.arg, node.value.lineno))
-    offenders = [f"{name}:{line}" for name, line in names if name in _RETIRED_NAMES]
+    return names
+
+
+_EXACT_RUNG_MODULES = [
+    _SRC / "core" / "online.py",
+    _SRC / "core" / "maa.py",
+    _SRC / "core" / "taa.py",
+    _SRC / "core" / "metis.py",
+    *_modules(("resilience", "service")),
+    _SRC / "experiments" / "cli.py",
+]
+_RETIRED_NAMES = {"lp_screen", "accept_feasible"}
+
+
+@pytest.mark.parametrize(
+    "path", _EXACT_RUNG_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_exact_rung_has_one_path(path):
+    offenders = [
+        f"{name}:{line}" for name, line in _names(path) if name in _RETIRED_NAMES
+    ]
     assert not offenders, (
         f"{path.name} uses {offenders}; solve_batch has one exact path"
     )
+
+
+_RETIRED_SERVING_KNOBS = {"step0", "decay", "make_breaker"}
+
+
+@pytest.mark.parametrize(
+    "path", list(_modules(_SERVING)), ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_serving_fleets_are_built_from_their_config(path):
+    offenders = [
+        f"{name}:{line}"
+        for name, line in _names(path)
+        if name in _RETIRED_SERVING_KNOBS
+    ]
+    assert not offenders, (
+        f"{path.name} uses {offenders}; a fleet takes its ShardConfig whole"
+    )
+
+
+def test_partition_modes_are_checked_in_one_place_per_config():
+    readers = sorted(
+        str(path.relative_to(_SRC))
+        for path in _ALL_MODULES
+        if any(name == "PARTITION_MODES" for name, _ in _names(path))
+    )
+    assert readers == [
+        "decomp/partition.py",
+        "decomp/solver.py",
+        "shard/broker.py",
+    ]
 
 
 def test_one_engine_commits_batch_decisions():

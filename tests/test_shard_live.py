@@ -14,7 +14,7 @@ from repro.gateway.engine import LiveCycleEngine
 from repro.gateway.protocol import decode_message
 from repro.net.topologies import star_topology, sub_b4
 from repro.service.telemetry import LatencyHistogram, TelemetryCollector
-from repro.shard import ShardedLiveEngine
+from repro.shard import ShardConfig, ShardedLiveEngine
 from repro.workload.request import Request
 
 _FAST = dict(
@@ -71,11 +71,20 @@ async def _read(reader) -> dict:
     return decode_message(line)
 
 
+def _fleet_config(topology, shards=2, **fields) -> ShardConfig:
+    return ShardConfig(
+        topology=topology,
+        slots_per_cycle=4,
+        shards=shards,
+        time_limit=5.0,
+        **fields,
+    )
+
+
 class TestShardedLiveEngine:
-    def _engine(self, shards=2, **kwargs) -> ShardedLiveEngine:
-        return ShardedLiveEngine(
-            sub_b4(), 4, shards=shards, time_limit=5.0, **kwargs
-        )
+    def _engine(self, shards=2) -> ShardedLiveEngine:
+        topology = sub_b4()
+        return ShardedLiveEngine(topology, _fleet_config(topology, shards))
 
     def test_decisions_come_back_in_input_order(self):
         engine = self._engine()
@@ -145,7 +154,7 @@ class TestShardedLiveEngine:
         # window's marginal bid unprofitable.
         topo = star_topology(8)
         topo.set_uniform_capacity(2)
-        engine = ShardedLiveEngine(topo, 4, shards=3, time_limit=5.0)
+        engine = ShardedLiveEngine(topo, _fleet_config(topo, shards=3))
         by_shard: dict[int, list[str]] = {}
         for node, shard in engine._shard_of.items():
             if node not in ("DC0", "DC1"):
@@ -184,9 +193,25 @@ class TestShardedLiveEngine:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="shards"):
-            ShardedLiveEngine(sub_b4(), 4, shards=0)
+            _fleet_config("sub-b4", shards=0)
         with pytest.raises(ValueError, match="partition"):
-            ShardedLiveEngine(sub_b4(), 4, shards=2, partition="modulo")
+            _fleet_config("sub-b4", partition="modulo")
+
+    def test_fleet_is_built_from_its_config(self):
+        topology = sub_b4()
+        config = _fleet_config(
+            topology, shards=3, partition="region", max_batch=5, breaker_failures=2
+        )
+        engine = ShardedLiveEngine(topology, config)
+        assert (engine.num_shards, engine.partition) == (3, "region")
+        assert len(engine._engines) == 3
+        for sub_engine, breaker in zip(engine._engines, engine.breakers):
+            assert sub_engine.max_batch == 5
+            assert sub_engine.slots_per_cycle == 4
+            assert sub_engine.ladder.time_limit == 5.0
+            assert sub_engine.ladder.breaker is breaker
+            assert breaker.failure_threshold == 2
+        assert len({id(breaker) for breaker in engine.breakers}) == 3
 
 
 class TestShardedGateway:
