@@ -1,8 +1,9 @@
 """Benchmark of the array-native Metis hot loop.
 
 Pins the speedups of the per-instance formulation compiler, the
-vectorized pessimistic-estimator kernel, and the zero-copy ``restrict``
-over their expression-layer / reference counterparts, and times one
+vectorized pessimistic-estimator kernel, the batched local-search
+descent and the zero-copy ``restrict`` over their expression-layer /
+reference counterparts, and times one
 end-to-end ``Metis.solve`` on the fast path.  Every timed comparison
 first asserts the fast path is *bitwise identical* to the reference (the
 property the fuzz suite checks at small scale, re-checked here at
@@ -23,11 +24,13 @@ import pytest
 
 from repro.core.fastform import FormulationCompiler
 from repro.core.instance import SPMInstance
+from repro.core.maa import ImproveMemo, improve_paths, solve_maa
 from repro.core.metis import Metis
 from repro.core.taa import _build_estimator_fast
 from repro.experiments.common import ExperimentConfig, make_instance
 from repro.lp.solvers import solve_compiled_raw
 
+from tests.oracles import local_search
 from tests.oracles.estimator import build_estimator
 from tests.oracles.formulations import build_bl_spm, build_rl_spm
 from tests.oracles.metis import swap_into_metis
@@ -50,8 +53,6 @@ def instance():
 @pytest.fixture(scope="module")
 def capacities(instance):
     """Charged bandwidth of the accept-everything schedule (Metis round 0)."""
-    from repro.core.maa import solve_maa
-
     return {
         key: int(units)
         for key, units in solve_maa(instance, rng=0).schedule.charged.items()
@@ -130,8 +131,8 @@ def test_estimator_speedup(benchmark, instance, capacities):
 
     Same LP weights and tilt parameters feed both builders; the kernel's
     ``initial_log_value``/``walk`` must match the reference exactly (the
-    bitwise contract) and run at least 3x faster end to end at K=200 on
-    B4 (1.5x in smoke mode).
+    bitwise contract) and run at least 9x faster end to end at K=200 on
+    B4 (3.5x in smoke mode).
     """
     formulation = instance.formulation_compiler().compile_bl_spm(
         instance, capacities
@@ -183,12 +184,53 @@ def test_estimator_speedup(benchmark, instance, capacities):
         f"{t_ref * 1e3:.1f} ms, vectorized {t_fast * 1e3:.2f} ms, "
         f"speedup {speedup:.1f}x"
     )
-    floor = 1.5 if _SMOKE else 3.0
+    floor = 3.5 if _SMOKE else 9.0
     benchmark.extra_info["speedup"] = speedup
     benchmark.extra_info["floor"] = floor
     assert speedup >= floor, (
         f"vectorized estimator ran only {speedup:.1f}x faster than the "
         f"reference (floor {floor}x)"
+    )
+
+
+def test_improve_paths_speedup(benchmark, instance):
+    """Local-search descent: the batched kernel vs the scalar oracle.
+
+    Both descend from the same MAA rounding, each with a fresh memo, and
+    must make the same moves; the kernel must run at least 3x faster at
+    K=200 on B4 (1.4x in smoke mode).
+    """
+    assignment = solve_maa(instance, rng=3).schedule.assignment
+    expected = local_search.improve_paths(
+        instance, assignment, memo=local_search.ImproveMemo()
+    )
+    assert improve_paths(instance, assignment, memo=ImproveMemo()) == expected
+
+    def run_ref():
+        local_search.improve_paths(
+            instance, assignment, memo=local_search.ImproveMemo()
+        )
+
+    def run_fast():
+        improve_paths(instance, assignment, memo=ImproveMemo())
+
+    rounds = 3 if _SMOKE else 5
+    run_ref(), run_fast()  # warm-up
+    t_ref = best_of(run_ref, rounds)
+    t_fast = best_of(run_fast, rounds)
+    benchmark.pedantic(run_fast, rounds=rounds, iterations=1)
+
+    speedup = t_ref / t_fast
+    print(
+        f"\nimprove_paths at K={_NUM_REQUESTS}: scalar {t_ref * 1e3:.1f} ms, "
+        f"batched {t_fast * 1e3:.2f} ms, speedup {speedup:.1f}x"
+    )
+    floor = 1.4 if _SMOKE else 3.0
+    benchmark.extra_info["speedup"] = speedup
+    benchmark.extra_info["floor"] = floor
+    assert speedup >= floor, (
+        f"batched local search ran only {speedup:.1f}x faster than the "
+        f"scalar oracle (floor {floor}x)"
     )
 
 

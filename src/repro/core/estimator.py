@@ -73,16 +73,18 @@ class VectorizedEstimator:
     *same* deltas as one flat CSR structure
     (``delta_terms``/``delta_vals`` indexed by ``delta_ptr`` per branch,
     branches of request ``i`` at ``branch_offsets[i]:branch_offsets[i+1]``,
-    decline last) and scores all branches of a request in one
-    ``logsumexp`` over a (branches × terms) matrix.
+    decline last).  ``walk`` ranks the branches of a request by a score
+    over the terms each one changes and computes exact values only for a
+    level the score cannot decide (see :meth:`walk`); the exact step is
+    one ``logsumexp`` over a (branches × terms) matrix.
 
-    Every float operation is kept bitwise identical to the reference:
-    deltas within a branch hit distinct terms, so the ``np.add.at``
-    scatter reproduces the reference's sequential ``+=`` exactly;
-    row-wise ``logsumexp(matrix, axis=1)`` matches per-row 1-D calls
-    bitwise; and ``np.argmin``'s first-minimum convention matches the
-    reference's strict ``<`` branch scan.  The fuzz tests assert exact
-    float equality of ``initial_log_value``/``walk`` against the
+    Every returned float and choice is bitwise identical to the
+    reference: deltas within a branch hit distinct terms, so the
+    ``np.add.at`` scatter reproduces the reference's sequential ``+=``
+    exactly; row-wise ``logsumexp(matrix, axis=1)`` matches per-row 1-D
+    calls bitwise; and ``np.argmin``'s first-minimum convention matches
+    the reference's strict ``<`` branch scan.  The fuzz tests assert
+    exact float equality of ``initial_log_value``/``walk`` against the
     reference on random instances.
     """
 
@@ -129,29 +131,86 @@ class VectorizedEstimator:
         return float(logsumexp(self.log_consts + self._suffix[0]))
 
     def walk(self) -> tuple[list[int], float]:
-        """Greedy walk; same contract (and bits) as the reference walk."""
-        prefix = np.zeros(self.log_consts.size)
+        """Greedy walk; same contract (and bits) as the reference walk.
+
+        Each level first ranks its branches by a cheap score and computes
+        the exact values (the reference's ``logsumexp`` per branch) only
+        when the ranking is too close to call.  With ``a`` the level's
+        base vector, ``m = max(a)`` and ``S = sum(exp(a - m)) >= 1``,
+        branch ``b`` (deltas ``d_j`` on its terms ``j``) has the value
+
+            ``lse_b = m + log(S + s_b)``,
+            ``s_b = sum_j exp(a_j - m) * expm1(d_j)``,
+
+        which is strictly increasing in ``s_b`` (decline has ``s = 0``).
+        For any two branches, ``lse_b - lse_c >= (s_b - s_c) / (S + max
+        |s|)`` (``log(1 + x) >= x / (1 + x)``).  In floating point the
+        score carries an error of about ``n * u`` of the row mass ``S +
+        max|s|`` (``n`` terms, ``u`` the unit roundoff; numpy's
+        ``exp``/``expm1`` are a few ulp), and each exact value an error of
+        about ``(n + |m|) * u``: the per-term ``a_j + d_j`` roundings,
+        the sums and the final ``+ a_max``.  So when the best score leads
+        the runner-up by more than ``(1e-9 + 4u (n + |m|)) * (S +
+        max|s|)``, every exact value is strictly above the best's, and the
+        reference's first-minimum choice is the best score's branch.
+        Otherwise — ties, near ties, or a non-finite score — the level
+        takes the exact step, as does the last level, whose value
+        ``walk`` returns.  Either way the choice, ``prefix`` and the
+        returned value are the reference's bits: a branch's deltas hit
+        distinct terms, so ``prefix[terms] += vals`` adds exactly as the
+        reference's sequential ``+=``.
+        """
+        consts = self.log_consts
+        suffix = self._suffix
+        terms = self.delta_terms
+        vals = self.delta_vals
+        rows = self._delta_rows
+        # Ordering only: never part of a returned value.
+        growth = np.expm1(vals)
+        branch_offsets = self.branch_offsets.tolist()
+        delta_ptr = self.delta_ptr.tolist()
+        unit = float(np.finfo(float).eps) / 2
+        slack = 4.0 * unit * consts.size
+        prefix = np.zeros(consts.size)
         choices: list[int] = []
         current = self.initial_log_value()
+        last = self.num_requests - 1
         for i in range(self.num_requests):
-            base = self.log_consts + prefix + self._suffix[i + 1]
-            b0 = int(self.branch_offsets[i])
-            b1 = int(self.branch_offsets[i + 1])
-            d0 = int(self.delta_ptr[b0])
-            d1 = int(self.delta_ptr[b1])
-            adjusted = np.repeat(base[None, :], b1 - b0, axis=0)
-            np.add.at(
-                adjusted,
-                (self._delta_rows[d0:d1], self.delta_terms[d0:d1]),
-                self.delta_vals[d0:d1],
-            )
-            values = _logsumexp_rows(adjusted)
-            best = int(np.argmin(values))
+            base = consts + prefix + suffix[i + 1]
+            b0 = branch_offsets[i]
+            b1 = branch_offsets[i + 1]
+            d0 = delta_ptr[b0]
+            d1 = delta_ptr[b1]
+            best = -1
+            if i < last and b1 - b0 > 1:
+                top = float(base.max())
+                shifted = np.exp(base - top)
+                score_arr = np.bincount(
+                    rows[d0:d1],
+                    shifted[terms[d0:d1]] * growth[d0:d1],
+                    minlength=b1 - b0,
+                )
+                # A NaN or infinite score makes the tolerance non-finite
+                # and sends the level to the exact step.
+                tolerance = (1e-9 + slack + 4.0 * unit * abs(top)) * float(
+                    shifted.sum() + np.abs(score_arr).max()
+                )
+                scores = score_arr.tolist()
+                lead = min(scores)
+                best = scores.index(lead)
+                runner_up = min(scores[:best] + scores[best + 1 :])
+                if not runner_up - lead > tolerance:
+                    best = -1
+            if best < 0:
+                adjusted = np.repeat(base[None, :], b1 - b0, axis=0)
+                np.add.at(
+                    adjusted, (rows[d0:d1], terms[d0:d1]), vals[d0:d1]
+                )
+                values = _logsumexp_rows(adjusted)
+                best = int(np.argmin(values))
+                current = float(values[best])
             choices.append(best)
-            s0 = int(self.delta_ptr[b0 + best])
-            s1 = int(self.delta_ptr[b0 + best + 1])
-            np.add.at(
-                prefix, self.delta_terms[s0:s1], self.delta_vals[s0:s1]
-            )
-            current = float(values[best])
+            s0 = delta_ptr[b0 + best]
+            s1 = delta_ptr[b0 + best + 1]
+            prefix[terms[s0:s1]] += vals[s0:s1]
         return choices, current

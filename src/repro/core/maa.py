@@ -27,11 +27,12 @@ import numpy as np
 from repro.core.fastform import FormulationCompiler
 from repro.core.instance import SPMInstance
 from repro.core.schedule import Schedule
-from repro.core.sweep import RunSums, run_sweep, window_rates
+from repro.core.sweep import RunSums, run_sweep
 from repro.exceptions import InfeasibleError, SolverError
 from repro.lp.result import SolveStatus
 from repro.lp.solvers import solve_compiled_raw
 from repro.util.rng import ensure_rng
+from repro.workload.request import Request
 
 __all__ = [
     "MAAResult",
@@ -198,84 +199,121 @@ def solve_maa(
     )
 
 
-class _RequestMoves:
-    """One request's move tables, built on first use (see ImproveMemo)."""
-
-    __slots__ = ("path_edges", "touch", "tables")
-
-    def __init__(self, path_edges: list[np.ndarray]) -> None:
-        self.path_edges = path_edges
-        #: Every edge any candidate path uses: all a move evaluation reads.
-        self.touch = np.unique(np.concatenate(path_edges))
-        self.tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def table(self, current: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(edges, codes, lengths)`` of every move away from ``current``.
-
-        Candidates are every other path in index order.  For each, the
-        sorted union of its and the current path's edges is appended to
-        ``edges`` (its size to ``lengths``) with a code per edge: bit 0
-        set when the current path uses it, bit 1 when the candidate does.
-        """
-        entry = self.tables.get(current)
-        if entry is None:
-            on_cur = set(self.path_edges[current].tolist())
-            edges: list[int] = []
-            codes: list[int] = []
-            lengths: list[int] = []
-            for idx, path in enumerate(self.path_edges):
-                if idx == current:
-                    continue
-                on_cand = set(path.tolist())
-                union = sorted(on_cur | on_cand)
-                edges.extend(union)
-                codes.extend((e in on_cur) | (e in on_cand) << 1 for e in union)
-                lengths.append(len(union))
-            entry = (
-                np.array(edges, dtype=np.intp),
-                np.array(codes, dtype=np.int8),
-                np.array(lengths, dtype=np.intp),
-            )
-            self.tables[current] = entry
-        return entry
-
-
 class ImproveMemo:
-    """Cross-call move tables for :func:`improve_paths`.
+    """Cross-call move layout for :func:`improve_paths`.
 
-    What a move evaluation needs besides the loads never changes for a
-    request: for each (current path, candidate) pair, the sorted union of
-    the two paths' edges and which path uses each.  Metis calls
-    ``improve_paths`` ``maa_rounds * theta`` times over shrinking subsets
-    of one request population, so a memo shared across those calls builds
-    each request's tables once per solve.  Without one, every call builds
-    its own.
+    What a move evaluation needs besides the loads and prices never
+    changes for a request: for every ordered pair of distinct candidate
+    paths (current, candidate), the sorted union of their edges and the
+    per-cell load the move takes off and puts on them.  The memo lays out
+    every move of every request it has seen as one set of arrays, built
+    in one vectorized pass whenever new requests arrive:
 
-    Tables are keyed by request id, so a memo is only valid across
+    * per request slot: ``moves[slot, current, rank]``, the move from
+      path ``current`` to its ``rank``-th other path (``-1`` past the
+      request's paths), and ``reads``, a row marking every edge its
+      candidate paths use (all an evaluation of it reads);
+    * per move: ``first_column`` and ``lengths`` (its union's size); a
+      move's union edges are consecutive columns, ascending;
+    * per column: ``edges``, the request's ``rates`` and ``windows``
+      (first and last slot), and ``moved``, ``(2, columns)``: whether the
+      current path leaves the edge (``[0]``) / the candidate enters it
+      (``[1]``).  An evaluation lays the rate over the window of each
+      column it reads, so the memo stays a few arrays per column.  A
+      shared edge is both left and entered, so its load becomes ``(x -
+      rate) + rate``.
+
+    Metis calls ``improve_paths`` ``maa_rounds * theta`` times over
+    shrinking subsets of one request population, so a memo shared across
+    those calls lays the moves out once per solve.  Without one, every
+    call builds its own.
+
+    Slots are keyed by request id, so a memo is only valid across
     instances that share each request's ``path_edges`` list by identity —
     exactly what :meth:`~repro.core.instance.SPMInstance.restrict` and
-    :meth:`~repro.core.instance.SPMInstance.reprice` views guarantee.  The
-    memo records each list it saw and raises :class:`ValueError` when an
-    instance brings a different one for the same request id.
+    :meth:`~repro.core.instance.SPMInstance.reprice` views guarantee (they
+    also share the request and the slot count; prices are read per call).
+    The memo records each list it saw and raises :class:`ValueError` when
+    an instance brings a different one for the same request id.  Only
+    requests with two or more candidate paths have moves to lay out.
     """
 
-    __slots__ = ("_requests",)
+    __slots__ = (
+        "_slot",
+        "_path_edges",
+        "_requests",
+        "moves",
+        "reads",
+        "first_column",
+        "lengths",
+        "edges",
+        "rates",
+        "windows",
+        "moved",
+    )
 
     def __init__(self) -> None:
-        self._requests: dict[int, _RequestMoves] = {}
+        self._slot: dict[int, int] = {}
+        self._path_edges: list[list[np.ndarray]] = []
+        self._requests: list[Request] = []
+        self.moves = np.zeros((0, 0, 0), dtype=np.intp)
 
-    def moves(self, instance: SPMInstance, rid: int) -> _RequestMoves:
-        """Request ``rid``'s move tables, checked against ``instance``."""
-        path_edges = instance.path_edges[rid]
-        entry = self._requests.get(rid)
-        if entry is None:
-            entry = self._requests[rid] = _RequestMoves(path_edges)
-        elif entry.path_edges is not path_edges:
-            raise ValueError(
-                f"ImproveMemo reused across unrelated instances: request "
-                f"{rid} has different path_edges than when it was memoized"
-            )
-        return entry
+    def slots(self, instance: SPMInstance, rids: list[int]) -> np.ndarray:
+        """The memo slot of each request, laying out any new ones."""
+        out = []
+        for rid in rids:
+            path_edges = instance.path_edges[rid]
+            slot = self._slot.get(rid)
+            if slot is None:
+                slot = self._slot[rid] = len(self._path_edges)
+                self._path_edges.append(path_edges)
+                self._requests.append(instance.request(rid))
+            elif self._path_edges[slot] is not path_edges:
+                raise ValueError(
+                    f"ImproveMemo reused across unrelated instances: request "
+                    f"{rid} has different path_edges than when it was memoized"
+                )
+            out.append(slot)
+        if len(self.moves) < len(self._path_edges):
+            self._layout(instance.num_edges, instance.num_slots)
+        return np.array(out, dtype=np.intp)
+
+    def _layout(self, num_edges: int, num_slots: int) -> None:
+        """Lay out every move of every request seen so far."""
+        paths = [path for path_edges in self._path_edges for path in path_edges]
+        counts = np.array([len(pe) for pe in self._path_edges])
+        first_path = np.cumsum(counts) - counts
+        path_of = np.repeat(np.arange(len(paths)), [path.size for path in paths])
+        on_path = np.zeros((len(paths), num_edges), dtype=bool)
+        on_path[path_of, np.concatenate(paths)] = True
+        self.reads = np.logical_or.reduceat(on_path, first_path, axis=0)
+        # Moves grouped by request, then current path, candidates in order.
+        others = counts - 1
+        moves_per = counts * others
+        slot = np.repeat(np.arange(counts.size), moves_per)
+        local = np.arange(slot.size) - np.repeat(
+            np.cumsum(moves_per) - moves_per, moves_per
+        )
+        from_path = local // others[slot]
+        rank = local % others[slot]
+        widest = int(counts.max())
+        self.moves = np.full((counts.size, widest, widest - 1), -1, dtype=np.intp)
+        self.moves[slot, from_path, rank] = np.arange(slot.size)
+        cur = first_path[slot] + from_path
+        cand = first_path[slot] + rank + (rank >= from_path)
+        union = on_path[cur] | on_path[cand]
+        # Row-major nonzeros: moves in order, each union's edges ascending.
+        move, self.edges = np.nonzero(union)
+        self.lengths = union.sum(axis=1)
+        self.first_column = np.cumsum(self.lengths) - self.lengths
+        owner = slot[move]
+        self.rates = np.array([req.rate for req in self._requests])[owner]
+        self.windows = np.array(
+            [(req.start, req.end) for req in self._requests]
+        )[owner]
+        self.moved = np.stack(
+            [on_path[cur[move], self.edges], on_path[cand[move], self.edges]]
+        )
 
 
 def improve_paths(
@@ -295,16 +333,18 @@ def improve_paths(
     Returns a new assignment; the input is not mutated.
 
     Each sweep is replayed in batches by
-    :func:`~repro.core.sweep.run_sweep`: one numpy pass evaluates every
-    remaining request's candidates against the current loads, and a
-    request is re-evaluated only after an accepted move changed an edge
-    one of its candidates uses.  A candidate's cost delta is computed as
-    the scalar descent computed it — the affected rows with the move
-    applied in the same operation order (``(x - rate) + rate`` on edges
-    both paths share), ``ceil(peak - 1e-9)`` charged per edge, and each
-    sum in numpy's 1-D order — so every move, sweep and final assignment
-    is the scalar descent's, bit for bit.  The cost before a move comes
-    from a per-edge charged-cost vector updated on each accepted move.
+    :func:`~repro.core.sweep.run_sweep`: one numpy pass evaluates the
+    requests whose decision may have changed against the current loads,
+    and a request is re-evaluated only after an accepted move changed an
+    edge one of its candidates uses — within a sweep and across sweeps,
+    so a later sweep evaluates only the requests a move reached.  A
+    candidate's cost delta is computed as the scalar descent computed it
+    — the affected rows with the move applied in the same operation
+    order (``(x - rate) + rate`` on edges both paths share),
+    ``ceil(peak - 1e-9)`` charged per edge, and each sum in numpy's 1-D
+    order — so every move, sweep and final assignment is the scalar
+    descent's, bit for bit.  The cost before a move comes from a per-edge
+    charged-cost vector updated on each accepted move.
 
     ``memo`` carries the per-request move tables across calls (see
     :class:`ImproveMemo`).  ``loads`` may hand in
@@ -317,25 +357,26 @@ def improve_paths(
     if memo is None:
         memo = ImproveMemo()
     assignment = dict(assignment)
-    live, moves = [], []
-    for req in instance.requests:
-        if assignment[req.request_id] is not None:
-            entry = memo.moves(instance, req.request_id)
-            if len(entry.path_edges) >= 2:
-                live.append(req)
-                moves.append(entry)
+    live = [
+        req
+        for req in instance.requests
+        if assignment[req.request_id] is not None
+        and len(instance.path_edges[req.request_id]) >= 2
+    ]
     if not live:
         return assignment
+    slots = memo.slots(instance, [req.request_id for req in live])
     current = np.array([assignment[req.request_id] for req in live])
     prices = instance.prices
     if loads is None:
         loads = instance.loads(assignment)
     loads = loads.T.copy()
     charged = prices * np.ceil(loads.max(axis=0) - _CEIL_TOL).clip(min=0)
+    slot_index = np.arange(instance.num_slots)[:, None]
 
     def apply(q: int, best: int) -> np.ndarray:
         req = live[q]
-        paths = moves[q].path_edges
+        paths = instance.path_edges[req.request_id]
         old_edges = paths[current[q]]
         new_edges = paths[best]
         window = slice(req.start, req.end + 1)
@@ -349,40 +390,38 @@ def improve_paths(
         ).clip(min=0)
         return changed
 
-    touches = [entry.touch for entry in moves]
-    for _ in range(max_passes):
-        tables = [entry.table(c) for entry, c in zip(moves, current.tolist())]
-        edges = np.concatenate([t[0] for t in tables])
-        codes = np.concatenate([t[1] for t in tables])
-        sums = RunSums(np.concatenate([t[2] for t in tables]))
-        rows_per = np.array([t[0].size for t in tables])
-        cands_per = np.array([t[2].size for t in tables])
-        # Each candidate's request position and rank among its candidates.
-        owner = np.repeat(np.arange(len(live)), cands_per)
-        rank = np.arange(owner.size) - np.repeat(
-            np.cumsum(cands_per) - cands_per, cands_per
+    def evaluate(positions: np.ndarray) -> np.ndarray:
+        # The moves away from each position's current path (a row of
+        # ``delta`` each, by rank), then their union columns.
+        at = current[positions]
+        table = memo.moves[slots[positions], at]
+        exists = table >= 0
+        moves = table[exists]
+        lengths = memo.lengths[moves]
+        offsets = np.cumsum(lengths) - lengths
+        columns = np.repeat(memo.first_column[moves] - offsets, lengths) + (
+            np.arange(int(offsets[-1] + lengths[-1]))
         )
-        # The move as per-cell addends: the request's rate inside its
-        # window on edges the current path leaves / the candidate enters.
-        # A shared edge still gets ``(x - rate) + rate``.
-        rated = window_rates(live, rows_per, instance.num_slots)
-        leave = np.where((codes & 1).astype(bool), rated, 0.0)
-        enter = np.where((codes & 2).astype(bool), rated, 0.0)
-        edge_prices = prices[edges]
-        delta = np.full((len(live), int(cands_per.max())), np.inf)
+        edges = memo.edges[columns]
+        windows = memo.windows[columns]
+        inside = (slot_index >= windows[:, 0]) & (slot_index <= windows[:, 1])
+        rates = np.where(inside, memo.rates[columns], 0.0)
+        moved = memo.moved[:, columns]
+        block = loads.take(edges, axis=1)
+        block -= np.where(moved[0], rates, 0.0)
+        block += np.where(moved[1], rates, 0.0)
+        peaks = block.max(axis=0)
+        after = prices[edges] * np.ceil(peaks - _CEIL_TOL).clip(min=0)
+        totals = RunSums(lengths)(np.stack([after, charged[edges]]))
+        delta = np.full(table.shape, np.inf)
+        delta[exists] = totals[0] - totals[1]
+        pick = delta.argmin(axis=1)
+        gain = delta.min(axis=1)
+        return np.where(gain < -_MIN_GAIN, pick + (pick >= at), -1)
 
-        def evaluate() -> np.ndarray:
-            block = loads.take(edges, axis=1)
-            block -= leave
-            block += enter
-            peaks = block.max(axis=0)
-            after = edge_prices * np.ceil(peaks - _CEIL_TOL).clip(min=0)
-            totals = sums(np.stack([after, charged[edges]]))
-            delta[owner, rank] = totals[0] - totals[1]
-            pick = delta.argmin(axis=1)
-            gain = delta.min(axis=1)
-            return np.where(gain < -_MIN_GAIN, pick + (pick >= current), -1)
-
-        if not run_sweep(touches, instance.num_edges, evaluate, apply):
+    dirty = np.ones(len(live), dtype=bool)
+    reads = memo.reads[slots]
+    for _ in range(max_passes):
+        if not run_sweep(reads, evaluate, apply, dirty):
             break
     return assignment

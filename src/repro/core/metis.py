@@ -63,28 +63,25 @@ def prune_unprofitable(instance: SPMInstance, schedule: Schedule) -> Schedule:
     free: for every edge of its path, the price times the drop in
     ``ceil(peak load)`` once its window's load is removed.  Requests are
     examined cheapest-bid first and removal repeats until no request's
-    marginal cost exceeds its bid.  Returns a new schedule; the input is
-    untouched.  Profit never decreases: each removal changes profit by
-    ``saving - value > 0``.
+    marginal cost exceeds its bid.  Returns a new schedule, or
+    ``schedule`` itself when nothing is removed (the same assignment,
+    hence the same loads and charges); the input is never modified.
+    Profit never decreases: each removal changes profit by ``saving -
+    value > 0``.
 
     Each pass is replayed in batches by
-    :func:`~repro.core.sweep.run_sweep`: one numpy pass computes every
-    remaining request's saving from the current loads, and a request is
-    re-evaluated only after a removal changed an edge of its path.  A
-    saving is derived without touching the working loads (the load with
-    the request removed is ``x - rate`` inside its window), each sum in
-    numpy's 1-D order, so the removals are those of examining one request
-    at a time.
+    :func:`~repro.core.sweep.run_sweep` over one fixed order: one numpy
+    pass computes the savings of the requests that need a decision, and a
+    request is re-evaluated only after a removal changed an edge of its
+    path — within a pass and across passes.  Removed requests stay in the
+    order and decide nothing, which walks the survivors exactly as a
+    fresh stable sort per pass would.  A saving is derived without
+    touching the working loads (the load with the request removed is
+    ``x - rate`` inside its window), each sum in numpy's 1-D order, so
+    the removals are those of examining one request at a time.
     """
     assignment = dict(schedule.assignment)
-    loads = schedule.loads.T.copy()
-    prices = instance.prices
-
-    # Sort once; later passes walk the same order skipping removed
-    # entries.  Stable sort of the survivors equals the survivor
-    # subsequence of this list, so the examination sequence — and hence
-    # the removal set — is identical to re-sorting every pass.
-    order = sorted(
+    live = sorted(
         (
             instance.request(rid)
             for rid, path_idx in assignment.items()
@@ -92,36 +89,45 @@ def prune_unprofitable(instance: SPMInstance, schedule: Schedule) -> Schedule:
         ),
         key=lambda r: r.value,
     )
-    while True:
-        live = [req for req in order if assignment[req.request_id] is not None]
-        if not live:
-            return Schedule(instance, assignment)
-        paths = [
-            instance.path_edges[req.request_id][assignment[req.request_id]]
-            for req in live
-        ]
-        hops = np.array([path.size for path in paths])
-        edges = np.concatenate(paths)
-        edge_prices = prices[edges]
-        values = np.array([req.value for req in live])
-        sums = RunSums(hops)
-        own = window_rates(live, hops, instance.num_slots)
+    if not live:
+        return schedule
+    loads = schedule.loads.T.copy()
+    paths = [
+        instance.path_edges[req.request_id][assignment[req.request_id]]
+        for req in live
+    ]
+    hops = np.array([path.size for path in paths])
+    edges = np.concatenate(paths)
+    edge_prices = instance.prices[edges]
+    values = np.array([req.value for req in live])
+    own = window_rates(live, hops, instance.num_slots)
+    column_owner = np.repeat(np.arange(len(live)), hops)
+    reads = np.zeros((len(live), instance.num_edges), dtype=bool)
+    reads[column_owner, edges] = True
+    alive = np.ones(len(live), dtype=bool)
 
-        def evaluate() -> np.ndarray:
-            block = loads.take(edges, axis=1)
-            before = np.ceil(block.max(axis=0) - 1e-9).clip(min=0)
-            after = np.ceil((block - own).max(axis=0) - 1e-9).clip(min=0)
-            saving = sums(edge_prices * (before - after))
-            return np.where(saving > values, 0, -1)
+    def evaluate(positions: np.ndarray) -> np.ndarray:
+        chosen = np.zeros(len(live), dtype=bool)
+        chosen[positions] = True
+        columns = chosen[column_owner]
+        block = loads.take(edges[columns], axis=1)
+        before = np.ceil(block.max(axis=0) - 1e-9).clip(min=0)
+        after = np.ceil((block - own[:, columns]).max(axis=0) - 1e-9).clip(min=0)
+        saving = RunSums(hops[positions])(edge_prices[columns] * (before - after))
+        return np.where(alive[positions] & (saving > values[positions]), 0, -1)
 
-        def remove(q: int, _action: int) -> np.ndarray:
-            req = live[q]
-            loads[req.start : req.end + 1, paths[q]] -= req.rate
-            assignment[req.request_id] = None
-            return paths[q]
+    def remove(q: int, _action: int) -> np.ndarray:
+        req = live[q]
+        loads[req.start : req.end + 1, paths[q]] -= req.rate
+        assignment[req.request_id] = None
+        alive[q] = False
+        return paths[q]
 
-        if not run_sweep(paths, instance.num_edges, evaluate, remove):
-            return Schedule(instance, assignment)
+    dirty = np.ones(len(live), dtype=bool)
+    removed = False
+    while run_sweep(reads, evaluate, remove, dirty):
+        removed = True
+    return Schedule(instance, assignment) if removed else schedule
 
 EdgeKey = tuple
 

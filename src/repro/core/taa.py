@@ -44,6 +44,7 @@ from repro.core.estimator import VectorizedEstimator
 from repro.core.fastform import CompiledFormulation, FormulationCompiler
 from repro.core.instance import SPMInstance
 from repro.core.schedule import Schedule
+from repro.core.sweep import RunSums
 from repro.exceptions import AlgorithmError, InfeasibleError, SolverError
 from repro.lp.result import SolveStatus
 from repro.lp.solvers import solve_compiled_raw
@@ -266,12 +267,25 @@ def _build_estimator_fast(
     incidence the :class:`~repro.core.fastform.FormulationCompiler`
     already flattened — per entry its capacity-row rank and x column —
     is reused verbatim instead of re-walking requests × paths × edges ×
-    slots in Python.  Transcendentals stay scalar ``math.log``/``math.exp``
-    (numpy's SIMD ``np.log``/``np.exp`` are not bitwise-equal to libm on
-    this platform); everything structural is array ops.  The result's
-    ``initial_log_value``/``walk`` match the test-suite's reference
-    estimator (``tests/oracles/estimator.py``) to exact float equality —
-    asserted by the fuzz tests.
+    slots in Python.  The result's ``initial_log_value``/``walk`` match
+    the test-suite's reference estimator (``tests/oracles/estimator.py``)
+    to exact float equality — asserted by the fuzz tests.
+
+    The build has no per-request loop, and every float keeps the
+    reference's operation order:
+
+    * a request's ``total_p`` is its row of ``p`` summed by
+      :class:`~repro.core.sweep.RunSums` (the bits of ``p.sum()``);
+    * a capacity term's mass is the sum of its entries' ``p`` from
+      ``0.0``, left to right in entry order (the reference's dict
+      accumulation): entries are grouped by a stable argsort of
+      ``row * num_terms + 1 + term`` and added one rank at a time.
+      ``np.add.reduceat`` would sum a 3-entry group in another order and
+      change the last bit of ``log_phi``;
+    * element-wise products and sums are the reference's IEEE
+      operations; the transcendentals are scalar ``math.log``/
+      ``math.exp`` (numpy's SIMD ``np.log``/``np.exp`` are not
+      bitwise-equal to libm on this platform).
     """
     requests = instance.requests.requests
     num_requests = len(requests)
@@ -284,13 +298,10 @@ def _build_estimator_fast(
     num_x = int(offsets[-1])
 
     # Term constants: revenue term 0, then one per capacity row.
-    caps = np.array(
-        [capacities[instance.edges[int(e)]] for e in formulation.cap_edges],
-        dtype=float,
-    )
+    edge_caps = np.array([capacities[key] for key in instance.edges], dtype=float)
     log_consts = np.empty(num_terms)
     log_consts[0] = t0 * revenue_floor_norm
-    log_consts[1:] = -t_cap * (caps / rate_max)
+    log_consts[1:] = -t_cap * (edge_caps[formulation.cap_edges] / rate_max)
 
     paths_per_req = np.diff(offsets)
     values_arr = np.array([req.value for req in requests])
@@ -305,27 +316,42 @@ def _build_estimator_fast(
     req_entry_lo = xe_ptr[offsets[:-1]]
     req_entry_hi = xe_ptr[offsets[1:]]
 
-    # log_phi rows: scalar transcendentals per request / touched term
-    # (few of each), vectorized mass accumulation.
+    # Rounding probabilities of every x column, in column order.
+    flat_weights = np.fromiter(
+        (w for req in requests for w in weights[req.request_id]),
+        dtype=float,
+        count=num_x,
+    )
+    p = np.clip(mu * flat_weights, 0.0, 1.0)
     log_phi = np.zeros((num_requests, num_terms))
-    mass = np.zeros(num_cap)
-    for row, req in enumerate(requests):
-        p = np.clip(mu * np.asarray(weights[req.request_id], dtype=float), 0.0, 1.0)
-        total_p = min(1.0, float(p.sum()))
-        rev_delta = float(rev_deltas[row])
-        log_phi[row, 0] = math.log(
-            max(1.0 + total_p * (math.exp(rev_delta) - 1.0), 0.0) or 1e-300
-        )
-        bump = math.exp(float(cap_deltas[row])) - 1.0
-        lo, hi = int(req_entry_lo[row]), int(req_entry_hi[row])
-        terms_r = entry_terms[lo:hi]
-        np.add.at(mass, terms_r, p[entry_x_cols[lo:hi] - offsets[row]])
-        touched = np.unique(terms_r)
-        for term in touched:
-            log_phi[row, 1 + term] = math.log(
-                1.0 + min(mass[term], 1.0) * bump
-            )
-        mass[touched] = 0.0
+
+    # Revenue factor: accepted with prob total_p, contributing e^{rev}.
+    total_p = np.minimum(RunSums(paths_per_req)(p), 1.0)
+    rev_em1 = np.array([math.exp(d) for d in rev_deltas.tolist()]) - 1.0
+    rev_arg = 1.0 + total_p * rev_em1
+    # ``max(arg, 0.0) or 1e-300``: a non-positive argument becomes 1e-300.
+    rev_arg = np.where(rev_arg > 0.0, rev_arg, 1e-300)
+    log_phi[:, 0] = list(map(math.log, rev_arg.tolist()))
+
+    # Capacity factors: phi = 1 + min(mass, 1) (e^{cap} - 1) per touched
+    # term, mass summed per (request, term) group in entry order.
+    entry_row = np.repeat(
+        np.arange(num_requests, dtype=np.int64), req_entry_hi - req_entry_lo
+    )
+    keys = entry_row * num_terms + 1 + entry_terms
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    sorted_p = p[entry_x_cols[order]]
+    first = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
+    sizes = np.diff(np.append(first, sorted_keys.size))
+    mass = 0.0 + sorted_p[first]
+    for rank in range(1, int(sizes.max(initial=1))):
+        longer = sizes > rank
+        mass[longer] += sorted_p[first[longer] + rank]
+    group_keys = sorted_keys[first]
+    bump = np.array([math.exp(d) for d in cap_deltas.tolist()]) - 1.0
+    cap_arg = 1.0 + np.minimum(mass, 1.0) * bump[group_keys // num_terms]
+    log_phi.ravel()[group_keys] = list(map(math.log, cap_arg.tolist()))
 
     # Choice deltas, CSR over branches.  Path branch ``j`` of a request:
     # the revenue delta first, then one cap delta per incidence entry of

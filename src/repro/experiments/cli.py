@@ -277,8 +277,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--partition",
         choices=("hash", "region"),
-        default="hash",
-        help="request-to-shard rule: source-DC hash or region affinity",
+        default=None,
+        help=(
+            "request-to-shard rule: source-DC hash (the default) or region "
+            "affinity; needs --shards > 1"
+        ),
     )
     parser.add_argument(
         "--workers",
@@ -424,7 +427,7 @@ def _serve_fields(args: argparse.Namespace) -> dict:
         breaker_reset=args.breaker_reset,
     )
     if args.shards > 1:
-        fields.update(shards=args.shards, partition=args.partition)
+        fields.update(shards=args.shards, partition=args.partition or "hash")
     return fields
 
 
@@ -441,6 +444,8 @@ def run_serve(argv: Sequence[str] | None = None) -> int:
         parser.error("--resume requires --wal")
     if args.shards < 1:
         parser.error(f"--shards must be >= 1, got {args.shards}")
+    if args.partition is not None and args.shards == 1:
+        parser.error("--partition requires --shards > 1")
     if args.listen is not None:
         return _run_serve_live(parser, args)
     for flag, value in (
@@ -518,7 +523,7 @@ def run_serve(argv: Sequence[str] | None = None) -> int:
     )
     if args.shards > 1:
         print(
-            f"shards {summary['num_shards']} ({args.partition}): "
+            f"shards {summary['num_shards']} ({config.partition}): "
             f"{summary['ledger_price_iterations']} price iteration(s), "
             f"{summary['reconciliation_evictions']} eviction(s), "
             f"concurrency {summary['shard_concurrency']}"

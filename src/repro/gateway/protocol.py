@@ -52,6 +52,9 @@ DECISIONS = ("accept", "reject", "shed")
 #: The trace-schema fields of one bid line (all required).
 _BID_FIELDS = ("request_id", "source", "dest", "start", "end", "rate", "value")
 
+#: Integer fields must fit a signed 64-bit integer.
+_INT_LIMIT = 2**63
+
 
 def encode_message(message: dict[str, Any]) -> bytes:
     """One response as a compact, newline-terminated JSON line."""
@@ -108,7 +111,9 @@ def parse_bid_line(
     line = line.strip()
     try:
         data = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError; nesting too deep to decode
+        # raises RecursionError.
         raise ProtocolError(
             f"line {lineno}: malformed bid line ({exc})", lineno=lineno
         ) from None
@@ -125,19 +130,19 @@ def parse_bid_line(
         )
     try:
         request = Request(
-            request_id=int(data["request_id"]),
-            source=data["source"],
-            dest=data["dest"],
-            start=int(data["start"]),
-            end=int(data["end"]),
-            rate=float(data["rate"]),
-            value=float(data["value"]),
+            request_id=_integer(data, "request_id"),
+            source=_endpoint(data, "source"),
+            dest=_endpoint(data, "dest"),
+            start=_integer(data, "start"),
+            end=_integer(data, "end"),
+            rate=_number(data, "rate"),
+            value=_number(data, "value"),
         )
     except WorkloadError as exc:
         raise ProtocolError(f"line {lineno}: {exc}", lineno=lineno) from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(
-            f"line {lineno}: invalid bid record ({exc!r})", lineno=lineno
+            f"line {lineno}: invalid bid record ({exc})", lineno=lineno
         ) from None
     if num_slots is not None and request.end >= num_slots:
         raise ProtocolError(
@@ -152,6 +157,37 @@ def parse_bid_line(
                     f"line {lineno}: unknown node {endpoint!r}", lineno=lineno
                 )
     return request
+
+
+def _integer(data: dict[str, Any], field: str) -> int:
+    """A JSON integer field: an int (not a bool, not a float) in int64."""
+    value = data[field]
+    if type(value) is not int or not -_INT_LIMIT <= value < _INT_LIMIT:
+        raise ValueError(f"{field} must be an integer, got {_clip(value)}")
+    return value
+
+
+def _number(data: dict[str, Any], field: str) -> float:
+    """A JSON number field (not a bool) as a float; finiteness is the
+    :class:`Request`'s check."""
+    value = data[field]
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"{field} must be a number, got {_clip(value)}")
+    return float(value)
+
+
+def _endpoint(data: dict[str, Any], field: str):
+    """A node id field: a string or an int (not a bool)."""
+    value = data[field]
+    if type(value) is not str and type(value) is not int:
+        raise ValueError(f"{field} must be a node id, got {_clip(value)}")
+    return value
+
+
+def _clip(value: Any) -> str:
+    """A peer value for an error message, cut to a readable length."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 # ----------------------------------------------------------------- responses

@@ -37,6 +37,7 @@ drain.
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 import signal
 import time
@@ -65,6 +66,8 @@ from repro.shard.live import ShardedLiveEngine
 from repro.state import FaultPlan, SimulatedCrash, broker_snapshot_state
 
 __all__ = ["GatewayConfig", "GatewayServer", "run_gateway"]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -606,6 +609,15 @@ class GatewayServer:
         except ProtocolError as exc:
             self.counters.errored += 1
             conn.send(error_message(exc.lineno, str(exc)))
+            return
+        except Exception as exc:  # noqa: BLE001 - one line never stops the gateway
+            _log.exception("line %d: bid line failed to parse", conn.lineno)
+            self.counters.errored += 1
+            conn.send(
+                error_message(
+                    conn.lineno, f"line {conn.lineno}: invalid bid line ({exc!r})"
+                )
+            )
             return
         if self._engine.seen(request.request_id) or (
             request.request_id in self._pending_ids

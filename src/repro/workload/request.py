@@ -12,6 +12,7 @@ chargeable bandwidth (1 unit = 10 Gbps), so a 2.5 Gbps request has
 
 from __future__ import annotations
 
+import math
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -52,13 +53,15 @@ class Request:
                 f"request {self.request_id}: invalid slot window "
                 f"[{self.start}, {self.end}]"
             )
-        if not (self.rate > 0):
+        if not (0 < self.rate < math.inf):
             raise WorkloadError(
-                f"request {self.request_id}: rate must be > 0, got {self.rate!r}"
+                f"request {self.request_id}: rate must be finite and > 0, "
+                f"got {self.rate!r}"
             )
-        if not (self.value >= 0):
+        if not (0 <= self.value < math.inf):
             raise WorkloadError(
-                f"request {self.request_id}: value must be >= 0, got {self.value!r}"
+                f"request {self.request_id}: value must be finite and >= 0, "
+                f"got {self.value!r}"
             )
 
     @property

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import repro.core.estimator as estimator_module
 from repro.core.estimator import VectorizedEstimator
 from repro.core.fastform import FormulationCompiler
 from repro.core.instance import SPMInstance
@@ -25,9 +26,15 @@ from repro.core.taa import _build_estimator_fast, solve_taa
 from repro.exceptions import ModelError
 from repro.lp.fastbuild import with_row_upper
 from repro.lp.solvers import solve_compiled_raw
+from repro.net.topology import Topology
+from repro.workload.request import Request, RequestSet
 
 from tests.oracles import metis as reference
-from tests.oracles.estimator import PessimisticEstimator, build_estimator
+from tests.oracles.estimator import (
+    EstimatorTerm,
+    PessimisticEstimator,
+    build_estimator,
+)
 from tests.oracles.formulations import (
     build_bl_spm,
     build_rl_spm,
@@ -270,6 +277,135 @@ class TestVectorizedEstimatorEquivalence:
         )
         assert fast.num_repairs == ref.num_repairs
         assert fast.num_augmented == ref.num_augmented
+
+
+def _vectorized(log_consts, log_phi, choice_deltas):
+    """A ``VectorizedEstimator`` over per-branch ``(term, delta)`` lists."""
+    branches = [branch for request in choice_deltas for branch in request]
+    counts = [len(request) for request in choice_deltas]
+    return VectorizedEstimator(
+        num_requests=len(choice_deltas),
+        branch_offsets=np.concatenate([[0], np.cumsum(counts)]).astype(np.int64),
+        delta_ptr=np.concatenate(
+            [[0], np.cumsum([len(branch) for branch in branches])]
+        ).astype(np.int64),
+        delta_terms=np.array(
+            [term for branch in branches for term, _ in branch], dtype=np.int64
+        ),
+        delta_vals=np.array([val for branch in branches for _, val in branch]),
+        log_consts=np.asarray(log_consts, dtype=float),
+        log_phi=np.asarray(log_phi, dtype=float),
+    )
+
+
+def _oracle(log_consts, log_phi, choice_deltas):
+    return PessimisticEstimator(
+        num_requests=len(choice_deltas),
+        num_choices=[len(request) for request in choice_deltas],
+        terms=[EstimatorTerm(f"t{k}", c) for k, c in enumerate(log_consts)],
+        log_phi=np.asarray(log_phi, dtype=float),
+        choice_deltas=choice_deltas,
+    )
+
+
+class TestEstimatorTraps:
+    """The two float traps of the loop-free build and the filtered walk."""
+
+    def test_three_paths_on_one_edge_slot_keep_the_oracle_log_phi(self):
+        # Every candidate path of S -> T crosses S -> A, so one capacity
+        # term sums three path masses, p = mu * w = (0.3, 0.15, 0.35).  Left
+        # to right that is 0.7999999999999999; np.add.reduceat sums it as
+        # 0.3 + (0.15 + 0.35) = 0.8, and log_phi would differ in its last
+        # bit.
+        topo = Topology("fan")
+        for node in ("S", "A", "B", "C", "T"):
+            topo.add_datacenter(node)
+        for u, v, price in (
+            ("S", "A", 1.0), ("A", "T", 1.0), ("A", "B", 1.0),
+            ("B", "T", 1.0), ("A", "C", 1.5), ("C", "T", 1.5),
+        ):
+            topo.add_link(u, v, price)
+        topo.validate()
+        requests = RequestSet(
+            [Request(0, "S", "T", 0, 1, 1.0, 4.0), Request(1, "T", "S", 1, 1, 0.5, 2.0)],
+            num_slots=2,
+        )
+        instance = SPMInstance.build(topo, requests, k_paths=3)
+        shared = set.intersection(
+            *(set(edges.tolist()) for edges in instance.path_edges[0])
+        )
+        assert instance.num_paths(0) == 3 and shared
+        p = (0.3, 0.15, 0.35)
+        assert np.add.reduceat(np.array(p), [0])[0] != (p[0] + p[1]) + p[2]
+        capacities = {key: 2 for key in instance.edges}
+        formulation = instance.formulation_compiler().compile_bl_spm(
+            instance, capacities
+        )
+        mu = 0.5
+        weights = {0: [0.6, 0.3, 0.7], 1: [1.0, 0.0, 0.0][: instance.num_paths(1)]}
+        kwargs = dict(
+            mu=mu, t0=0.7, t_cap=math.log(1.0 / mu), rate_max=1.0,
+            value_max=4.0, revenue_floor_norm=0.3,
+        )
+        ref = build_estimator(instance, weights, capacities, **kwargs)
+        fast = _build_estimator_fast(
+            instance, weights, capacities, formulation=formulation, **kwargs
+        )
+        assert ref.log_phi.tobytes() == fast.log_phi.tobytes()
+        assert ref.walk() == fast.walk()
+
+    @pytest.mark.parametrize("nudge", [0.0, 1e-13, -1e-13])
+    def test_tied_and_near_tied_branches_take_the_exact_step(
+        self, monkeypatch, nudge
+    ):
+        # Level 0 offers two paths with the same delta set (up to ``nudge``
+        # on one delta): the scores cannot tell them apart.  Levels 1 and 2
+        # have one clear winner each.
+        deltas = [
+            [
+                [(0, -0.5), (1, 0.25), (2, 0.25)],
+                [(0, -0.5), (1, 0.25 + nudge), (2, 0.25)],
+                [],
+            ],
+            [[(0, -0.4), (3, 0.5)], [(0, -0.4), (1, 3.0)], []],
+            [[(0, -0.3), (2, 0.2)], []],
+        ]
+        consts = [0.2, -1.5, -1.0, -2.0]
+        log_phi = [
+            [-0.3, 0.1, 0.1, 0.0],
+            [-0.2, 0.2, 0.0, 0.3],
+            [-0.1, 0.0, 0.1, 0.0],
+        ]
+        calls = []
+        exact = estimator_module._logsumexp_rows
+
+        def counting(a):
+            calls.append(a.shape[0])
+            return exact(a)
+
+        monkeypatch.setattr(estimator_module, "_logsumexp_rows", counting)
+        ref = _oracle(consts, log_phi, deltas)
+        fast = _vectorized(consts, log_phi, deltas)
+        ref_choices, ref_final = ref.walk()
+        assert fast.walk() == (ref_choices, ref_final)
+        assert ref_choices[0] in (0, 1)
+        # The tied level and the last level, nothing else.
+        assert calls == [3, 2]
+
+    def test_a_clear_walk_computes_only_the_last_level_exactly(self, monkeypatch):
+        deltas = [[[(0, -1.0), (1, 0.1)], []] for _ in range(4)]
+        consts = [0.5, -3.0]
+        log_phi = [[-0.4, 0.05]] * 4
+        calls = []
+        exact = estimator_module._logsumexp_rows
+        monkeypatch.setattr(
+            estimator_module,
+            "_logsumexp_rows",
+            lambda a: calls.append(a.shape[0]) or exact(a),
+        )
+        ref = _oracle(consts, log_phi, deltas)
+        assert _vectorized(consts, log_phi, deltas).walk() == ref.walk()
+        assert calls == [2]
 
 
 class TestFastPathOutcomes:

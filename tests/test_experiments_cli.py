@@ -196,3 +196,24 @@ class TestServe:
             main(["serve", "--topology", "sub-b4", "--requests", "4", *flags])
         assert excinfo.value.code == 2
         assert f"{flags[0]} requires --listen" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("listen", [[], ["--listen", "127.0.0.1:0"]])
+    @pytest.mark.parametrize("shards", [[], ["--shards", "1"]])
+    def test_serve_refuses_partition_without_shards(self, listen, shards, capsys):
+        argv = ["serve", "--topology", "sub-b4", "--cycles", "1", "--duration", "2"]
+        if not listen:
+            argv += ["--requests", "4"]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, *listen, *shards, "--partition", "region"])
+        assert excinfo.value.code == 2
+        assert "--partition requires --shards > 1" in capsys.readouterr().err
+
+    def test_serve_accepts_partition_with_shards(self, capsys):
+        code = main(
+            [
+                "serve", "--topology", "sub-b4", "--cycles", "1", "--duration", "2",
+                "--requests", "4", "--shards", "2", "--partition", "region",
+            ]
+        )
+        assert code == 0
+        assert "shards 2 (region)" in capsys.readouterr().out

@@ -230,6 +230,65 @@ class TestMalformedInput:
         _assert_reconciled(server)
 
 
+class TestHostileLines:
+    """One hostile line costs its sender one ``error``, nothing more."""
+
+    _BAD = [
+        # Each would have raised past the parser before: an overflowing
+        # id, an unhashable endpoint, an infinite bid, and their kin.
+        b'{"request_id": Infinity, "source": "DC1", "dest": "DC4", '
+        b'"start": 0, "end": 3, "rate": 1.0, "value": 5.0}\n',
+        _bid_line(11).replace(b'"DC1"', b'["DC1"]'),
+        _bid_line(12).replace(b'"value": 50.0', b'"value": Infinity'),
+        _bid_line(13).replace(b'"rate": 1.0', b'"rate": NaN'),
+        _bid_line(14).replace(b'"request_id": 14', b'"request_id": true'),
+        _bid_line(15).replace(b'"start": 0', b'"start": 0.7'),
+        _bid_line(16).replace(b'"request_id": 16', b'"request_id": ' + b"9" * 400),
+        _bid_line(17).replace(b'"dest": "DC4"', b'"dest": {"id": "DC4"}'),
+    ]
+
+    def test_errors_per_line_and_the_gateway_keeps_serving(self):
+        async def scenario():
+            server = GatewayServer(GatewayConfig(**_FAST))
+            await server.start()
+            reader, writer, _ = await _connect(server)
+            writer.write(_bid_line(1))
+            writer.writelines(self._BAD)
+            writer.write(_bid_line(2))
+            await writer.drain()
+            responses = [await _read(reader) for _ in range(len(self._BAD) + 2)]
+            writer.write_eof()
+            bye = await _read(reader)
+            writer.close()
+            # A later client is served once a cycle boundary has passed.
+            for _ in range(200):
+                if server.cycles:
+                    break
+                await asyncio.sleep(0.02)
+            cycles_before = len(server.cycles)
+            reader, writer, _ = await _connect(server)
+            writer.write(_bid_line(100))
+            await writer.drain()
+            later = await _read(reader)
+            writer.close()
+            await server.stop()
+            return server, responses, bye, cycles_before, later
+
+        server, responses, bye, cycles_before, later = asyncio.run(scenario())
+        errors = [r for r in responses if r["type"] == "error"]
+        decisions = [r for r in responses if r["type"] == "decision"]
+        assert [e["line"] for e in errors] == list(range(2, len(self._BAD) + 2))
+        assert sorted(d["request_id"] for d in decisions) == [1, 2]
+        assert all(d["decision"] in ("accept", "reject") for d in decisions)
+        assert bye["type"] == "bye" and bye["reason"] == "eof"
+        assert bye["submitted"] == bye["responded"] == len(self._BAD) + 2
+        assert cycles_before >= 1
+        assert later["type"] == "decision" and later["request_id"] == 100
+        assert server.crashed is None
+        assert server.counters.errored == len(self._BAD)
+        _assert_reconciled(server)
+
+
 class TestFloodShedding:
     def test_overflowing_the_admission_queue_sheds_with_answers(self):
         flood = 60

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ProtocolError
 from repro.gateway.protocol import (
@@ -85,6 +88,97 @@ class TestBidLines:
         parse_bid_line(line, 1)  # no node check without the set
         with pytest.raises(ProtocolError, match="unknown node 'Z'"):
             parse_bid_line(line, 1, nodes={"A", "B"})
+
+
+#: Arbitrary JSON: scalars of every kind, NaN and the infinities, huge
+#: ints, long strings, and nesting.
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=300)
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestHostileFields:
+    """Every bid line yields a ``Request`` or a ``ProtocolError``."""
+
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                field: _JSON
+                for field in (
+                    "request_id", "source", "dest", "start", "end", "rate", "value"
+                )
+            },
+        ),
+        st.sampled_from([None, 12]),
+        st.booleans(),
+    )
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_request_or_protocol_error(self, record, num_slots, node_check):
+        # Bid-shaped records most of the time, so deep fields are reached.
+        line = json.dumps({**_bid(), **record}, allow_nan=True)
+        nodes = {"A", "B", 3} if node_check else None
+        try:
+            request = parse_bid_line(line, 4, num_slots=num_slots, nodes=nodes)
+        except ProtocolError as exc:
+            assert exc.lineno == 4
+            return
+        assert isinstance(request, Request)
+        for field in ("request_id", "start", "end"):
+            assert type(getattr(request, field)) is int
+        assert type(request.source) in (str, int)
+        assert math.isfinite(request.rate) and request.rate > 0
+        assert math.isfinite(request.value) and request.value >= 0
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"request_id": float("inf")}, "request_id must be an integer"),
+            ({"request_id": 1e308}, "request_id must be an integer"),
+            ({"request_id": 10**309}, "request_id must be an integer"),
+            ({"request_id": True}, "request_id must be an integer"),
+            ({"start": 0.7}, "start must be an integer"),
+            ({"end": 4.0}, "end must be an integer"),
+            ({"source": ["A"]}, "source must be a node id"),
+            ({"dest": {"id": "B"}}, "dest must be a node id"),
+            ({"source": False}, "source must be a node id"),
+            ({"value": float("inf")}, "value must be finite"),
+            ({"rate": float("inf")}, "rate must be finite"),
+            ({"rate": float("nan")}, "rate must be finite"),
+            ({"value": 10**400}, "invalid bid record"),
+            ({"rate": "2.5"}, "rate must be a number"),
+            ({"value": None}, "value must be a number"),
+        ],
+    )
+    def test_each_hostile_field_is_a_protocol_error(self, overrides, message):
+        line = json.dumps(_bid(**overrides), allow_nan=True)
+        with pytest.raises(ProtocolError, match=message) as excinfo:
+            parse_bid_line(line, 6, num_slots=12, nodes={"A", "B"})
+        assert excinfo.value.lineno == 6
+
+    def test_nesting_too_deep_to_decode_is_a_protocol_error(self):
+        line = b"[" * 200_000 + b"]" * 200_000
+        with pytest.raises(ProtocolError, match="malformed bid line"):
+            parse_bid_line(line, 3)
+
+    def test_int_node_ids_are_accepted(self):
+        request = parse_bid_line(json.dumps(_bid(source=1, dest=2)), 1, nodes={1, 2})
+        assert (request.source, request.dest) == (1, 2)
 
 
 class TestResponses:

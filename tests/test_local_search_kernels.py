@@ -132,6 +132,24 @@ class TestRunSums:
         assert sums(values).tobytes() == expected.tobytes()
         assert sums(values[1]).tobytes() == expected[1].tobytes()
 
+    @given(
+        st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @kernel_settings
+    def test_bits_with_signed_zeros_and_extremes(self, lengths, seed):
+        """Zeros of either sign, huge and tiny magnitudes, every run length."""
+        gen = np.random.default_rng(seed)
+        pool = np.array(
+            [0.0, -0.0, 1.0, -1.0, 0.1, 0.2, 0.3, 1e16, -1e16, 1e300, 5e-324]
+        )
+        values = gen.choice(pool, size=(2, sum(lengths)))
+        starts = np.cumsum(lengths) - lengths
+        expected = np.array(
+            [[row[s : s + n].sum() for s, n in zip(starts, lengths)] for row in values]
+        )
+        assert RunSums(np.array(lengths))(values).tobytes() == expected.tobytes()
+
 
 class TestLoads:
     @given(cases())
@@ -270,6 +288,42 @@ class TestPruneUnprofitable:
         assert pruned.profit == schedule.profit + 0.5
         missed = oracle.prune_unprofitable(instance, schedule)
         assert missed.assignment == schedule.assignment
+
+
+class TestPruneReturnsItsInput:
+    def test_no_removal_returns_the_input_schedule(self, diamond_instance):
+        schedule = Schedule(diamond_instance, {0: 0, 1: None, 2: None})
+        assert prune_unprofitable(diamond_instance, schedule) is schedule
+        nothing = Schedule(diamond_instance, {0: None, 1: None, 2: None})
+        assert prune_unprofitable(diamond_instance, nothing) is nothing
+
+    def test_a_removal_returns_a_new_schedule(self, diamond_instance):
+        schedule = Schedule(diamond_instance, {0: 0, 1: 0, 2: 1})
+        pruned = prune_unprofitable(diamond_instance, schedule)
+        assert pruned is not schedule
+        assert schedule.assignment == {0: 0, 1: 0, 2: 1}
+
+    def test_metis_outcome_unchanged(self, monkeypatch):
+        """Metis with the input handed back == Metis rebuilding it."""
+        instance = make_instance(ExperimentConfig(seed=3), 60)
+        handed = Metis(theta=4).solve(instance, rng=11)
+
+        def rebuilding(instance, schedule):
+            pruned = prune_unprofitable(instance, schedule)
+            return Schedule(instance, pruned.assignment)
+
+        monkeypatch.setattr(metis_module, "prune_unprofitable", rebuilding)
+        rebuilt = Metis(theta=4).solve(
+            make_instance(ExperimentConfig(seed=3), 60), rng=11
+        )
+        assert handed.best.profit.hex() == rebuilt.best.profit.hex()
+        assert handed.best.source == rebuilt.best.source
+        assert handed.best.round_index == rebuilt.best.round_index
+        assert handed.best.schedule.assignment == rebuilt.best.schedule.assignment
+        assert handed.best.schedule.charged == rebuilt.best.schedule.charged
+        assert handed.best.capacities == rebuilt.best.capacities
+        assert handed.initial_profit == rebuilt.initial_profit
+        assert handed.rounds == rebuilt.rounds
 
 
 class TestRoundPaths:

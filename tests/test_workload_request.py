@@ -46,6 +46,12 @@ class TestRequest:
         with pytest.raises(WorkloadError):
             make_request(value=-1.0)
 
+    @pytest.mark.parametrize("field", ["rate", "value"])
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_rate_and_value_rejected(self, field, bad):
+        with pytest.raises(WorkloadError, match=f"{field} must be finite"):
+            make_request(**{field: bad})
+
     def test_zero_value_allowed(self):
         assert make_request(value=0.0).value == 0.0
 

@@ -144,6 +144,13 @@ class TestMalformedJsonlLines:
         with pytest.raises(WorkloadError, match="line 3.*rate"):
             load_trace_jsonl(path)
 
+    def test_non_finite_value_reports_line_number(self, tmp_path):
+        bad = self.GOOD.replace('"value": ', '"value": Infinity, "was": ')
+        path = tmp_path / "infinite.jsonl"
+        path.write_text(self.HEADER + bad)
+        with pytest.raises(WorkloadError, match="line 2.*value must be finite"):
+            load_trace_jsonl(path)
+
     def test_trace_source_propagates_line_number(self, tmp_path):
         from repro.service.ingest import TraceSource
 
