@@ -23,6 +23,7 @@ import repro.core.online as online_mod
 from repro.baselines.opt import solve_opt_spm
 from repro.core.instance import SPMInstance
 from repro.core.online import (
+    IncrementalBatchCompiler,
     OnlineScheduler,
     commit_decision,
     enumerate_batch,
@@ -79,7 +80,7 @@ def test_fast_build_speedup(benchmark, instance):
     for req in instance.requests:
         by_start.setdefault(req.start, []).append(req.request_id)
     batches = [by_start[slot] for slot in sorted(by_start)]
-    compiler = instance.batch_compiler()
+    compiler = IncrementalBatchCompiler(instance)
 
     committed = np.zeros((instance.num_edges, instance.num_slots))
     charged = np.zeros(instance.num_edges)

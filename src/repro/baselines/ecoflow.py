@@ -26,11 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.instance import SPMInstance
-from repro.core.schedule import Schedule
+from repro.core.schedule import CEIL_TOL, Schedule
 
 __all__ = ["solve_ecoflow", "EcoFlowResult"]
-
-_CEIL_TOL = 1e-9
 
 
 @dataclass
@@ -68,7 +66,7 @@ def solve_ecoflow(instance: SPMInstance) -> EcoFlowResult:
             loads[edge_idx, req.start : req.end + 1] += req.rate
             peaks = loads[edge_idx].max(axis=1)
             charged[edge_idx] = np.maximum(
-                charged[edge_idx], np.ceil(peaks - _CEIL_TOL).astype(int)
+                charged[edge_idx], np.ceil(peaks - CEIL_TOL).astype(int)
             )
         else:
             assignment[req.request_id] = None
@@ -88,7 +86,7 @@ def _marginal_cost(
     for edge_idx in instance.path_edges[req.request_id][path_idx]:
         window = loads[edge_idx, req.start : req.end + 1]
         new_peak = float(window.max()) + req.rate if window.size else req.rate
-        new_units = int(math.ceil(new_peak - _CEIL_TOL))
+        new_units = int(math.ceil(new_peak - CEIL_TOL))
         extra = max(0, new_units - int(charged[edge_idx]))
         total += extra * float(instance.prices[edge_idx])
     return total

@@ -1,13 +1,16 @@
-"""Array-native compilation of the offline SPM formulations.
+"""Array-native compilation of the SPM formulations.
 
 Every Metis alternation round solves the RL-SPM and BL-SPM relaxations,
-and the exact baselines solve the full SPM and RL-SPM ILPs.
-:class:`FormulationCompiler` builds all of them.  It is the offline
-counterpart of the serving layer's
-:class:`~repro.core.online.IncrementalBatchCompiler`: it precomputes each
+the exact baselines solve the full SPM and RL-SPM ILPs, and the online
+batch MILP is the full SPM over one admission batch.
+:class:`FormulationCompiler` builds all of them: it precomputes each
 request's (path, edge, slot) incidence triplets once per instance and then
 emits the RL-SPM, BL-SPM and full-SPM compiled models with vectorized
-numpy assembly, reusing :func:`repro.lp.fastbuild.compile_coo`.
+numpy assembly, reusing :func:`repro.lp.fastbuild.compile_coo`.  All of
+them share one incidence layout; the serving layer's
+:class:`~repro.core.online.IncrementalBatchCompiler` takes the integral
+SPM over a batch (:meth:`FormulationCompiler.compile_spm_batch`) and
+rewrites its capacity-row right-hand sides and ``c`` bounds.
 
 The build mirrors the symbolic statement of each model (the test-suite's
 expression-layer oracle, ``tests/oracles/formulations.py``) in row order
@@ -33,7 +36,7 @@ and read path weights from the raw column vector via
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -75,7 +78,9 @@ class CompiledFormulation:
     that routes its solve through it gets exact-repeat and certified-dual
     reuse across rounds for free.  Solving through
     :func:`~repro.lp.solvers.solve_compiled_raw` instead remains valid —
-    the session is an optional accelerator, never required state.
+    the session is an optional accelerator, never required state.  An
+    uncached build (:meth:`FormulationCompiler.compile_spm_batch`) has
+    none.
     """
 
     compiled: CompiledModel
@@ -96,29 +101,8 @@ class CompiledFormulation:
         return int(self.x_offsets[-1])
 
 
-class _Structure:
-    """The capacity-independent part of one assembled formulation."""
-
-    __slots__ = (
-        "x_offsets",
-        "num_choice_rows",
-        "cap_edges",
-        "cap_slots",
-        "entry_terms",
-        "entry_x_cols",
-        "entries_per_x",
-        "compiled",
-        "choice_upper",
-        "session",
-    )
-
-    def __init__(self, **fields) -> None:
-        for name, value in fields.items():
-            setattr(self, name, value)
-
-
 class FormulationCompiler:
-    """Array-native builder for RL-SPM, BL-SPM and full-SPM models.
+    """Array-native builder for RL-SPM, BL-SPM, full-SPM and batch models.
 
     Obtain the cached compiler via
     :meth:`repro.core.instance.SPMInstance.formulation_compiler`; restricted
@@ -137,7 +121,7 @@ class FormulationCompiler:
         self._c_upper: np.ndarray | None = None  # SPM ceilings, lazy
         #: rid -> (num_paths, keys, path_cols, rates, path_entry_counts, value)
         self._per_request: dict[int, tuple] = {}
-        self._structures: OrderedDict[tuple, _Structure] = OrderedDict()
+        self._structures: OrderedDict[tuple, CompiledFormulation] = OrderedDict()
         self._ensure_requests(instance)
 
     # ---------------------------------------------------------- incidence
@@ -246,7 +230,9 @@ class FormulationCompiler:
 
     # ----------------------------------------------------------- assembly
 
-    def _structure(self, instance, kind: str, integral: bool) -> _Structure:
+    def _structure(
+        self, instance, kind: str, integral: bool
+    ) -> CompiledFormulation:
         rids = tuple(instance.requests.request_ids)
         key = (kind, integral, rids)
         cached = self._structures.get(key)
@@ -254,13 +240,24 @@ class FormulationCompiler:
             self._structures.move_to_end(key)
             return cached
         self._ensure_requests(instance)
-        structure = self._assemble(rids, kind, integral)
+        # One warm-start session per cached structure, living exactly as
+        # long as the cache entry: every derivative model
+        # (``with_row_upper`` rewrites between rounds) anchors to the same
+        # matrix, so the session's reuse tiers apply across the whole
+        # shrink loop.
+        structure = self._assemble(rids, kind, integral, ResolveSession())
         self._structures[key] = structure
         while len(self._structures) > _STRUCTURE_CACHE_SIZE:
             self._structures.popitem(last=False)
         return structure
 
-    def _assemble(self, rids: tuple, kind: str, integral: bool) -> _Structure:
+    def _assemble(
+        self,
+        rids: tuple,
+        kind: str,
+        integral: bool,
+        session: ResolveSession | None = None,
+    ) -> CompiledFormulation:
         num_slots, num_edges = self.num_slots, self.num_edges
         per = [self._per_request[rid] for rid in rids]
         num_requests = len(rids)
@@ -372,7 +369,9 @@ class FormulationCompiler:
             integrality=integrality,
             check=False,
         )
-        return _Structure(
+        return CompiledFormulation(
+            compiled=compiled,
+            request_ids=rids,
             x_offsets=x_offsets,
             num_choice_rows=num_requests,
             cap_edges=cap_edges,
@@ -380,32 +379,7 @@ class FormulationCompiler:
             entry_terms=entry_terms,
             entry_x_cols=entry_x_cols,
             entries_per_x=entries_per_x,
-            compiled=compiled,
-            choice_upper=row_upper[:num_requests],
-            session=None,
-        )
-
-    def _formulation(
-        self, structure: _Structure, rids: tuple, compiled: CompiledModel
-    ) -> CompiledFormulation:
-        # One warm-start session per cached structure, created on first
-        # compile and living exactly as long as the structure-cache entry:
-        # every derivative model (``with_row_upper`` rewrites between
-        # rounds) anchors to the same matrix, so the session's reuse tiers
-        # apply across the whole shrink loop.
-        if structure.session is None:
-            structure.session = ResolveSession()
-        return CompiledFormulation(
-            compiled=compiled,
-            session=structure.session,
-            request_ids=rids,
-            x_offsets=structure.x_offsets,
-            num_choice_rows=structure.num_choice_rows,
-            cap_edges=structure.cap_edges,
-            cap_slots=structure.cap_slots,
-            entry_terms=structure.entry_terms,
-            entry_x_cols=structure.entry_x_cols,
-            entries_per_x=structure.entries_per_x,
+            session=session,
         )
 
     # ------------------------------------------------------------ builders
@@ -417,12 +391,7 @@ class FormulationCompiler:
 
         ``integral=True`` is the exact ILP, OPT(RL-SPM).
         """
-        structure = self._structure(instance, "rl", integral)
-        return self._formulation(
-            structure,
-            tuple(instance.requests.request_ids),
-            structure.compiled,
-        )
+        return self._structure(instance, "rl", integral)
 
     def compile_bl_spm(
         self,
@@ -448,10 +417,10 @@ class FormulationCompiler:
         # A symbolic build normalizes ``load <= cap`` to
         # ``-(0.0 - cap)``, which is ``-0.0`` (not ``+0.0``) for
         # zero-capacity edges; replicate the exact bit pattern.
-        row_upper = np.concatenate([structure.choice_upper, -(0.0 - caps)])
-        compiled = with_row_upper(structure.compiled, row_upper)
-        return self._formulation(
-            structure, tuple(instance.requests.request_ids), compiled
+        choice_upper = structure.compiled.row_upper[: structure.num_choice_rows]
+        row_upper = np.concatenate([choice_upper, -(0.0 - caps)])
+        return replace(
+            structure, compiled=with_row_upper(structure.compiled, row_upper)
         )
 
     def compile_spm(
@@ -462,12 +431,19 @@ class FormulationCompiler:
         ``integral=True`` is the exact ILP, OPT(SPM).  Each ``c_e`` is
         bounded by :meth:`spm_ceilings`.
         """
-        structure = self._structure(instance, "spm", integral)
-        return self._formulation(
-            structure,
-            tuple(instance.requests.request_ids),
-            structure.compiled,
-        )
+        return self._structure(instance, "spm", integral)
+
+    def compile_spm_batch(self, request_ids) -> CompiledFormulation:
+        """The integral full SPM over ``request_ids`` in that order, uncached.
+
+        The structure of the online batch MILP, which
+        :class:`~repro.core.online.IncrementalBatchCompiler` takes over
+        and rewrites the bounds of.  Every call assembles afresh, with no
+        structure-cache entry and no warm-start session: a serving batch's
+        id tuple never repeats, and the caller owns the returned arrays.
+        Every id must belong to the instance this compiler serves.
+        """
+        return self._assemble(tuple(request_ids), "spm", True)
 
     # ----------------------------------------------------------- readback
 

@@ -65,9 +65,7 @@ class SPMInstance:
             ]
             for req_id, path_list in paths.items()
         }
-        # Lazily-built array-native compilers (see batch_compiler() and
-        # formulation_compiler()).
-        self._batch_compiler = None
+        # The lazily-built array-native compiler (see formulation_compiler()).
         self._fastform = None
 
     # ----------------------------------------------------------- constructors
@@ -91,10 +89,10 @@ class SPMInstance:
         """The same instance over a subset of the requests — zero-copy.
 
         The restricted instance *shares* the parent's edge order, edge
-        index, price vector, per-path edge arrays, and any lazily-built
-        array-native compilers (both are keyed per request id, so a subset
-        view stays valid); only the request subset and its path-dict views
-        are new.  Metis restricts once per alternation round, so rebuilding
+        index, price vector, per-path edge arrays, and its lazily-built
+        array-native compiler (keyed per request id, so a subset view
+        stays valid); only the request subset and its path-dict views are
+        new.  Metis restricts once per alternation round, so rebuilding
         the incidence arrays here used to dominate the non-solver round
         cost.  Nothing mutates the shared state after construction.
         """
@@ -109,7 +107,6 @@ class SPMInstance:
         child.path_edges = {
             req.request_id: self.path_edges[req.request_id] for req in subset
         }
-        child._batch_compiler = self._batch_compiler
         child._fastform = self._fastform
         return child
 
@@ -117,10 +114,10 @@ class SPMInstance:
         """The same instance under a different price vector — zero-copy.
 
         Shares the topology, requests, paths, edge order and per-path edge
-        arrays; only ``prices`` is replaced.  The lazily-built compilers
-        are *not* shared (both read the price vector), so the repriced
-        instance compiles fresh models against the new prices while the
-        parent's caches stay valid.
+        arrays; only ``prices`` is replaced.  The lazily-built compiler is
+        *not* shared (it reads the price vector), so the repriced instance
+        compiles fresh models against the new prices while the parent's
+        caches stay valid.
 
         This is the decision-steering hook of the Lagrangian decomposition
         (:mod:`repro.decomp`): shard subproblems solve against
@@ -139,7 +136,6 @@ class SPMInstance:
         child.edge_index = self.edge_index
         child.prices = prices
         child.path_edges = self.path_edges
-        child._batch_compiler = None
         child._fastform = None
         return child
 
@@ -178,27 +174,14 @@ class SPMInstance:
         """The incidence indicator ``I_{i,j,e}``."""
         return edge_idx in self.path_edges[request_id][path_idx]
 
-    def batch_compiler(self):
-        """The instance's array-native incremental-batch compiler, cached.
-
-        Precomputes every request's (path, edge, slot) incidence arrays
-        once, so the serving loop's per-batch MILPs assemble with
-        vectorized numpy operations.
-        Returns a :class:`repro.core.online.IncrementalBatchCompiler`
-        (imported lazily to avoid a module cycle).
-        """
-        if self._batch_compiler is None:
-            from repro.core.online import IncrementalBatchCompiler
-
-            self._batch_compiler = IncrementalBatchCompiler(self)
-        return self._batch_compiler
-
     def formulation_compiler(self):
         """The instance's array-native formulation compiler, cached.
 
         Precomputes every request's (path, edge, slot) incidence arrays
         once and emits the RL-SPM / BL-SPM / full-SPM compiled models with
-        vectorized numpy assembly.  Restricted instances
+        vectorized numpy assembly; the online batch MILP
+        (:class:`repro.core.online.IncrementalBatchCompiler`) is a view
+        over it.  Restricted instances
         share their parent's compiler (see :meth:`restrict`).  Returns a
         :class:`repro.core.fastform.FormulationCompiler` (imported lazily
         to avoid a module cycle).

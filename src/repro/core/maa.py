@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.fastform import FormulationCompiler
 from repro.core.instance import SPMInstance
-from repro.core.schedule import Schedule
+from repro.core.schedule import CEIL_TOL, Schedule
 from repro.core.sweep import RunSums, run_sweep
 from repro.exceptions import InfeasibleError, SolverError
 from repro.lp.result import SolveStatus
@@ -47,9 +47,6 @@ _ALPHA_TOL = 1e-9
 
 #: ``Generator.choice``'s tolerance on a probability vector's sum.
 _PROB_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
-
-#: Peak loads this close to an integer are charged as that integer.
-_CEIL_TOL = 1e-9
 
 #: A move must lower the charged cost by more than this to be taken.
 _MIN_GAIN = 1e-12
@@ -371,7 +368,7 @@ def improve_paths(
     if loads is None:
         loads = instance.loads(assignment)
     loads = loads.T.copy()
-    charged = prices * np.ceil(loads.max(axis=0) - _CEIL_TOL).clip(min=0)
+    charged = prices * np.ceil(loads.max(axis=0) - CEIL_TOL).clip(min=0)
     slot_index = np.arange(instance.num_slots)[:, None]
 
     def apply(q: int, best: int) -> np.ndarray:
@@ -386,7 +383,7 @@ def improve_paths(
         current[q] = best
         changed = np.concatenate([old_edges, new_edges])
         charged[changed] = prices[changed] * np.ceil(
-            loads[:, changed].max(axis=0) - _CEIL_TOL
+            loads[:, changed].max(axis=0) - CEIL_TOL
         ).clip(min=0)
         return changed
 
@@ -411,7 +408,7 @@ def improve_paths(
         block -= np.where(moved[0], rates, 0.0)
         block += np.where(moved[1], rates, 0.0)
         peaks = block.max(axis=0)
-        after = prices[edges] * np.ceil(peaks - _CEIL_TOL).clip(min=0)
+        after = prices[edges] * np.ceil(peaks - CEIL_TOL).clip(min=0)
         totals = RunSums(lengths)(np.stack([after, charged[edges]]))
         delta = np.full(table.shape, np.inf)
         delta[exists] = totals[0] - totals[1]

@@ -18,11 +18,14 @@ implements that variant on top of the same substrate:
   load, exactly like the offline solutions, so online and offline profits
   are directly comparable.
 
-:class:`IncrementalBatchCompiler` builds the batch MILP: it precomputes
-each request's (path, edge, slot) incidence arrays once per instance and
-then emits the compiled sparse model per batch with vectorized numpy
-assembly — only the right-hand sides (residual headroom) change between
-batches.  The equivalence tests hold it bit for bit to the test-suite's
+:class:`IncrementalBatchCompiler` builds the batch MILP.  It is the full
+SPM over the batch, assembled by the offline
+:class:`~repro.core.fastform.FormulationCompiler`, with two bound vectors
+rewritten: the capacity rows' right-hand sides become the residual
+headroom over the committed loads, and the ``extra`` columns stay
+unbounded.  Bounding ``extra`` by each link's ceiling minus its charged
+units is the remaining one-line fix for capacity-respecting online
+serving.  The equivalence tests hold it bit for bit to the test-suite's
 expression-layer reference build.  It does not run for a batch of a few
 bids: when its joint choice space ``prod(|P_i| + 1)`` is at most
 :data:`ENUMERATION_CAP`,
@@ -43,9 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.instance import SPMInstance
-from repro.core.schedule import Schedule
+from repro.core.schedule import CEIL_TOL, Schedule
 from repro.exceptions import InfeasibleError, SolverError, SolverTimeoutError
-from repro.lp.fastbuild import compile_coo
 from repro.lp.model import CompiledModel
 from repro.lp.result import SolveStatus
 from repro.lp.solvers import solve_compiled_raw
@@ -64,8 +66,6 @@ __all__ = [
 
 EdgeKey = tuple
 
-_CEIL_TOL = 1e-9
-
 #: Largest joint choice space ``prod(|P_i| + 1)`` that :func:`solve_batch`
 #: decides by exact enumeration (:func:`enumerate_batch`) instead of HiGHS.
 #: ``benchmarks/bench_online.py`` checks that enumeration stays at most half
@@ -74,51 +74,27 @@ ENUMERATION_CAP = 1024
 
 
 class IncrementalBatchCompiler:
-    """Array-native builder for the incremental batch MILP.
+    """The online batch MILP: the SPM over one batch, with rewritten bounds.
 
-    Per instance (once): every request's flattened (path, edge) × slot
-    incidence — for each candidate path, each edge it crosses, each active
-    slot — as three parallel arrays: the ``edge * T + slot`` key, the local
-    path index (the request's x-column offset) and the rate coefficient.
-    Obtain the cached compiler via
-    :meth:`repro.core.instance.SPMInstance.batch_compiler`.
+    A thin view over the instance's
+    :class:`~repro.core.fastform.FormulationCompiler` (built once per
+    instance and shared by its restricted views), so constructing one is
+    cheap.  :meth:`compile_batch` takes the integral SPM over the batch
+    ids in batch order and rewrites two bound vectors:
 
-    Per batch (:meth:`compile_batch`): concatenate the cached arrays of the
-    batch's requests, rank the touched (edge, slot) keys in first-appearance
-    order, and emit the compiled sparse model with vectorized numpy instead
-    of per-term Python; its rows, columns and coefficients are those of the
-    test-suite's expression-layer reference build, bit for bit.  The
-    per-batch state (``committed_loads``,
-    ``charged``) enters solely through the cap-row right-hand sides.
+    * every capacity row's upper bound becomes the residual headroom
+      ``charged[e] - committed_loads[e, t]``, so the ``c`` columns count
+      the **extra** units bought beyond what is already charged;
+    * the ``c`` columns' upper bounds go back to ``inf``.  Bounding them
+      by the topology's ceiling minus ``charged`` is the open capacity
+      fix for online serving, a one-line change here.
+
+    The rows, columns and coefficients are those of the test-suite's
+    expression-layer reference build, bit for bit.
     """
 
     def __init__(self, instance: SPMInstance) -> None:
-        self.instance = instance
-        num_slots = instance.num_slots
-        #: request_id -> (num_paths, pair_keys, pair_path_cols, pair_rates, value)
-        self._per_request: dict[int, tuple] = {}
-        for req in instance.requests:
-            rid = req.request_id
-            path_edges = instance.path_edges[rid]
-            entry_path = np.concatenate(
-                [
-                    np.full(edges.size, j, dtype=np.int64)
-                    for j, edges in enumerate(path_edges)
-                ]
-            )
-            entry_edge = np.concatenate(path_edges).astype(np.int64)
-            slots = np.arange(req.start, req.end + 1, dtype=np.int64)
-            # Cross product in (entry-major, slot-minor) order — the same
-            # nesting the expression build walks, so first-appearance order
-            # of (edge, slot) keys (and hence cap-row order) matches.
-            keys = np.repeat(entry_edge, slots.size) * num_slots + np.tile(
-                slots, entry_edge.size
-            )
-            cols = np.repeat(entry_path, slots.size)
-            rates = np.full(keys.size, float(req.rate))
-            self._per_request[rid] = (
-                len(path_edges), keys, cols, rates, float(req.value)
-            )
+        self._compiler = instance.formulation_compiler()
 
     def compile_batch(
         self,
@@ -133,85 +109,15 @@ class IncrementalBatchCompiler:
         candidate path in path order.  The ``extra`` columns for all edges
         follow the x block, exactly as in the reference build.
         """
-        instance = self.instance
-        num_slots = instance.num_slots
-        num_edges = instance.num_edges
-        per = [self._per_request[rid] for rid in batch_ids]
-        num_batch = len(batch_ids)
-
-        paths_per_req = np.array([p[0] for p in per], dtype=np.int64)
-        x_offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(paths_per_req)]
+        form = self._compiler.compile_spm_batch(batch_ids)
+        compiled = form.compiled
+        # The uncached build's arrays belong to this call alone.
+        compiled.row_upper[form.num_choice_rows :] = (
+            charged[form.cap_edges]
+            - committed_loads[form.cap_edges, form.cap_slots]
         )
-        num_x = int(x_offsets[-1])
-
-        # One <= 1 choice row per batch request, coefficient 1 per path.
-        choice_rows = np.repeat(np.arange(num_batch, dtype=np.int64), paths_per_req)
-        choice_cols = np.arange(num_x, dtype=np.int64)
-
-        # Touched (edge, slot) pairs across the batch, first-appearance rank.
-        pair_keys = np.concatenate([p[1] for p in per])
-        pair_cols = np.concatenate(
-            [x_offsets[i] + per[i][2] for i in range(num_batch)]
-        )
-        pair_data = np.concatenate([p[3] for p in per])
-        uniq_keys, first_pos, inverse = np.unique(
-            pair_keys, return_index=True, return_inverse=True
-        )
-        appearance = np.argsort(first_pos, kind="stable")
-        rank = np.empty(appearance.size, dtype=np.int64)
-        rank[appearance] = np.arange(appearance.size)
-        num_cap = uniq_keys.size
-        cap_edges = (uniq_keys // num_slots)[appearance]
-        cap_slots = (uniq_keys % num_slots)[appearance]
-
-        # Each cap row also carries -1 on its edge's integer extra column.
-        rows = np.concatenate(
-            [
-                choice_rows,
-                num_batch + rank[inverse],
-                num_batch + np.arange(num_cap, dtype=np.int64),
-            ]
-        )
-        cols = np.concatenate(
-            [choice_cols, pair_cols, num_x + cap_edges]
-        )
-        data = np.concatenate(
-            [np.ones(num_x), pair_data, -np.ones(num_cap)]
-        )
-
-        num_rows = num_batch + num_cap
-        row_upper = np.empty(num_rows)
-        row_upper[:num_batch] = 1.0
-        row_upper[num_batch:] = charged[cap_edges] - committed_loads[cap_edges, cap_slots]
-        row_lower = np.full(num_rows, -np.inf)
-
-        num_vars = num_x + num_edges
-        objective = np.empty(num_vars)
-        objective[:num_x] = np.repeat(
-            np.array([p[4] for p in per]), paths_per_req
-        )
-        objective[num_x:] = -instance.prices
-
-        var_upper = np.empty(num_vars)
-        var_upper[:num_x] = 1.0
-        var_upper[num_x:] = np.inf
-
-        compiled = compile_coo(
-            objective=objective,
-            maximize=True,
-            rows=rows,
-            cols=cols,
-            data=data,
-            num_rows=num_rows,
-            row_lower=row_lower,
-            row_upper=row_upper,
-            var_lower=np.zeros(num_vars),
-            var_upper=var_upper,
-            integrality=np.ones(num_vars, dtype=np.int8),
-            check=False,
-        )
-        return compiled, x_offsets
+        compiled.var_upper[form.num_x :] = np.inf
+        return compiled, form.x_offsets
 
 
 @dataclass(frozen=True)
@@ -305,7 +211,7 @@ def enumerate_batch(
     peak = np.maximum(
         loads.max(axis=2), committed_loads[edges].max(axis=1)
     )
-    extra = np.maximum(np.ceil(peak - _CEIL_TOL) - charged[edges], 0.0)
+    extra = np.maximum(np.ceil(peak - CEIL_TOL) - charged[edges], 0.0)
     objective = revenue - (extra * instance.prices[edges]).sum(axis=1)
     best = int(np.argmax(objective))
     picks = np.unravel_index(best, sizes)
@@ -339,7 +245,7 @@ def solve_batch(
 
     A batch whose joint choice space is at most :data:`ENUMERATION_CAP`
     is decided by :func:`enumerate_batch` (status ``OPTIMAL``, cacheable
-    like a HiGHS optimum).  Above the cap the instance's cached
+    like a HiGHS optimum).  Above the cap an
     :class:`IncrementalBatchCompiler` builds the MILP; a solve that hits
     the limit with an incumbent returns it with status ``FEASIBLE`` (a
     valid, possibly suboptimal decision).
@@ -362,7 +268,7 @@ def solve_batch(
         return BatchDecision(
             choices=choices, status=SolveStatus.OPTIMAL, objective=objective
         )
-    compiled, x_offsets = instance.batch_compiler().compile_batch(
+    compiled, x_offsets = IncrementalBatchCompiler(instance).compile_batch(
         batch_ids, committed_loads, charged
     )
     if time_limit is not None:
@@ -419,7 +325,7 @@ def commit_decision(
         committed_loads[edge_idx, req.start : req.end + 1] += req.rate
         peaks = committed_loads[edge_idx].max(axis=1)
         charged[edge_idx] = np.maximum(
-            charged[edge_idx], np.ceil(peaks - _CEIL_TOL)
+            charged[edge_idx], np.ceil(peaks - CEIL_TOL)
         )
     return accepted
 

@@ -22,11 +22,13 @@ import numpy as np
 from repro.core.instance import SPMInstance
 from repro.exceptions import CapacityViolationError, ScheduleError
 
-__all__ = ["Schedule", "UtilizationStats"]
+__all__ = ["CEIL_TOL", "Schedule", "UtilizationStats"]
 
 #: Loads this close to an integer are charged as that integer, absorbing
-#: float accumulation noise before the ceiling.
-_CEIL_TOL = 1e-9
+#: float accumulation noise before the ceiling.  The one float-noise
+#: allowance before a ceiling: every layer that charges, or compares a
+#: load with a ceiling, uses it.
+CEIL_TOL = 1e-9
 
 
 class UtilizationStats:
@@ -102,14 +104,14 @@ class Schedule:
         """MAA's ceiling step: ``c_e = ceil(max_t load_{e,t})`` per edge."""
         peaks = loads.max(axis=1)
         return {
-            instance.edges[i]: int(math.ceil(peaks[i] - _CEIL_TOL))
+            instance.edges[i]: int(math.ceil(peaks[i] - CEIL_TOL))
             for i in range(instance.num_edges)
         }
 
     def _check_within_charged(self) -> None:
         peaks = self._loads.max(axis=1)
         for idx, key in enumerate(self.instance.edges):
-            if peaks[idx] > self.charged.get(key, 0) + _CEIL_TOL:
+            if peaks[idx] > self.charged.get(key, 0) + CEIL_TOL:
                 raise CapacityViolationError(
                     f"edge {key!r}: peak load {peaks[idx]:.6f} exceeds "
                     f"charged bandwidth {self.charged.get(key, 0)}"
@@ -170,7 +172,7 @@ class Schedule:
         peaks = self._loads.max(axis=1)
         for idx, key in enumerate(self.instance.edges):
             cap = capacities.get(key)
-            if cap is not None and peaks[idx] > cap + _CEIL_TOL:
+            if cap is not None and peaks[idx] > cap + CEIL_TOL:
                 raise CapacityViolationError(
                     f"edge {key!r}: peak load {peaks[idx]:.6f} exceeds capacity {cap}"
                 )

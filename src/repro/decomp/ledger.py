@@ -34,6 +34,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.instance import SPMInstance
+from repro.core.schedule import CEIL_TOL
 from repro.exceptions import SolverError
 
 __all__ = [
@@ -45,10 +46,6 @@ __all__ = [
     "BandwidthLedger",
     "reconcile",
 ]
-
-#: Load/capacity comparisons tolerate the same float noise the schedule
-#: layer absorbs before its ceiling (:data:`repro.core.schedule._CEIL_TOL`).
-_TOL = 1e-9
 
 
 class StepSchedule:
@@ -330,7 +327,7 @@ def reconcile(
     evicted: list[int] = []
     while True:
         over = loads - capacities[:, None]
-        cells = np.argwhere(over > _TOL)
+        cells = np.argwhere(over > CEIL_TOL)
         if cells.size == 0:
             return evicted
         worst = cells[np.argmax(over[cells[:, 0], cells[:, 1]])]

@@ -72,8 +72,7 @@ __all__ = [
     "profit_gap_bound",
 ]
 
-#: Load/capacity comparisons tolerate the same float noise the schedule
-#: layer absorbs before its ceiling (:data:`repro.core.schedule._CEIL_TOL`).
+#: Float noise allowed when comparing objective values and gaps.
 _TOL = 1e-9
 
 

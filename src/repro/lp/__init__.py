@@ -5,9 +5,12 @@ this package provides what those algorithms need:
 
 * :func:`compile_coo` — assemble the sparse standard form
   (:class:`~repro.lp.model.CompiledModel`) straight from COO triplets;
-  the offline formulations (:mod:`repro.core.fastform`), the online batch
-  MILP (:class:`~repro.core.online.IncrementalBatchCompiler`) and the
-  flexible-window ILP (:mod:`repro.core.flexible`) all build through it;
+  the SPM formulations (:mod:`repro.core.fastform`) and the
+  flexible-window ILP (:mod:`repro.core.flexible`) build through it.  The
+  online batch MILP
+  (:class:`~repro.core.online.IncrementalBatchCompiler`) is the SPM
+  structure over one batch with rewritten capacity-row right-hand sides
+  and ``extra`` bounds;
 * :func:`solve_compiled_raw` — hand the model to HiGHS in process,
   through scipy's HiGHS bindings, in the form scipy's ``linprog`` (pure
   LPs) or ``milp`` (with integer columns) passed it, and return a

@@ -1,9 +1,10 @@
 """The :class:`CompiledModel`: the sparse standard form every solver takes.
 
 Models are assembled straight into this form from array triplets by
-:func:`repro.lp.fastbuild.compile_coo` (the offline formulations through
-:class:`~repro.core.fastform.FormulationCompiler`, the online batch MILP
-through :class:`~repro.core.online.IncrementalBatchCompiler`) and solved
+:func:`repro.lp.fastbuild.compile_coo` (the SPM formulations through
+:class:`~repro.core.fastform.FormulationCompiler`; the online batch MILP,
+:class:`~repro.core.online.IncrementalBatchCompiler`, is its SPM over one
+batch with rewritten right-hand sides and ``extra`` bounds) and solved
 by :func:`repro.lp.solvers.solve_compiled_raw`, the in-process HiGHS
 driver: in linprog's standard form for pure LPs, in milp's form when any
 column is integral.

@@ -42,7 +42,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.instance import SPMInstance
-from repro.core.online import _CEIL_TOL, commit_decision, solve_batch
+from repro.core.online import (
+    IncrementalBatchCompiler,
+    commit_decision,
+    solve_batch,
+)
+from repro.core.schedule import CEIL_TOL
 from repro.exceptions import SolverError, SolverTimeoutError
 from repro.lp.result import SolveStatus
 from repro.lp.solvers import solve_compiled_raw
@@ -114,7 +119,7 @@ def _path_margin(
     new_peak = np.maximum(
         window.max(axis=1), work_loads[edge_idx].max(axis=1)
     )
-    units = np.ceil(new_peak - _CEIL_TOL)
+    units = np.ceil(new_peak - CEIL_TOL)
     extra = np.maximum(units - work_charged[edge_idx], 0.0)
     return float(req.value) - float(extra @ instance.prices[edge_idx])
 
@@ -185,7 +190,7 @@ def lp_round_admission(
     Returns ``None`` when the relaxation itself fails inside the limit
     (the ladder then falls through to greedy).
     """
-    compiled, x_offsets = instance.batch_compiler().compile_batch(
+    compiled, x_offsets = IncrementalBatchCompiler(instance).compile_batch(
         batch_ids, committed_loads, charged
     )
     try:

@@ -6,10 +6,13 @@ and must accept (with a path) or decline each one before its window
 starts.  The broker runs rolling billing cycles on a simulated clock
 (:class:`~repro.service.clock.SimClock`), ingests each cycle's bid stream
 (:mod:`repro.service.ingest`), batches arrivals into admission windows,
-and decides every batch *exactly* with the incremental MILP that
-:class:`repro.core.online.IncrementalBatchCompiler` assembles — the same
-integer-unit charging the offline solutions use, so broker profit is directly
-comparable to (and upper-bounded by) offline OPT on the same instance.
+and decides every batch *exactly* with the incremental MILP of
+:class:`repro.core.online.IncrementalBatchCompiler` — the offline SPM
+over the batch, with the committed loads moved into the capacity-row
+right-hand sides and the ``extra`` units left unbounded (capping them at
+each link's ceiling is the open capacity fix).  It charges integer units
+like the offline solutions, so broker profit is directly comparable to
+(and upper-bounded by) offline OPT on the same instance.
 
 :class:`CycleEngine` is the single place a batch is decided: every
 serving path (this broker, the live gateway, both sharded engines)
@@ -145,7 +148,9 @@ class BrokerConfig:
     ``breaker_failures`` (0 = off) arms a
     :class:`~repro.resilience.breaker.CircuitBreaker`: that many
     consecutive solver timeouts route batches straight to the greedy
-    rung until a probe succeeds after ``breaker_reset`` seconds.
+    rung until a probe succeeds after ``breaker_reset`` seconds.  Pooled
+    cycles (``workers >= 2``) run without one, so the two are refused
+    together.
     """
 
     topology: str | Topology = "b4"
@@ -220,6 +225,16 @@ class BrokerConfig:
             raise ValueError(
                 f"breaker_reset must be >= 0, got {self.breaker_reset!r}"
             )
+        if self.breaker_failures and self.workers >= 2:
+            self._check_pooled_breaker()
+
+    def _check_pooled_breaker(self) -> None:
+        """Refuse a breaker that a pooled run (``workers >= 2``) never reads."""
+        raise ValueError(
+            f"breaker_failures={self.breaker_failures} needs workers < 2, "
+            f"got workers={self.workers}: pooled cycles run without a "
+            "circuit breaker"
+        )
 
     def cache(self) -> DecisionCache | None:
         """A fresh decision cache; ``None`` when ``cache_size`` is 0."""

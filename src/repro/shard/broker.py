@@ -46,7 +46,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 from repro.core.instance import SPMInstance
-from repro.core.schedule import Schedule
+from repro.core.schedule import CEIL_TOL, Schedule
 from repro.decomp.ledger import BandwidthLedger, reconcile
 from repro.decomp.partition import PARTITION_MODES, partition_requests
 from repro.service.broker import (
@@ -64,9 +64,6 @@ from repro.service.telemetry import TelemetryCollector
 from repro.shard.live import merge_shard_cycles
 
 __all__ = ["ShardConfig", "ShardedBroker"]
-
-#: Matches the schedule layer's float-noise allowance before a ceiling.
-_TOL = 1e-9
 
 
 @dataclass
@@ -89,7 +86,9 @@ class ShardConfig(BrokerConfig):
     remaining budget; a hung shard is degraded locally down the ladder
     while healthy shards stay exact), and ``breaker_failures`` arms one
     circuit breaker *per shard* so a chronically sick shard is routed
-    straight to the greedy rung without touching the pool.
+    straight to the greedy rung without touching the pool.  A pooled
+    fleet without ``cycle_budget`` dispatches unhedged and reads no
+    breaker, so ``breaker_failures`` is refused there.
     """
 
     shards: int = 2
@@ -103,6 +102,15 @@ class ShardConfig(BrokerConfig):
             raise ValueError(
                 f"partition must be one of {PARTITION_MODES}, "
                 f"got {self.partition!r}"
+            )
+
+    def _check_pooled_breaker(self) -> None:
+        # Only the hedged dispatch (a cycle budget) reads shard breakers.
+        if self.cycle_budget is None:
+            raise ValueError(
+                f"breaker_failures={self.breaker_failures} with "
+                f"workers={self.workers} needs cycle_budget: only the hedged "
+                "fleet consults its shard breakers"
             )
 
 
@@ -218,7 +226,7 @@ class ShardedBroker(Broker):
             float(ledger.violation().max()) if ledger.num_edges else 0.0
         )
         evicted: list[int] = []
-        if max_violation > _TOL:
+        if max_violation > CEIL_TOL:
             # Steer the next cycle's decisions, then make this one feasible.
             ledger.update_prices()
             evicted = self._reconcile_cycle(

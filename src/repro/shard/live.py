@@ -36,6 +36,7 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
+from repro.core.schedule import CEIL_TOL
 from repro.decomp.ledger import BandwidthLedger
 from repro.decomp.partition import shard_of_source, source_shard_map
 from repro.gateway.engine import LiveCycleEngine
@@ -49,8 +50,6 @@ if TYPE_CHECKING:
     from repro.shard.broker import ShardConfig
 
 __all__ = ["ShardedLiveEngine", "merge_shard_cycles"]
-
-_TOL = 1e-9
 
 
 def merge_shard_cycles(
@@ -230,7 +229,7 @@ class ShardedLiveEngine:
             self.ledger.begin_round()
             for shard, engine in enumerate(self._engines):
                 self.ledger.post(shard, engine.committed)
-            if float(self.ledger.violation().max(initial=0.0)) > _TOL:
+            if float(self.ledger.violation().max(initial=0.0)) > CEIL_TOL:
                 self.ledger.update_prices()
         return [choice_of[req.request_id] for req in batch]
 

@@ -30,12 +30,12 @@ from hypothesis import strategies as st
 import repro.core.online as online_mod
 from repro.core.instance import SPMInstance
 from repro.core.online import (
-    _CEIL_TOL,
     choice_space,
     commit_decision,
     enumerate_batch,
     solve_batch,
 )
+from repro.core.schedule import CEIL_TOL
 from repro.exceptions import SolverError, SolverTimeoutError
 from repro.lp.result import SolveStatus
 from repro.net.topologies import b4, sub_b4
@@ -123,7 +123,7 @@ def batch_states(draw, at_cap: bool = False):
         units = int(rng.integers(1, 4))
         nudge = float(rng.uniform(-1e-9, 1e-9))
         committed[edge, slot] = max(units - req.rate + nudge, 0.0)
-    charged = np.maximum(charged, np.ceil(committed.max(axis=1) - _CEIL_TOL))
+    charged = np.maximum(charged, np.ceil(committed.max(axis=1) - CEIL_TOL))
 
     if draw(st.booleans()):
         duals = rng.uniform(0.0, 0.5, instance.num_edges)

@@ -189,14 +189,12 @@ class TestZeroCopyRestrict:
     @fuzz_settings
     def test_restrict_shares_parent_state(self, instance):
         compiler = instance.formulation_compiler()
-        batch = instance.batch_compiler()
         sub = instance.restrict(instance.requests.request_ids[:1])
         assert sub.topology is instance.topology
         assert sub.edges is instance.edges
         assert sub.edge_index is instance.edge_index
         assert sub.prices is instance.prices
         assert sub.formulation_compiler() is compiler
-        assert sub.batch_compiler() is batch
         rid = sub.requests.request_ids[0]
         for got, want in zip(sub.path_edges[rid], instance.path_edges[rid]):
             assert got is want

@@ -292,17 +292,15 @@ class TestRestrictEdgeCases:
         exact = solve_exact(instance)
         assert outcome.profit <= exact.profit + 1e-6
 
-    def test_restrict_of_restrict_shares_both_compilers(self):
+    def test_restrict_of_restrict_shares_the_compiler(self):
         instance = _instance(12)
-        # Materialize both lazily-built compilers on the root.
+        # Materialize the lazily-built compiler on the root.
         root_form = instance.formulation_compiler()
-        root_batch = instance.batch_compiler()
         ids = [req.request_id for req in instance.requests]
         child = instance.restrict(ids[:8])
         grandchild = child.restrict(ids[:3])
         for view in (child, grandchild):
             assert view.formulation_compiler() is root_form
-            assert view.batch_compiler() is root_batch
             assert view.prices is instance.prices
             assert view.edge_index is instance.edge_index
         assert [r.request_id for r in grandchild.requests] == ids[:3]

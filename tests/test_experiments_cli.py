@@ -161,6 +161,28 @@ class TestServe:
         field = flags[0].lstrip("-").replace("-", "_")
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,fields",
+        [
+            ([], ("breaker_failures", "workers")),
+            (["--shards", "2"], ("breaker_failures", "workers", "cycle_budget")),
+        ],
+    )
+    def test_serve_refuses_a_breaker_the_pool_never_reads(
+        self, flags, fields, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "serve", "--topology", "sub-b4", "--cycles", "2",
+                    "--duration", "4", "--requests", "6", "--workers", "2",
+                    "--breaker-failures", "3", *flags,
+                ]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert all(field in err for field in fields)
+
     def test_serve_listen_accepts_an_immediate_breaker_probe(self, capsys):
         # --breaker-reset follows one rule (>= 0) in both modes.
         code = main(

@@ -10,13 +10,17 @@ identical by construction, not merely equal-objective.
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import repro.core.online as online_mod
-from repro.core.online import commit_decision, solve_batch
+from repro.core.instance import SPMInstance
+from repro.core.online import IncrementalBatchCompiler, commit_decision, solve_batch
 from repro.exceptions import ModelError, SolverError
 from repro.lp.fastbuild import compile_coo
 from repro.lp.solvers import solve_compiled_raw
+from repro.net.topologies import random_wan
+from repro.workload.request import Request, RequestSet
 
 from tests.oracles import online as reference
 from tests.oracles.lp.solvers import solve_compiled
@@ -146,56 +150,92 @@ fuzz_settings = settings(
 
 
 class TestBatchCompilerEquivalence:
-    """Fast-path batch MILPs replayed against the expression reference."""
+    """Fast-path batch MILPs replayed against the expression reference.
+
+    Uncapacitated, capacitated and dual-repriced instances: the batch
+    model leaves ``extra`` unbounded whatever the topology's ceilings, and
+    reads the (possibly repriced) instance's prices, exactly like the
+    reference build.
+    """
 
     @given(random_instance())
     @fuzz_settings
     def test_bitwise_identical_models_and_decisions(self, instance):
-        committed = np.zeros((instance.num_edges, instance.num_slots))
-        charged = np.zeros(instance.num_edges)
-        compiler = instance.batch_compiler()
+        _replay_batches(instance)
 
-        by_start: dict[int, list[int]] = {}
-        for req in instance.requests:
-            by_start.setdefault(req.start, []).append(req.request_id)
+    @given(random_instance(capacitated=True))
+    @fuzz_settings
+    def test_capacitated_models_leave_extra_unbounded(self, instance):
+        _replay_batches(instance)
 
-        for slot in sorted(by_start):
-            batch = by_start[slot]
-            ref = reference.build_incremental_spm(
-                instance, batch, committed, charged
-            )[0].compile()
-            fast, x_offsets = compiler.compile_batch(
-                batch, committed, charged
-            )
+    @given(random_instance(capacitated=True), st.integers(0, 2**16))
+    @fuzz_settings
+    def test_dual_repriced_models(self, instance, seed):
+        duals = np.random.default_rng(seed).choice(
+            [0.0, 0.25, 1.0, 3.5], size=instance.num_edges
+        )
+        _replay_batches(instance.reprice(instance.prices + duals))
 
-            assert np.array_equal(ref.c, fast.c)
-            assert np.array_equal(ref.row_lower, fast.row_lower)
-            assert np.array_equal(ref.row_upper, fast.row_upper)
-            assert np.array_equal(ref.var_lower, fast.var_lower)
-            assert np.array_equal(ref.var_upper, fast.var_upper)
-            assert np.array_equal(ref.integrality, fast.integrality)
-            assert ref.sign == fast.sign
-            ref_a = ref.a_matrix.tocsr()
-            ref_a.sum_duplicates()
-            assert np.array_equal(ref_a.indptr, fast.a_matrix.indptr)
-            assert np.array_equal(ref_a.indices, fast.a_matrix.indices)
-            assert np.array_equal(ref_a.data, fast.a_matrix.data)
-            assert int(x_offsets[-1]) == sum(
-                instance.num_paths(rid) for rid in batch
-            )
+    def test_ceilings_stay_out_of_the_batch_model(self):
+        topology = random_wan(4, 1, price_range=(1.0, 5.0), rng=3)
+        topology.set_uniform_capacity(1)
+        requests = RequestSet(
+            [Request(rid, "DC1", "DC3", 0, 1, 0.4, 2.0) for rid in range(3)],
+            2,
+        )
+        instance = SPMInstance.build(topology, requests, k_paths=2)
+        assert np.isfinite(instance.formulation_compiler().spm_ceilings()).all()
+        compiled, x_offsets = IncrementalBatchCompiler(instance).compile_batch(
+            [0, 1, 2],
+            np.zeros((instance.num_edges, instance.num_slots)),
+            np.zeros(instance.num_edges),
+        )
+        assert np.isinf(compiled.var_upper[x_offsets[-1]:]).all()
 
-            # Both sides solve the MILP: no batch is enumerated.
-            with pytest.MonkeyPatch.context() as monkeypatch:
-                monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
-                d_fast = solve_batch(instance, batch, committed, charged)
-                d_expr = reference.solve_batch(
-                    instance, batch, committed, charged
-                )
-            assert d_fast.choices == d_expr.choices
-            assert d_fast.objective == pytest.approx(d_expr.objective)
 
-            # Evolve the residual state so later batches exercise non-zero
-            # committed loads and charged units.
-            commit_decision(
-                instance, batch, list(d_fast.choices), committed, charged
-            )
+def _replay_batches(instance) -> None:
+    """Every arrival batch, built both ways on an evolving residual state."""
+    committed = np.zeros((instance.num_edges, instance.num_slots))
+    charged = np.zeros(instance.num_edges)
+    compiler = IncrementalBatchCompiler(instance)
+
+    by_start: dict[int, list[int]] = {}
+    for req in instance.requests:
+        by_start.setdefault(req.start, []).append(req.request_id)
+
+    for slot in sorted(by_start):
+        batch = by_start[slot]
+        ref = reference.build_incremental_spm(
+            instance, batch, committed, charged
+        )[0].compile()
+        fast, x_offsets = compiler.compile_batch(batch, committed, charged)
+
+        assert np.array_equal(ref.c, fast.c)
+        assert np.array_equal(ref.row_lower, fast.row_lower)
+        assert np.array_equal(ref.row_upper, fast.row_upper)
+        assert np.array_equal(ref.var_lower, fast.var_lower)
+        assert np.array_equal(ref.var_upper, fast.var_upper)
+        assert np.array_equal(ref.integrality, fast.integrality)
+        assert ref.sign == fast.sign
+        ref_a = ref.a_matrix.tocsr()
+        ref_a.sum_duplicates()
+        assert np.array_equal(ref_a.indptr, fast.a_matrix.indptr)
+        assert np.array_equal(ref_a.indices, fast.a_matrix.indices)
+        assert np.array_equal(ref_a.data, fast.a_matrix.data)
+        assert int(x_offsets[-1]) == sum(
+            instance.num_paths(rid) for rid in batch
+        )
+
+        # Both sides solve the MILP: no batch is enumerated.
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(online_mod, "ENUMERATION_CAP", 0)
+            d_fast = solve_batch(instance, batch, committed, charged)
+            d_expr = reference.solve_batch(instance, batch, committed, charged)
+        assert d_fast.choices == d_expr.choices
+        assert d_fast.objective == pytest.approx(d_expr.objective)
+
+        # Evolve the residual state so later batches exercise non-zero
+        # committed loads and charged units.
+        commit_decision(
+            instance, batch, list(d_fast.choices), committed, charged
+        )

@@ -289,6 +289,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BrokerConfig(**{field: value})
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_pooled_run_refuses_a_breaker(self, workers):
+        # Pooled cycles run without a circuit breaker: arming one there
+        # would be accepted and never consulted.
+        with pytest.raises(ValueError, match="breaker_failures.*workers"):
+            BrokerConfig(workers=workers, breaker_failures=3)
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_serial_run_keeps_its_breaker(self, workers):
+        config = BrokerConfig(workers=workers, breaker_failures=3)
+        assert config.breaker().failure_threshold == 3
+
     def test_unknown_topology(self):
         with pytest.raises(ValueError, match="unknown topology"):
             Broker(BrokerConfig(topology="nope"))

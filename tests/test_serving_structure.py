@@ -21,7 +21,10 @@ online core, MAA, TAA, Metis, the ladder, the broker or the CLI).  One
 serving config: the serving packages name no dual-step knob and no
 breaker factory (fleets are built from a ``ShardConfig``), and the
 partition modes are checked by the partitioner, the decomposition
-config and ``ShardConfig`` alone.
+config and ``ShardConfig`` alone.  One SPM assembly: the online batch
+MILP is a view over ``FormulationCompiler`` — ``core/online.py`` builds
+no incidence and no COO model of its own, and an ``SPMInstance`` keeps
+one compiler.
 """
 
 from __future__ import annotations
@@ -316,3 +319,43 @@ def test_only_the_driver_imports_the_highs_bindings():
         )
     )
     assert importers == ["lp/solvers.py"]
+
+
+#: What an incidence layout or a COO assembly is built from.
+_INCIDENCE_BUILDERS = {"compile_coo", "unique", "repeat", "tile", "argsort", "cumsum"}
+
+
+def test_online_batch_milp_builds_no_incidence_of_its_own():
+    online = _SRC / "core" / "online.py"
+    assert "repro.lp.fastbuild" not in {
+        node.module
+        for node in ast.walk(ast.parse(online.read_text()))
+        if isinstance(node, ast.ImportFrom)
+    }, "online.py assembles a COO model of its own"
+    node = _class_def(online, "IncrementalBatchCompiler")
+    calls = {
+        _called_name(call) for call in ast.walk(node) if isinstance(call, ast.Call)
+    }
+    assert not calls & _INCIDENCE_BUILDERS, sorted(calls & _INCIDENCE_BUILDERS)
+    stored = {
+        target.attr
+        for item in ast.walk(node)
+        if isinstance(item, ast.Assign)
+        for target in item.targets
+        if isinstance(target, ast.Attribute)
+        and isinstance(target.value, ast.Name)
+        and target.value.id == "self"
+    }
+    assert stored == {"_compiler"}
+
+
+def test_an_instance_keeps_one_compiler():
+    node = _class_def(_SRC / "core" / "instance.py", "SPMInstance")
+    slots = {
+        item.attr
+        for item in ast.walk(node)
+        if isinstance(item, ast.Attribute)
+        and isinstance(item.ctx, ast.Store)
+        and item.attr.startswith("_")
+    }
+    assert slots == {"_fastform"}

@@ -56,6 +56,28 @@ def _assert_same_run(report, baseline):
     ]
 
 
+class TestConfig:
+    def test_unhedged_pool_refuses_shard_breakers(self):
+        # Without a cycle budget the pooled fleet dispatches through the
+        # pool and never reads its shard breakers.
+        with pytest.raises(
+            ValueError, match="breaker_failures.*workers.*cycle_budget"
+        ):
+            ShardConfig(workers=2, breaker_failures=3)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(workers=2, cycle_budget=5.0),
+            dict(workers=0),
+            dict(workers=0, cycle_budget=5.0),
+        ],
+    )
+    def test_fleets_that_read_their_breakers_keep_them(self, fields):
+        config = ShardConfig(breaker_failures=3, **fields)
+        assert config.breaker().failure_threshold == 3
+
+
 class TestEquivalence:
     def test_single_shard_matches_the_monolithic_broker(self):
         mono = Broker(BrokerConfig(**_BASE)).run()
