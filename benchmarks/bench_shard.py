@@ -21,16 +21,9 @@ import numpy as np
 
 from repro import b4
 from repro.core.instance import SPMInstance
-from repro.decomp import (
-    DecompConfig,
-    profit_gap_bound,
-    solve_decomposed,
-    solve_exact,
-)
-from repro.service.pool import SolverPool
+from repro.decomp import DecompConfig, solve_decomposed, solve_exact
 from repro.shard import ShardConfig, ShardedBroker
 from repro.workload.generator import WorkloadConfig, generate_workload
-from repro.workload.request import Request, RequestSet
 
 _SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 _REQUESTS = 24 if _SMOKE else 96
@@ -154,89 +147,3 @@ def test_capacitated_decomposition_is_feasible(benchmark):
     benchmark.extra_info["rounds"] = outcome.rounds
     benchmark.extra_info["evicted"] = len(outcome.evicted)
     benchmark.extra_info["max_violation"] = outcome.max_violation
-
-
-def _common_peak_instance(num_requests: int, *, num_slots: int = 6) -> SPMInstance:
-    """Uncapped B4 with every request spanning the whole billing cycle.
-
-    The common-peak shape under which the decomposition's additive gap
-    bound ``(S - 1) * sum_e u_e`` is valid (see
-    :func:`repro.decomp.solver.profit_gap_bound`).
-    """
-    topology = b4()
-    dcs = topology.datacenters
-    rng = np.random.default_rng(2019)
-    requests = [
-        Request(
-            request_id=i,
-            source=dcs[i % len(dcs)],
-            dest=dcs[(i + 1 + i // len(dcs)) % len(dcs)],
-            start=0,
-            end=num_slots - 1,
-            rate=float(rng.uniform(0.1, 0.5)),
-            value=float(rng.uniform(1.0, 8.0)),
-        )
-        for i in range(num_requests)
-    ]
-    return SPMInstance.build(topology, RequestSet(requests, num_slots), k_paths=3)
-
-
-def test_concurrent_price_rounds(benchmark):
-    """Pooled vs serialized per-round shard solves inside the price loop.
-
-    ``DecompConfig(workers=4)`` fans each round's 4 shard MILPs across a
-    :class:`~repro.service.pool.SolverPool`; results must stay
-    bitwise-identical to the serialized loop, feasible, and within the
-    ``(S - 1) * sum_e u_e`` additive gap bound of the exact solve.  The
-    wall-clock floor only applies off smoke and on machines with >= 2
-    cores — process concurrency cannot beat the serial loop on a
-    single-core CI container.
-    """
-    instance = _common_peak_instance(_REQUESTS)
-    serial_cfg = DecompConfig(num_shards=_SHARDS, max_rounds=4)
-    pooled_cfg = DecompConfig(num_shards=_SHARDS, max_rounds=4, workers=_SHARDS)
-
-    serial = solve_decomposed(instance, serial_cfg)
-    with SolverPool(_SHARDS, cache_size=0) as pool:
-        pooled = solve_decomposed(instance, pooled_cfg, pool=pool)
-        assert pooled.workers == _SHARDS
-        assert pooled.profit == serial.profit
-        assert pooled.schedule.assignment == serial.schedule.assignment
-        _assert_slot_feasible(instance, pooled.schedule)
-
-        exact = solve_exact(instance, time_limit=240.0)
-        gap = exact.profit - pooled.profit
-        bound = profit_gap_bound(instance, _SHARDS)
-        assert gap <= bound + _TOL, (
-            f"decomposition gap {gap:.4f} exceeds the additive bound "
-            f"{bound:.4f}"
-        )
-
-        rounds = 2 if _SMOKE else 3
-        t_serial = _best_of(lambda: solve_decomposed(instance, serial_cfg), rounds)
-        t_pooled = _best_of(
-            lambda: solve_decomposed(instance, pooled_cfg, pool=pool), rounds
-        )
-        benchmark.pedantic(
-            lambda: solve_decomposed(instance, pooled_cfg, pool=pool),
-            rounds=1,
-            iterations=1,
-        )
-    cores = len(os.sched_getaffinity(0))
-    speedup = t_serial / t_pooled
-    gated = not _SMOKE and cores >= 2
-    benchmark.extra_info["shards"] = _SHARDS
-    benchmark.extra_info["cores"] = cores
-    benchmark.extra_info["speedup"] = speedup
-    benchmark.extra_info["floor"] = 1.2 if gated else 0.0
-    benchmark.extra_info["profit_gap"] = gap
-    print(
-        f"\nconcurrent price rounds at K={_REQUESTS}, {_SHARDS} shards: "
-        f"serial {t_serial:.3f}s, pooled {t_pooled:.3f}s ({speedup:.2f}x on "
-        f"{cores} core(s)), gap {gap:.3f} <= bound {bound:.1f}"
-    )
-    if gated:
-        assert speedup >= 1.2, (
-            f"concurrent shard rounds managed only {speedup:.2f}x over the "
-            f"serialized loop on a multi-core machine (floor 1.2x)"
-        )

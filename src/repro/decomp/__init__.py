@@ -14,26 +14,19 @@ large-scale bandwidth allocation:
   the *effective* link prices ``u_e + lambda_e``;
 * a :class:`BandwidthLedger` aggregates per-(edge, slot) demand across
   shards and updates the dual prices ``lambda_e`` by projected
-  subgradient on the capacity violation, under a configurable step
-  schedule (constant / harmonic / geometric);
-* a final reconciliation pass evicts lowest-value-density acceptances
-  from any still-oversubscribed (edge, slot), so the returned
-  :class:`~repro.core.schedule.Schedule` is always feasible;
-* the exact single-shard :func:`~repro.core.online.solve_batch` is kept
-  as the equivalence oracle (:func:`solve_exact` / :func:`oracle_gap`)
-  with a provable additive profit-gap bound on uncapped instances.
+  subgradient on the capacity violation, with the harmonic step
+  ``step0 / (k + 1)``;
+* a final reconciliation pass evicts the lowest-``(value, id)``
+  acceptances from any still-oversubscribed (edge, slot), so the
+  returned :class:`~repro.core.schedule.Schedule` is always feasible;
+* the exact single-shard MILP :func:`solve_exact` is kept as the
+  equivalence oracle (with :func:`oracle_gap`) under a provable
+  additive profit-gap bound on uncapped instances.
 
 :mod:`repro.shard` puts this behind the service layer.
 """
 
-from repro.decomp.ledger import (
-    BandwidthLedger,
-    ConstantStep,
-    GeometricStep,
-    HarmonicStep,
-    StepSchedule,
-    make_step_schedule,
-)
+from repro.decomp.ledger import BandwidthLedger
 from repro.decomp.partition import (
     PARTITION_MODES,
     partition_requests,
@@ -55,11 +48,6 @@ __all__ = [
     "partition_requests",
     "shard_of_source",
     "source_shard_map",
-    "StepSchedule",
-    "ConstantStep",
-    "HarmonicStep",
-    "GeometricStep",
-    "make_step_schedule",
     "BandwidthLedger",
     "DecompConfig",
     "DecompOutcome",

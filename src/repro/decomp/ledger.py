@@ -12,13 +12,13 @@ Uncapped links (capacity ``None``) carry no dual — the decomposition's
 only coupling there is the concavity of integer-unit charging, which the
 profit-gap bound of :mod:`repro.decomp.solver` accounts for instead.
 
-The step schedule is pluggable (:class:`ConstantStep`,
-:class:`HarmonicStep` — the classic diminishing ``a/(k+1)`` that
-guarantees subgradient convergence, and :class:`GeometricStep`), and the
-whole ledger state round-trips through :meth:`to_record` /
-:meth:`apply_record`: both sharded engines carry it in every fleet
-cycle's commit record (``CycleResult.fleet``) and restore the duals
-bit-identically on recovery.  :func:`reconcile` is the feasibility pass
+The step is the classic diminishing harmonic ``step(k) = step0 / (k + 1)``
+that guarantees subgradient convergence, with ``step0`` the mean link
+price (1.0 on a ledger without edges).  The whole ledger state
+round-trips through :meth:`to_record` / :meth:`apply_record`: both
+sharded engines carry it in every fleet cycle's commit record
+(``CycleResult.fleet``) and restore the duals bit-identically on
+recovery.  :func:`reconcile` is the feasibility pass
 that evicts acceptances from oversubscribed capped cells.
 
 ``post`` is lock-protected: the sharded live engine posts from one event
@@ -38,98 +38,9 @@ from repro.core.schedule import CEIL_TOL
 from repro.exceptions import SolverError
 
 __all__ = [
-    "StepSchedule",
-    "ConstantStep",
-    "HarmonicStep",
-    "GeometricStep",
-    "make_step_schedule",
     "BandwidthLedger",
     "reconcile",
 ]
-
-
-class StepSchedule:
-    """A subgradient step-size rule; ``step(k)`` for round ``k`` (0-based)."""
-
-    name = "abstract"
-
-    def step(self, iteration: int) -> float:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
-
-class ConstantStep(StepSchedule):
-    """A fixed step size; fast but may orbit the optimum."""
-
-    name = "constant"
-
-    def __init__(self, step0: float) -> None:
-        if not (step0 > 0):
-            raise ValueError(f"step0 must be > 0, got {step0!r}")
-        self.step0 = float(step0)
-
-    def step(self, iteration: int) -> float:
-        return self.step0
-
-    def __repr__(self) -> str:
-        return f"ConstantStep({self.step0!r})"
-
-
-class HarmonicStep(StepSchedule):
-    """``step0 / (k + 1)`` — the diminishing, non-summable classic."""
-
-    name = "harmonic"
-
-    def __init__(self, step0: float) -> None:
-        if not (step0 > 0):
-            raise ValueError(f"step0 must be > 0, got {step0!r}")
-        self.step0 = float(step0)
-
-    def step(self, iteration: int) -> float:
-        return self.step0 / (iteration + 1)
-
-    def __repr__(self) -> str:
-        return f"HarmonicStep({self.step0!r})"
-
-
-class GeometricStep(StepSchedule):
-    """``step0 * decay**k`` — aggressive early, quickly conservative."""
-
-    name = "geometric"
-
-    def __init__(self, step0: float, decay: float = 0.5) -> None:
-        if not (step0 > 0):
-            raise ValueError(f"step0 must be > 0, got {step0!r}")
-        if not (0 < decay < 1):
-            raise ValueError(f"decay must be in (0, 1), got {decay!r}")
-        self.step0 = float(step0)
-        self.decay = float(decay)
-
-    def step(self, iteration: int) -> float:
-        return self.step0 * self.decay**iteration
-
-    def __repr__(self) -> str:
-        return f"GeometricStep({self.step0!r}, decay={self.decay!r})"
-
-
-def make_step_schedule(
-    name: str, step0: float, *, decay: float = 0.5
-) -> StepSchedule:
-    """Build a schedule by name (``constant`` / ``harmonic`` / ``geometric``)."""
-    schedules = {
-        "constant": lambda: ConstantStep(step0),
-        "harmonic": lambda: HarmonicStep(step0),
-        "geometric": lambda: GeometricStep(step0, decay=decay),
-    }
-    try:
-        return schedules[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown step schedule {name!r}; "
-            f"choose from {sorted(schedules)}"
-        ) from None
 
 
 def _capacities(topology, edges) -> np.ndarray:
@@ -151,8 +62,6 @@ class BandwidthLedger:
         prices: np.ndarray,
         capacities: np.ndarray,
         num_slots: int,
-        *,
-        schedule: StepSchedule | None = None,
     ) -> None:
         self.edges = list(edges)
         self.prices = np.asarray(prices, dtype=float)
@@ -163,12 +72,10 @@ class BandwidthLedger:
             raise ValueError("prices must align with edges")
         if self.capacities.size != len(self.edges):
             raise ValueError("capacities must align with edges")
-        if schedule is None:
-            # Default: harmonic, scaled to the mean link price — one round
-            # moves a unit violation by about one price unit.
-            mean_price = float(self.prices.mean()) if self.prices.size else 1.0
-            schedule = HarmonicStep(max(mean_price, 1e-12))
-        self.schedule = schedule
+        # The harmonic step scale: the mean link price, so one round
+        # moves a unit violation by about one price unit.
+        mean_price = float(self.prices.mean()) if self.prices.size else 1.0
+        self.step0 = max(mean_price, 1e-12)
         self.duals = np.zeros(len(self.edges))
         self.demand = np.zeros((len(self.edges), self.num_slots))
         #: Dual-price updates performed (the subgradient iteration count).
@@ -180,16 +87,13 @@ class BandwidthLedger:
         self._lock = threading.Lock()
 
     @classmethod
-    def from_instance(
-        cls, instance: SPMInstance, *, schedule: StepSchedule | None = None
-    ) -> "BandwidthLedger":
+    def from_instance(cls, instance: SPMInstance) -> "BandwidthLedger":
         """A ledger over an instance's edges, prices and topology ceilings."""
         return cls(
             instance.edges,
             instance.prices,
             _capacities(instance.topology, instance.edges),
             instance.num_slots,
-            schedule=schedule,
         )
 
     @classmethod
@@ -197,8 +101,7 @@ class BandwidthLedger:
         """A ledger over every edge of ``topology`` (a sharded fleet's).
 
         The edge order is the topology's, which every
-        :class:`~repro.core.instance.SPMInstance` over it shares.  The
-        duals step on the default schedule.
+        :class:`~repro.core.instance.SPMInstance` over it shares.
         """
         edges = [e.key for e in topology.edges]
         prices = np.array([topology.price(*key) for key in edges])
@@ -247,7 +150,8 @@ class BandwidthLedger:
         The subgradient is the *signed* slack ``peak_e - cap_e`` (zero on
         uncapped edges): oversubscribed links get pricier, slack links
         relax back toward zero, and the projection keeps every dual
-        non-negative.
+        non-negative.  Update ``k`` (0-based) steps by the harmonic
+        ``step0 / (k + 1)``.
         """
         violation = self.violation()
         worst = float(violation.max()) if violation.size else 0.0
@@ -255,7 +159,7 @@ class BandwidthLedger:
         subgradient = np.where(
             np.isfinite(self.capacities), peaks - self.capacities, 0.0
         )
-        step = self.schedule.step(self.price_iterations)
+        step = self.step0 / (self.price_iterations + 1)
         with self._lock:
             self.duals = np.maximum(0.0, self.duals + step * subgradient)
             self.price_iterations += 1

@@ -39,9 +39,8 @@ but the identical solution vector — the optimal basis is unchanged, and
 the basic solution is a deterministic factorization of the same basis.
 
 :func:`relax` builds the LP relaxation of a MILP while *sharing* every
-array (and the solver's row-split cache) with the parent — the screening
-path of the online batch solver and the shard price loop, where the
-relaxation bound decides whether the integer solve can be skipped.
+array (and the solver's row-split cache) with the parent — the
+degradation ladder's ``lp_round`` rung rounds its fractional solution.
 """
 
 from __future__ import annotations
@@ -79,11 +78,6 @@ class SessionStats:
     cold_solves: int = 0
     repeat_hits: int = 0
     certified_hits: int = 0
-
-    @property
-    def warm_hits(self) -> int:
-        """Solves answered without dispatching the backend."""
-        return self.repeat_hits + self.certified_hits
 
 
 class _LastSolve:

@@ -70,33 +70,27 @@ class CycleBudget:
     def expired(self) -> bool:
         return self.remaining() <= 0.0
 
-    def solve_limit(
-        self, *, shares: int = 1, cap: float | None = None
-    ) -> float:
+    def solve_limit(self, *, cap: float | None = None) -> float:
         """The time limit to hand the next solve (seconds, >= 0).
 
-        ``shares`` divides the granted slice further — a shard fleet or a
-        price iteration passes its remaining subproblem count so sibling
-        solves share the slice fairly.  ``cap`` clips the result (the
-        static per-solve ``time_limit`` config keeps meaning something
-        even under a generous budget); ``None`` leaves it unclipped.
+        ``cap`` clips the result (the static per-solve ``time_limit``
+        config keeps meaning something even under a generous budget);
+        ``None`` leaves it unclipped.
 
         Returns 0.0 once the budget is exhausted — callers must not
         dispatch a solver on a zero limit.
         """
-        if shares < 1:
-            raise ValueError(f"shares must be >= 1, got {shares}")
         remaining = self.remaining()
         if remaining <= 0.0:
             return 0.0
-        limit = (remaining * self.spread) / shares
+        limit = remaining * self.spread
         if cap is not None:
             limit = min(limit, cap)
         return limit
 
-    def affords_solver(self, *, shares: int = 1) -> bool:
+    def affords_solver(self) -> bool:
         """Whether a solver dispatch still fits (slice >= ``min_slice``)."""
-        return self.solve_limit(shares=shares) >= self.min_slice
+        return self.solve_limit() >= self.min_slice
 
     def __repr__(self) -> str:
         return (

@@ -9,11 +9,7 @@ from repro import b4, sub_b4
 from repro.core.instance import SPMInstance
 from repro.decomp import (
     BandwidthLedger,
-    ConstantStep,
     DecompConfig,
-    GeometricStep,
-    HarmonicStep,
-    make_step_schedule,
     oracle_gap,
     partition_requests,
     profit_gap_bound,
@@ -125,33 +121,13 @@ class TestPartition:
             shard_of_source("DC1", 0)
 
 
-class TestStepSchedules:
-    def test_schedule_values(self):
-        assert ConstantStep(0.5).step(0) == 0.5
-        assert ConstantStep(0.5).step(9) == 0.5
-        assert HarmonicStep(1.0).step(0) == 1.0
-        assert HarmonicStep(1.0).step(3) == pytest.approx(0.25)
-        assert GeometricStep(2.0, decay=0.5).step(0) == 2.0
-        assert GeometricStep(2.0, decay=0.5).step(2) == pytest.approx(0.5)
-
-    def test_factory(self):
-        assert isinstance(make_step_schedule("constant", 1.0), ConstantStep)
-        assert isinstance(make_step_schedule("harmonic", 1.0), HarmonicStep)
-        geometric = make_step_schedule("geometric", 1.0, decay=0.25)
-        assert isinstance(geometric, GeometricStep)
-        assert geometric.step(1) == pytest.approx(0.25)
-        with pytest.raises(ValueError, match="step"):
-            make_step_schedule("newton", 1.0)
-
-
 class TestBandwidthLedger:
     def _capped_ledger(self, cap=2.0):
         edges = [("X", "Y"), ("Y", "Z")]
         prices = np.array([1.0, 3.0])
         capacities = np.array([cap, np.inf])
-        return BandwidthLedger(
-            edges, prices, capacities, 4, schedule=ConstantStep(0.5)
-        )
+        # Harmonic steps scaled to the mean price: 2.0, then 1.0, ...
+        return BandwidthLedger(edges, prices, capacities, 4)
 
     def test_uncapped_ledger_short_circuits(self):
         edges = [("X", "Y")]
@@ -174,14 +150,14 @@ class TestBandwidthLedger:
         assert violation[1] == 0.0
         worst = ledger.update_prices()
         assert worst == pytest.approx(3.0)
-        assert ledger.duals[0] == pytest.approx(1.5)  # 0.5 * 3
+        assert ledger.duals[0] == 6.0  # 2.0 / 1 * 3
         assert ledger.duals[1] == 0.0
-        assert ledger.effective_prices()[0] == pytest.approx(2.5)
+        assert ledger.effective_prices()[0] == 7.0
         # A feasible round pulls the dual back down (projected at 0).
         ledger.begin_round()
         ledger.post(0, np.zeros((2, 4)))
         ledger.update_prices()
-        assert ledger.duals[0] == pytest.approx(0.5)  # 1.5 + 0.5 * (-2)
+        assert ledger.duals[0] == 4.0  # 6.0 + 2.0 / 2 * (-2)
 
     def test_duals_never_negative(self):
         ledger = self._capped_ledger()

@@ -15,8 +15,10 @@ record is hashed twice:
   difference in an amount shows up as just that.
 
 ``milp_batches`` counts the batches a cell sends to HiGHS (joint choice
-space above :data:`~repro.core.online.ENUMERATION_CAP`); every front has
-at least one cell where HiGHS decides.
+space above :data:`~repro.core.online.ENUMERATION_CAP`); every serving
+front has at least one cell where HiGHS decides.  The offline
+decomposition (``solve_decomposed``) solves whole-shard SPM models, never
+a batch MILP, so its cells record 0.
 
 A change that alters decisions on purpose regenerates the file and names
 the changed cells in ``CHANGES.md``::
@@ -28,16 +30,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.instance import SPMInstance
 from repro.core.online import IncrementalBatchCompiler, OnlineScheduler
+from repro.decomp import DecompConfig, solve_decomposed
 from repro.gateway.engine import LiveCycleEngine
 from repro.net.topologies import sub_b4
 from repro.service import Broker, BrokerConfig
@@ -48,6 +53,7 @@ from repro.shard.live import ShardedLiveEngine
 from repro.state import FaultPlan, SimulatedCrash, read_wal
 from repro.state.recovery import cycle_to_record
 from repro.workload.generator import WorkloadConfig, generate_workload
+from repro.workload.request import Request, RequestSet
 
 GOLDEN = Path(__file__).with_name("golden") / "equivalence_matrix.json"
 
@@ -249,6 +255,63 @@ def _online(scratch: Path) -> dict:
     }
 
 
+def _decomposed(instance: SPMInstance, config: DecompConfig) -> dict:
+    outcome = solve_decomposed(instance, config)
+    schedule = outcome.schedule
+    return {
+        "assignment": sorted(
+            (rid, path) for rid, path in schedule.assignment.items()
+        ),
+        "rounds": outcome.rounds,
+        "evicted": list(outcome.evicted),
+        "shards": [dataclasses.asdict(shard) for shard in outcome.shards],
+        "ledger": outcome.ledger.to_record(),
+        "money": [
+            schedule.revenue,
+            schedule.cost,
+            schedule.profit,
+            outcome.max_violation,
+        ],
+    }
+
+
+def _decomp_capacity_one(scratch: Path) -> dict:
+    """Capacity-1 sub-B4: the duals move and ``reconcile`` evicts."""
+    topology = sub_b4()
+    topology.set_uniform_capacity(1)
+    requests = generate_workload(
+        topology, WorkloadConfig(num_requests=24, num_slots=6), rng=13
+    )
+    instance = SPMInstance.build(topology, requests, k_paths=3)
+    record = _decomposed(instance, DecompConfig(num_shards=3, max_rounds=3))
+    assert record["ledger"]["price_iterations"] > 0, "duals never moved"
+    assert record["evicted"], "reconcile evicted nothing"
+    return record
+
+
+def _common_peak_instance() -> SPMInstance:
+    """Uncapped sub-B4 whose requests all span the cycle (one common peak)."""
+    rng = np.random.default_rng(11)
+    sources = ["DC1", "DC2", "DC3", "DC4"]
+    requests = [
+        Request(
+            rid,
+            *rng.choice(sources, 2, replace=False),
+            0,
+            3,
+            float(rng.uniform(0.05, 0.4)),
+            float(rng.uniform(5.0, 40.0)),
+        )
+        for rid in range(20)
+    ]
+    return SPMInstance.build(sub_b4(), RequestSet(requests, 4), k_paths=3)
+
+
+def _decomp_common_peak(*, warm_start: bool) -> dict:
+    config = DecompConfig(num_shards=2, warm_start=warm_start)
+    return _decomposed(_common_peak_instance(), config)
+
+
 #: cell name -> (front, builder taking a scratch directory).
 CELLS = {
     "broker-serial": ("Broker", lambda tmp: _report_record(_broker())),
@@ -279,7 +342,19 @@ CELLS = {
     "live-engine": ("LiveCycleEngine", _live),
     "live-sharded-4": ("ShardedLiveEngine", _live_sharded),
     "online-scheduler": ("OnlineScheduler", _online),
+    "decomp-capacity-1": ("solve_decomposed", _decomp_capacity_one),
+    "decomp-common-peak": (
+        "solve_decomposed",
+        lambda tmp: _decomp_common_peak(warm_start=True),
+    ),
+    "decomp-common-peak-cold": (
+        "solve_decomposed",
+        lambda tmp: _decomp_common_peak(warm_start=False),
+    ),
 }
+
+#: Fronts that never send a batch MILP to HiGHS.
+_NO_BATCH_MILP = frozenset({"solve_decomposed"})
 
 
 def run_cell(name: str) -> dict:
@@ -310,7 +385,7 @@ def test_golden_covers_every_cell_and_front():
     golden = _golden()
     assert sorted(golden) == sorted(CELLS)
     fronts = {front for front, _ in CELLS.values()}
-    for front in fronts:
+    for front in fronts - _NO_BATCH_MILP:
         assert any(
             entry["milp_batches"] > 0
             for entry in golden.values()

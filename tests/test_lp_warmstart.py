@@ -5,7 +5,7 @@ solver dispatches only when the answer is *certified* unchanged, so every
 suite here pits a warm path against its cold oracle and demands matching
 results: byte-identical repeats, dual-certified bound shrinks, the Metis
 alternation with and without warm starts, and the decomposition's
-per-shard sessions — serial, screened, and pooled.
+per-shard sessions.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.core.metis import Metis
 from repro.core.schedule import Schedule
 from repro.decomp.solver import (
     DecompConfig,
-    _ShardProblem,
     profit_gap_bound,
     solve_decomposed,
     solve_exact,
@@ -264,107 +263,10 @@ class TestDecompWarmEquivalence:
     @given(random_instance(max_requests=8))
     @common_settings
     def test_screened_decomp_respects_the_gap_bound(self, instance):
-        config = DecompConfig(
-            num_shards=2, max_rounds=3, screen=True, stall_rounds=2
-        )
+        config = DecompConfig(num_shards=2, max_rounds=3)
         outcome = solve_decomposed(instance, config)
         exact = solve_exact(instance)
         gap = exact.profit - outcome.profit
         assert gap <= profit_gap_bound(instance, 2) + _TOL
         # solve_decomposed always returns a capacity-feasible schedule.
         outcome.schedule.check_capacities(instance.topology.capacities())
-
-    def test_shard_screen_keeps_a_certified_incumbent(self):
-        """Hopeless effective prices: round 2's screen keeps all-decline."""
-        topo = random_wan(4, 1, price_range=(1.0, 2.0), rng=5)
-        dcs = topo.datacenters
-        requests = RequestSet(
-            [
-                Request(
-                    request_id=i,
-                    source=dcs[i % 4],
-                    dest=dcs[(i + 2) % 4],
-                    start=0,
-                    end=3,
-                    rate=0.3,
-                    value=0.5,
-                )
-                for i in range(6)
-            ],
-            4,
-        )
-        instance = SPMInstance.build(topo, requests, k_paths=2)
-        problem = _ShardProblem(0, instance)
-        huge = np.full(instance.num_edges, 50.0)
-        first = problem.solve(huge, time_limit=None, screen=True)
-        assert all(path is None for path in first.values())
-        assert problem.screened_solves == 0  # no incumbent yet
-        second = problem.solve(huge * 1.1, time_limit=None, screen=True)
-        assert problem.screened_solves == 1
-        assert second == first
-
-    def test_shard_dual_perturbation_preserves_round_optimality(self):
-        """Screened rounds attain the fresh solve's objective exactly."""
-        topo = random_wan(5, 2, price_range=(1.0, 3.0), rng=11)
-        dcs = topo.datacenters
-        requests = RequestSet(
-            [
-                Request(
-                    request_id=i,
-                    source=dcs[i % 5],
-                    dest=dcs[(i + 1) % 5],
-                    start=0,
-                    end=3,
-                    rate=0.25,
-                    value=4.0,
-                )
-                for i in range(8)
-            ],
-            4,
-        )
-        instance = SPMInstance.build(topo, requests, k_paths=2)
-        shard = instance.restrict(list(instance.requests.request_ids)[:4])
-        screened = _ShardProblem(0, shard)
-        fresh = _ShardProblem(0, shard)
-        rng = np.random.default_rng(2019)
-        prices = shard.prices.copy()
-        for _ in range(4):
-            prices = prices * (1.0 + 0.05 * rng.random(prices.size))
-            a = screened.solve(
-                prices, time_limit=None, warm_start=True, screen=True
-            )
-            b = fresh.solve(prices, time_limit=None)
-            cost_a = Schedule(shard, a).profit
-            cost_b = Schedule(shard, b).profit
-            assert cost_a == pytest.approx(cost_b, abs=1e-7)
-
-    def test_pooled_rounds_match_serial_bitwise(self):
-        topo = random_wan(5, 2, price_range=(1.0, 3.0), rng=13)
-        topo.set_uniform_capacity(1)
-        dcs = topo.datacenters
-        requests = RequestSet(
-            [
-                Request(
-                    request_id=i,
-                    source=dcs[i % 5],
-                    dest=dcs[(i + 2) % 5],
-                    start=0,
-                    end=3,
-                    rate=0.6,
-                    value=3.0,
-                )
-                for i in range(10)
-            ],
-            4,
-        )
-        instance = SPMInstance.build(topo, requests, k_paths=2)
-        serial = solve_decomposed(
-            instance, DecompConfig(num_shards=2, max_rounds=3)
-        )
-        pooled = solve_decomposed(
-            instance, DecompConfig(num_shards=2, max_rounds=3, workers=2)
-        )
-        assert pooled.workers == 2
-        assert pooled.profit == serial.profit
-        assert pooled.schedule.assignment == serial.schedule.assignment
-        assert pooled.rounds == serial.rounds

@@ -64,8 +64,7 @@ class TestCycleBudget:
         assert budget.solve_limit() == pytest.approx(4.0)
         clock.advance(4.0)
         assert budget.solve_limit() == pytest.approx(2.0)
-        # Shares split the slice; cap clips it.
-        assert budget.solve_limit(shares=4) == pytest.approx(0.5)
+        # The cap clips the slice.
         assert budget.solve_limit(cap=1.5) == pytest.approx(1.5)
         clock.advance(10.0)
         assert budget.solve_limit() == 0.0
@@ -92,8 +91,6 @@ class TestCycleBudget:
             CycleBudget(1.0, spread=0.0)
         with pytest.raises(ValueError):
             CycleBudget(1.0, min_slice=-0.1)
-        with pytest.raises(ValueError):
-            CycleBudget(1.0).solve_limit(shares=0)
 
 
 # ---------------------------------------------------------- CircuitBreaker

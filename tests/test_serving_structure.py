@@ -24,7 +24,9 @@ partition modes are checked by the partitioner, the decomposition
 config and ``ShardConfig`` alone.  One SPM assembly: the online batch
 MILP is a view over ``FormulationCompiler`` — ``core/online.py`` builds
 no incidence and no COO model of its own, and an ``SPMInstance`` keeps
-one compiler.
+one compiler.  One price loop: the offline decomposition imports nothing
+from the serving or resilience packages, ``DecompConfig`` has four
+knobs, and ``CycleBudget`` splits no slice into shares.
 """
 
 from __future__ import annotations
@@ -56,6 +58,18 @@ def _imported_roots(path: Path) -> set[str]:
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
             roots.add(node.module.split(".")[0])
     return roots
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Every module ``path`` imports, and every ``module.name`` it imports."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+            imported.update(f"{node.module}.{a.name}" for a in node.names)
+    return imported
 
 
 def _called_name(call: ast.Call) -> str | None:
@@ -268,17 +282,42 @@ def test_only_candidate_paths_runs_yen():
     "path", list(_modules(("shard",))), ids=lambda p: f"{p.parent.name}/{p.name}"
 )
 def test_shard_never_imports_the_decomposition_solver(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            imported.add(node.module)
-            imported.update(f"{node.module}.{a.name}" for a in node.names)
     assert not {
-        name for name in imported if name.startswith("repro.decomp.solver")
+        name
+        for name in _imported_modules(path)
+        if name.startswith("repro.decomp.solver")
     }, f"{path.name} imports repro.decomp.solver"
+
+
+@pytest.mark.parametrize(
+    "path", list(_modules(("decomp",))), ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_decomposition_never_imports_serving_or_resilience(path):
+    offenders = sorted(
+        name
+        for name in _imported_modules(path)
+        if name.startswith(("repro.service", "repro.resilience"))
+    )
+    assert not offenders, f"{path.name} imports {offenders}"
+
+
+def test_decomp_config_has_four_knobs():
+    node = _class_def(_SRC / "decomp" / "solver.py", "DecompConfig")
+    fields = [
+        item.target.id
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    assert fields == ["num_shards", "mode", "max_rounds", "warm_start"]
+
+
+def test_cycle_budget_splits_no_shares():
+    offenders = [
+        line
+        for name, line in _names(_SRC / "resilience" / "budget.py")
+        if name == "shares"
+    ]
+    assert not offenders, f"budget.py names shares on lines {offenders}"
 
 
 _SCIPY_LP_WRAPPERS = ("linprog", "milp")

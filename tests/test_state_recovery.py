@@ -9,9 +9,13 @@ approximately equal) to an uninterrupted run with the same seed.
 """
 
 import json
+import tempfile
 import zlib
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import JournalError, RecoveryError, SnapshotError
 from repro.service import Broker, BrokerConfig
@@ -60,6 +64,52 @@ def assert_equivalent(report, baseline):
         assert recovered.purchased == reference.purchased
         assert recovered.assignment == reference.assignment
         assert recovered.profit == reference.profit
+
+
+class TestCrashEquivalenceProperty:
+    """Any seeded sub-B4 run, crashed anywhere, resumes bit-identically."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        num_cycles=st.integers(min_value=2, max_value=3),
+        bids=st.integers(min_value=1, max_value=24),
+        max_batch=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+        after_cycles=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_resumed_run_equals_the_uninterrupted_run(
+        self, seed, num_cycles, bids, max_batch, after_cycles, data
+    ):
+        fields = {
+            **_BASE,
+            "seed": seed,
+            "num_cycles": num_cycles,
+            "requests_per_cycle": bids,
+            "max_batch": max_batch,
+        }
+        baseline = Broker(BrokerConfig(**fields)).run()
+        if after_cycles:
+            crash = data.draw(st.integers(min_value=1, max_value=num_cycles))
+            faults = FaultPlan(crash_after_cycles=crash)
+        else:
+            batches = sum(len(cycle.batches) for cycle in baseline.cycles)
+            crash = data.draw(st.integers(min_value=1, max_value=batches))
+            faults = FaultPlan(crash_after_batches=crash)
+        with tempfile.TemporaryDirectory() as scratch:
+            config = BrokerConfig(**fields, wal_path=Path(scratch) / "broker.wal")
+            with pytest.raises(SimulatedCrash):
+                Broker(config, faults=faults).run()
+            resumed = Broker(config).run(resume=True)
+        assert resumed.decision_log() == baseline.decision_log()
+        # float(): a recovered cycle's profit is a float, a live one's a
+        # numpy scalar; the bits must agree.
+        assert [repr(float(cycle.profit)) for cycle in resumed.cycles] == [
+            repr(float(cycle.profit)) for cycle in baseline.cycles
+        ]
+        assert [cycle.purchased for cycle in resumed.cycles] == [
+            cycle.purchased for cycle in baseline.cycles
+        ]
 
 
 class TestJournal:
