@@ -34,6 +34,7 @@ from tests.oracles import local_search
 from tests.oracles.estimator import build_estimator
 from tests.oracles.formulations import build_bl_spm, build_rl_spm
 from tests.oracles.metis import swap_into_metis
+from tests.oracles.reuse import no_reuse
 
 _SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 _NUM_REQUESTS = 30 if _SMOKE else 200
@@ -271,26 +272,23 @@ def test_restrict_speedup(benchmark, instance):
 
 
 def test_metis_end_to_end(benchmark, instance, monkeypatch):
-    """One full alternation at benchmark scale: warm-start row vs PR 4 cold.
+    """One full alternation at benchmark scale: certified reuse vs cold.
 
-    ``Metis(warm_start=True)`` (resolve sessions + incremental local
-    search, see :mod:`repro.lp.warmstart`) must match the cold fast path
-    bitwise and beat it by >= 1.5x end to end at K=200 (reported, not
-    enforced, in smoke mode).
+    ``Metis`` (resolve sessions + incremental local search, see
+    :mod:`repro.lp.warmstart`) must match the same alternation under
+    :func:`~tests.oracles.reuse.no_reuse` bitwise and beat it by >= 1.5x
+    end to end at K=200 (reported, not enforced, in smoke mode).
     """
     theta = 3 if _SMOKE else 5
-    outcome = benchmark.pedantic(
-        lambda: Metis(theta=theta, warm_start=True).solve(
-            instance, rng=7
-        ),
-        rounds=1,
-        iterations=1,
-    )
+
+    def solve():
+        return Metis(theta=theta).solve(instance, rng=7)
+
+    cold_solve = no_reuse()(solve)
+    outcome = benchmark.pedantic(solve, rounds=1, iterations=1)
     assert outcome.best.profit >= 0.0
     assert outcome.best.profit >= outcome.initial_profit
-    cold = Metis(theta=theta, warm_start=False).solve(
-        instance, rng=7
-    )
+    cold = cold_solve()
     assert outcome.best.profit == cold.best.profit
     assert outcome.num_rounds == cold.num_rounds
     if cold.best.schedule is not None:
@@ -299,14 +297,8 @@ def test_metis_end_to_end(benchmark, instance, monkeypatch):
         )
 
     rounds = 2
-    t_cold = best_of(
-        lambda: Metis(theta=theta, warm_start=False).solve(instance, rng=7),
-        rounds,
-    )
-    t_warm = best_of(
-        lambda: Metis(theta=theta, warm_start=True).solve(instance, rng=7),
-        rounds,
-    )
+    t_cold = best_of(cold_solve, rounds)
+    t_warm = best_of(solve, rounds)
     speedup = t_cold / t_warm
     floor = 1.0 if _SMOKE else 1.5
     benchmark.extra_info["speedup"] = speedup
@@ -324,6 +316,6 @@ def test_metis_end_to_end(benchmark, instance, monkeypatch):
         )
     else:
         swap_into_metis(monkeypatch)
-        ref = Metis(theta=theta, warm_start=False).solve(instance, rng=7)
+        ref = cold_solve()
         assert outcome.best.profit == ref.best.profit
         assert outcome.rounds == ref.rounds

@@ -1,10 +1,13 @@
 """Benchmark of the warm-started re-solve layer.
 
 The headline row is pinned against its cold oracle *after* an
-equivalence assertion (warm-start reuse is only allowed to change wall
-clock, never results): ``Metis(warm_start=True)`` (resolve sessions +
-incremental local search) against the cold fast path at benchmark scale;
-the full configuration asserts a >= 1.5x end-to-end floor.
+equivalence assertion (certified reuse is only allowed to change wall
+clock, never results): ``Metis`` (resolve sessions + incremental local
+search) against the same alternation under
+:func:`tests.oracles.reuse.no_reuse` at benchmark scale; the full
+configuration asserts a >= 1.5x end-to-end floor.  The oracle is
+imported from the test suite, so run it from the repository root with
+``python -m pytest``.
 
 Set ``REPRO_BENCH_SMOKE=1`` for the shrunken CI configuration: identical
 equivalence assertions, floors reported instead of enforced.  Feeds the
@@ -16,6 +19,8 @@ import time
 
 from repro.core.metis import Metis
 from repro.experiments.common import ExperimentConfig, make_instance
+
+from tests.oracles.reuse import no_reuse
 
 _SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
@@ -41,8 +46,13 @@ def test_metis_warm_alternation_speedup(benchmark):
     instance = make_instance(_METIS_CFG, _METIS_REQUESTS)
     theta = 3 if _SMOKE else 5
 
-    warm_outcome = Metis(theta=theta, warm_start=True).solve(instance, rng=7)
-    cold_outcome = Metis(theta=theta, warm_start=False).solve(instance, rng=7)
+
+    def solve():
+        return Metis(theta=theta).solve(instance, rng=7)
+
+    cold_solve = no_reuse()(solve)
+    warm_outcome = solve()
+    cold_outcome = cold_solve()
     assert warm_outcome.best.profit == cold_outcome.best.profit
     assert warm_outcome.num_rounds == cold_outcome.num_rounds
     if cold_outcome.best.schedule is not None:
@@ -52,19 +62,9 @@ def test_metis_warm_alternation_speedup(benchmark):
         )
 
     rounds = 2
-    t_cold = best_of(
-        lambda: Metis(theta=theta, warm_start=False).solve(instance, rng=7),
-        rounds,
-    )
-    t_warm = best_of(
-        lambda: Metis(theta=theta, warm_start=True).solve(instance, rng=7),
-        rounds,
-    )
-    benchmark.pedantic(
-        lambda: Metis(theta=theta, warm_start=True).solve(instance, rng=7),
-        rounds=1,
-        iterations=1,
-    )
+    t_cold = best_of(cold_solve, rounds)
+    t_warm = best_of(solve, rounds)
+    benchmark.pedantic(solve, rounds=1, iterations=1)
     speedup = t_cold / t_warm
     benchmark.extra_info["requests"] = _METIS_REQUESTS
     benchmark.extra_info["cold_seconds"] = t_cold

@@ -74,13 +74,12 @@ class CompiledFormulation:
 
     ``session`` is the :class:`~repro.lp.warmstart.ResolveSession` owned by
     the underlying cached structure: every formulation compiled from the
-    same (kind, integrality, request set) shares one session, so a caller
-    that routes its solve through it gets exact-repeat and certified-dual
-    reuse across rounds for free.  Solving through
-    :func:`~repro.lp.solvers.solve_compiled_raw` instead remains valid —
-    the session is an optional accelerator, never required state.  An
-    uncached build (:meth:`FormulationCompiler.compile_spm_batch`) has
-    none.
+    same (kind, integrality, request set) shares one session, so MAA and
+    TAA, which solve every relaxation through it, get exact-repeat and
+    certified-dual reuse across rounds for free.  Solving through
+    :func:`~repro.lp.solvers.solve_compiled_raw` instead gives the same
+    bits.  An uncached build
+    (:meth:`FormulationCompiler.compile_spm_batch`) has none.
     """
 
     compiled: CompiledModel

@@ -30,7 +30,7 @@ from repro.core.schedule import CEIL_TOL, Schedule
 from repro.core.sweep import RunSums, run_sweep
 from repro.exceptions import InfeasibleError, SolverError
 from repro.lp.result import SolveStatus
-from repro.lp.solvers import solve_compiled_raw
+from repro.lp.solvers import solve_compiled_raw  # noqa: F401  (bound for perfbench/spans.py)
 from repro.util.rng import ensure_rng
 from repro.workload.request import Request
 
@@ -140,27 +140,22 @@ def solve_maa(
     instance: SPMInstance,
     *,
     rng: int | np.random.Generator | None = None,
-    time_limit: float | None = None,
-    warm_start: bool = False,
 ) -> MAAResult:
     """Run Algorithm 1 (MAA) on ``instance``.
-
-    ``time_limit`` (seconds) bounds the RL-SPM relaxation solve, so
-    serving-path callers can guarantee a decision deadline.  A limit-hit
-    relaxation raises even when an incumbent exists: the approximation
-    ratios are stated against the true LP optimum.
 
     The RL-SPM relaxation is assembled by the instance's cached
     :class:`~repro.core.fastform.FormulationCompiler` and the weights /
     fractional bandwidth are read straight from the raw solution columns.
 
-    ``warm_start`` routes the relaxation solve through
-    the formulation's :class:`~repro.lp.warmstart.ResolveSession`: the
-    Metis inner loop re-solves the *identical* RL-SPM relaxation
-    ``maa_rounds`` times per round (only the rounding rng differs), so
-    every repeat after the first is answered from the session's
-    exact-repeat cache — with bitwise-identical solutions by the session's
-    certification rules.
+    The relaxation is solved through the formulation's
+    :class:`~repro.lp.warmstart.ResolveSession`: the Metis inner loop
+    re-solves the *identical* RL-SPM relaxation ``maa_rounds`` times per
+    round (only the rounding rng differs), so every repeat after the first
+    is answered from the session's exact-repeat cache — with
+    bitwise-identical solutions by the session's certification rules.  A
+    relaxation that stops short of optimal raises even when an incumbent
+    exists: the approximation ratios are stated against the true LP
+    optimum.
 
     Raises :class:`~repro.exceptions.InfeasibleError` if the relaxation is
     infeasible (cannot happen on strongly connected topologies with
@@ -170,12 +165,7 @@ def solve_maa(
     formulation = instance.formulation_compiler().compile_rl_spm(
         instance, integral=False
     )
-    if warm_start and formulation.session is not None:
-        solution = formulation.session.solve(
-            formulation.compiled, time_limit=time_limit
-        )
-    else:
-        solution = solve_compiled_raw(formulation.compiled, time_limit=time_limit)
+    solution = formulation.session.solve(formulation.compiled)
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError("RL-SPM relaxation is infeasible")
     if not solution.is_optimal:

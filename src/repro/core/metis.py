@@ -270,20 +270,16 @@ class Metis:
     outcome (the paper's Fig. 4b repeats the rounding the same way);
     ``local_search=True`` additionally runs the greedy path-reassignment
     descent of :func:`~repro.core.maa.improve_paths` on each rounding —
-    both only ever lower the recorded cost.  ``time_limit`` (seconds) bounds
-    every LP relaxation solve inside MAA/TAA, so a serving loop can put a
-    hard ceiling on one Metis invocation's solver time; a limit-hit
-    relaxation raises (the paper's guarantees are stated against true LP
-    optima).
+    both only ever lower the recorded cost.
 
-    ``warm_start`` (default) reuses work across the
-    alternation's structurally-identical re-solves: RL/BL relaxations go
-    through per-structure :class:`~repro.lp.warmstart.ResolveSession`
-    caches (exact repeats and certified-dual capacity shrinks skip the
-    solver), and the local-search descent shares an
-    :class:`~repro.core.maa.ImproveMemo` so unchanged requests are never
-    re-evaluated.  Both reuse tiers are certified, so the outcome is
-    bit-identical to ``warm_start=False`` — the cold path is kept as the
+    The alternation reuses work across its structurally-identical
+    re-solves: RL/BL relaxations go through per-structure
+    :class:`~repro.lp.warmstart.ResolveSession` caches (exact repeats and
+    certified-dual capacity shrinks skip the solver), and the local-search
+    descent shares one :class:`~repro.core.maa.ImproveMemo` per solve so
+    unchanged requests are never re-evaluated.  Both reuse tiers are
+    certified, so the outcome is bit-identical to solving every relaxation
+    afresh; ``tests/oracles/reuse.py`` keeps that cold path as the
     equivalence oracle and the performance baseline.
     """
 
@@ -295,22 +291,16 @@ class Metis:
         maa_rounds: int = 3,
         local_search: bool = True,
         prune: bool = True,
-        time_limit: float | None = None,
-        warm_start: bool = True,
     ) -> None:
         if theta < 1:
             raise ValueError(f"theta must be >= 1, got {theta}")
         if maa_rounds < 1:
             raise ValueError(f"maa_rounds must be >= 1, got {maa_rounds}")
-        if time_limit is not None and time_limit <= 0:
-            raise ValueError(f"time_limit must be > 0, got {time_limit}")
         self.theta = theta
         self.limiter = limiter if limiter is not None else MinUtilizationLimiter()
         self.maa_rounds = maa_rounds
         self.local_search = local_search
         self.prune = prune
-        self.time_limit = time_limit
-        self.warm_start = warm_start
 
     def _best_maa_schedule(
         self,
@@ -320,12 +310,7 @@ class Metis:
     ) -> Schedule:
         best: Schedule | None = None
         for _ in range(self.maa_rounds):
-            candidate = solve_maa(
-                instance,
-                rng=rng,
-                time_limit=self.time_limit,
-                warm_start=self.warm_start,
-            ).schedule
+            candidate = solve_maa(instance, rng=rng).schedule
             if self.local_search:
                 improved = improve_paths(
                     instance,
@@ -356,7 +341,7 @@ class Metis:
         # One improve-memo per solve: every restricted instance in the
         # alternation shares the parent's path_edges arrays, which is the
         # memo's validity condition.
-        memo = ImproveMemo() if self.warm_start and self.local_search else None
+        memo = ImproveMemo() if self.local_search else None
 
         def offer(candidate: Schedule, source: str, round_index: int) -> Schedule:
             """SP Updater: record ``candidate`` (and its pruning) if better.
@@ -402,12 +387,7 @@ class Metis:
                 break
             capacities = shrunk
 
-            taa = solve_taa(
-                current,
-                capacities,
-                time_limit=self.time_limit,
-                warm_start=self.warm_start,
-            )
+            taa = solve_taa(current, capacities)
             taa_profit = taa.schedule.profit
             offer(taa.schedule, "taa", round_index)
 

@@ -47,7 +47,7 @@ from repro.core.schedule import Schedule
 from repro.core.sweep import RunSums
 from repro.exceptions import AlgorithmError, InfeasibleError, SolverError
 from repro.lp.result import SolveStatus
-from repro.lp.solvers import solve_compiled_raw
+from repro.lp.solvers import solve_compiled_raw  # noqa: F401  (bound for perfbench/spans.py)
 
 __all__ = ["TAAResult", "solve_taa"]
 
@@ -105,29 +105,26 @@ def solve_taa(
     *,
     fallback_mu: float = 0.5,
     augment: bool = True,
-    time_limit: float | None = None,
-    warm_start: bool = False,
 ) -> TAAResult:
     """Run Algorithm 2 (TAA) on ``instance`` under ``capacities``.
 
     ``capacities`` must give a finite integer bandwidth for every directed
     edge of the instance.  TAA is deterministic: no RNG is involved.
-    ``time_limit`` (seconds) bounds the BL-SPM relaxation solve; a
-    limit-hit relaxation raises even when an incumbent exists (the
-    rounding analysis assumes the true LP optimum ``I_hat``).
 
     The BL-SPM relaxation is assembled by the instance's cached
     :class:`~repro.core.fastform.FormulationCompiler` (weights read
     straight from the raw solution columns) and the pessimistic estimator
     is built and walked by the vectorized kernel.
 
-    ``warm_start`` routes the relaxation solve through
-    the formulation's :class:`~repro.lp.warmstart.ResolveSession`.  The
-    Metis shrink loop re-solves BL-SPM over the same request set with only
-    capacity right-hand sides moving, so shrinks that the previous
-    optimum's dual certificate covers (slack rows with zero duals) skip
-    the solver dispatch entirely — with bitwise-identical solutions by the
-    session's certification rules.
+    The relaxation is solved through the formulation's
+    :class:`~repro.lp.warmstart.ResolveSession`.  The Metis shrink loop
+    re-solves BL-SPM over the same request set with only capacity
+    right-hand sides moving, so shrinks that the previous optimum's dual
+    certificate covers (slack rows with zero duals) skip the solver
+    dispatch entirely — with bitwise-identical solutions by the session's
+    certification rules.  A relaxation that stops short of optimal raises
+    even when an incumbent exists (the rounding analysis assumes the true
+    LP optimum ``I_hat``).
     """
     for key in instance.edges:
         cap = capacities.get(key)
@@ -157,12 +154,7 @@ def solve_taa(
     formulation = instance.formulation_compiler().compile_bl_spm(
         instance, capacities, integral=False
     )
-    if warm_start and formulation.session is not None:
-        solution = formulation.session.solve(
-            formulation.compiled, time_limit=time_limit
-        )
-    else:
-        solution = solve_compiled_raw(formulation.compiled, time_limit=time_limit)
+    solution = formulation.session.solve(formulation.compiled)
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError("BL-SPM relaxation is infeasible")
     if not solution.is_optimal:

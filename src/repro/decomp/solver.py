@@ -80,12 +80,6 @@ class DecompConfig:
     mode: str = "hash"
     #: Price-iteration rounds (each round re-solves every shard).
     max_rounds: int = 8
-    #: Reuse each shard's :class:`~repro.lp.warmstart.ResolveSession`
-    #: across rounds: converged effective prices repeat the exact
-    #: ``(c, bounds)`` key and the cached optimum is returned without a
-    #: solver call.  Bitwise-neutral — only certified results are reused;
-    #: ``False`` is the cold reference.
-    warm_start: bool = True
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -146,7 +140,9 @@ class _ShardProblem:
 
     Its :class:`~repro.lp.warmstart.ResolveSession` is anchored once on
     the shard's compiled arrays (``with_objective`` aliases every array
-    but ``c``, so the anchor survives every round).
+    but ``c``, so the anchor survives every round): converged effective
+    prices repeat the exact ``(c, bounds)`` key and the cached optimum is
+    returned without a solver call.
     """
 
     def __init__(self, shard_id: int, instance: SPMInstance) -> None:
@@ -162,16 +158,10 @@ class _ShardProblem:
         self.assignment: dict[int, int | None] = {}
         self.session = ResolveSession()
 
-    def solve(
-        self, effective_prices: np.ndarray, *, warm_start: bool
-    ) -> dict[int, int | None]:
+    def solve(self, effective_prices: np.ndarray) -> dict[int, int | None]:
         objective = np.concatenate([self._values_head, -effective_prices])
         shifted = with_objective(self.formulation.compiled, objective)
-        raw = (
-            self.session.solve(shifted)
-            if warm_start
-            else solve_compiled_raw(shifted)
-        )
+        raw = self.session.solve(shifted)
         if raw.x is None:
             raise SolverError(
                 f"shard {self.shard_id} solve returned no incumbent "
@@ -219,7 +209,7 @@ def solve_decomposed(
         effective = ledger.effective_prices()
         ledger.begin_round()
         for problem in problems:
-            assignment = problem.solve(effective, warm_start=config.warm_start)
+            assignment = problem.solve(effective)
             ledger.post(problem.shard_id, problem.instance.loads(assignment))
         rounds += 1
         max_violation = (

@@ -57,6 +57,7 @@ from repro.gateway.protocol import (
     parse_bid_line,
 )
 from repro.gateway.wallclock import WallClock
+from repro.net.topology import Topology
 from repro.resilience import CircuitBreaker, CycleBudget
 from repro.service.broker import _make_topology, _StateWriter, open_state
 from repro.service.ingest import AdmissionQueue, PushSource
@@ -84,7 +85,7 @@ class GatewayConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    topology: str = "b4"
+    topology: str | Topology = "b4"
     slots_per_cycle: int = 12
     window: int = 1
     slot_seconds: float = 0.1

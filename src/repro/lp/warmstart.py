@@ -28,9 +28,14 @@ at all.  Rows whose bound change breaks the certificate (a tightened
 binding row, a nonzero dual) trigger an honest cold solve.  Duals are
 HiGHS's row duals, read by the driver on every cold LP solve.
 
-Only ``OPTIMAL`` results enter either tier: limit-hit incumbents are
-returned to the caller but never cached (an incumbent is not a certificate
-of anything).
+Only ``OPTIMAL`` results enter either tier: any other result is returned
+to the caller but never cached (an incumbent is not a certificate of
+anything).
+
+Reuse is not optional: MAA, TAA and the decomposition's shard loop solve
+every relaxation through a session, and none of them takes a switch to
+bypass it.  The cold reference, every solve dispatched afresh, is the
+test oracle ``tests/oracles/reuse.py::no_reuse()``.
 
 The bitwise guarantee rests on an empirical property of HiGHS that the
 equivalence suites (``tests/test_lp_warmstart.py``) enforce: re-solving
@@ -55,6 +60,9 @@ from repro.lp.model import CompiledModel
 from repro.lp.result import RawSolution, SolveStatus
 
 __all__ = ["ResolveSession", "SessionStats", "relax"]
+
+#: Bound of each session's exact-repeat LRU.
+CACHE_SIZE = 8
 
 
 def relax(compiled: CompiledModel) -> CompiledModel:
@@ -103,15 +111,13 @@ class ResolveSession:
     cached state — so holding one session per cached formulation structure
     is always safe, never wrong.
 
-    ``cache_size`` bounds the exact-repeat LRU; certificate state is one
-    extra solution.  Returned solutions are shared objects — callers must
-    treat ``x`` as read-only (every consumer in this library already does).
+    :data:`CACHE_SIZE` bounds the exact-repeat LRU; certificate state is
+    one extra solution.  Returned solutions are shared objects — callers
+    must treat ``x`` as read-only (every consumer in this library already
+    does).
     """
 
-    def __init__(self, *, cache_size: int = 8) -> None:
-        if cache_size < 1:
-            raise ValueError(f"cache_size must be >= 1, got {cache_size}")
-        self.cache_size = cache_size
+    def __init__(self) -> None:
         self.stats = SessionStats()
         self._anchor: tuple | None = None
         self._is_milp = False
@@ -166,23 +172,18 @@ class ResolveSession:
     def _remember(self, key: tuple, solution: RawSolution) -> None:
         self._cache[key] = solution
         self._cache.move_to_end(key)
-        while len(self._cache) > self.cache_size:
+        while len(self._cache) > CACHE_SIZE:
             self._cache.popitem(last=False)
 
     # -------------------------------------------------------------- solving
 
-    def solve(
-        self,
-        compiled: CompiledModel,
-        *,
-        time_limit: float | None = None,
-        check_cancelled=None,
-    ) -> RawSolution:
+    def solve(self, compiled: CompiledModel) -> RawSolution:
         """Solve ``compiled``, reusing prior work whenever certified.
 
         Semantics match :func:`repro.lp.solvers.solve_compiled_raw`
-        exactly; the only difference is that byte-identical repeats and
-        certified-slack bound changes skip the backend dispatch.
+        without a time limit exactly; the only difference is that
+        byte-identical repeats and certified-slack bound changes skip the
+        backend dispatch.
         """
         self._anchored(compiled)
         key = self._key(compiled)
@@ -196,16 +197,10 @@ class ResolveSession:
             self.stats.certified_hits += 1
             self._remember(key, certified)
             return certified
-        if check_cancelled is not None and check_cancelled():
-            from repro.exceptions import SolverError
-
-            raise SolverError("solve cancelled before dispatch")
         if self._is_milp:
-            solution = _solvers._solve_milp(compiled, time_limit=time_limit)
+            solution = _solvers._solve_milp(compiled)
         else:
-            solution = _solvers._solve_lp(
-                compiled, time_limit=time_limit, duals=True
-            )
+            solution = _solvers._solve_lp(compiled, duals=True)
         self.stats.cold_solves += 1
         if solution.status is SolveStatus.OPTIMAL:
             self._remember(key, solution)
@@ -217,12 +212,6 @@ class ResolveSession:
                     solution=solution,
                 )
         return solution
-
-    def reset(self) -> None:
-        """Drop every cached result and certificate."""
-        self._anchor = None
-        self._cache.clear()
-        self._last = None
 
     def __repr__(self) -> str:
         return (

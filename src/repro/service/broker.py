@@ -547,9 +547,9 @@ class CycleEngine:
             accepted=accepted,
             declined=len(self.assignment) - accepted,
             shed=self.shed,
-            revenue=schedule.revenue,
-            cost=schedule.cost,
-            profit=schedule.profit,
+            revenue=float(schedule.revenue),
+            cost=float(schedule.cost),
+            profit=float(schedule.profit),
             wall_seconds=time.perf_counter() - self._opened_at,
             batches=list(self.batches),
             assignment=dict(self.assignment),

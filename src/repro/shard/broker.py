@@ -349,9 +349,9 @@ class ShardedBroker(Broker):
                 accepted=schedule.num_accepted,
                 declined=result.declined
                 + (result.accepted - schedule.num_accepted),
-                revenue=schedule.revenue,
-                cost=schedule.cost,
-                profit=schedule.profit,
+                revenue=float(schedule.revenue),
+                cost=float(schedule.cost),
+                profit=float(schedule.profit),
                 assignment=assignment,
                 purchased={
                     instance.edge_index[key]: float(units)

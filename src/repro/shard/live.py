@@ -80,9 +80,9 @@ def merge_shard_cycles(
         accepted=sum(r.accepted for r in results),
         declined=sum(r.declined for r in results),
         shed=sum(r.shed for r in results),
-        revenue=sum(r.revenue for r in results),
-        cost=sum(r.cost for r in results),
-        profit=sum(r.profit for r in results),
+        revenue=float(sum(r.revenue for r in results)),
+        cost=float(sum(r.cost for r in results)),
+        profit=float(sum(r.profit for r in results)),
         wall_seconds=wall_seconds,
         batches=batches,
         assignment=assignment,

@@ -68,12 +68,22 @@ def config_fingerprint(config) -> str:
     is decided (``workers``, ``cache_size``, ``wal_path``,
     ``snapshot_every``, ``fsync``) are deliberately excluded, as is
     ``num_cycles`` — a resumed run may extend the horizon of the run it
-    continues.
+    continues.  A topology named by a string is keyed by that name; a
+    :class:`~repro.net.topology.Topology` object by its name and every
+    edge's key, price and capacity, in edge order.
     """
     from repro.net.topology import Topology
 
     topology = config.topology
-    topology_key = topology.name if isinstance(topology, Topology) else topology
+    topology_key = topology
+    if isinstance(topology, Topology):
+        topology_key = (
+            topology.name,
+            tuple(
+                (key, topology.price(*key), capacity)
+                for key, capacity in topology.capacities().items()
+            ),
+        )
     parts = (
         ("format", WAL_FORMAT),
         ("topology", topology_key),
@@ -165,9 +175,9 @@ def cycle_from_record(record: dict[str, Any]):
         accepted=int(record["accepted"]),
         declined=int(record["declined"]),
         shed=int(record["shed"]),
-        revenue=record["revenue"],
-        cost=record["cost"],
-        profit=record["profit"],
+        revenue=float(record["revenue"]),
+        cost=float(record["cost"]),
+        profit=float(record["profit"]),
         wall_seconds=record["wall_seconds"],
         # Records written before the LP screen was removed carry "screened".
         batches=[

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
 import repro.net.topology as topology_module
@@ -13,6 +15,7 @@ from repro.workload.request import Request, RequestSet
 from repro.workload.value_models import FlatRateValueModel
 
 from tests.oracles.metis import swap_into_metis
+from tests.oracles.reuse import no_reuse
 
 
 @pytest.fixture
@@ -102,10 +105,17 @@ def small_sub_b4_instance(sub_b4_topology) -> SPMInstance:
 def reference_metis(monkeypatch):
     """Call to make ``Metis`` run the expression-layer MAA and TAA.
 
-    Pair it with ``Metis(warm_start=False)``: warm starts only ever ran on
-    the array-native build.
+    The call also holds :func:`~tests.oracles.reuse.no_reuse` until the
+    test ends: the reference alternation never reused a solve or a
+    local-search memo.
     """
-    return lambda: swap_into_metis(monkeypatch)
+    with contextlib.ExitStack() as stack:
+
+        def swap() -> None:
+            swap_into_metis(monkeypatch)
+            stack.enter_context(no_reuse())
+
+        yield swap
 
 
 @pytest.fixture

@@ -17,9 +17,12 @@ equivalence suites can compare the two on every run:
 * :mod:`tests.oracles.estimator` — the reference pessimistic estimator;
 * :mod:`tests.oracles.metis` — MAA and TAA on the expression layer, and a
   swap into ``repro.core.metis``;
-* :mod:`tests.oracles.local_search` — the scalar local-search loops.
+* :mod:`tests.oracles.local_search` — the scalar local-search loops;
 * :mod:`tests.oracles.paths` — Yen's algorithm with one trimmed graph
-  copy per spur search.
+  copy per spur search;
+* :mod:`tests.oracles.reuse` — ``no_reuse()``, which solves every
+  session relaxation afresh and runs Metis's local search without its
+  memo.
 
 Nothing under ``src/`` imports this package.
 """

@@ -10,10 +10,10 @@ selection, repair and augmentation — is the runtime's own code from
 ``repro.core.maa`` / ``repro.core.taa``, so a comparison isolates the
 model build, the read-back and the estimator.
 
-``warm_start`` is accepted for signature parity and ignored: warm starts
-only ever ran on the array-native build.  :func:`swap_into_metis` makes
-:class:`~repro.core.metis.Metis` call these two; run it with
-``warm_start=False`` to reproduce the reference alternation.
+:func:`swap_into_metis` makes :class:`~repro.core.metis.Metis` call
+these two; run it inside :func:`tests.oracles.reuse.no_reuse` to
+reproduce the reference alternation, which never shared a local-search
+memo.
 
 Test-only code: nothing under ``src/`` imports it.
 """
@@ -45,12 +45,10 @@ def solve_maa(
     instance: SPMInstance,
     *,
     rng: int | np.random.Generator | None = None,
-    time_limit: float | None = None,
-    warm_start: bool = False,
 ) -> MAAResult:
     """Algorithm 1 (MAA) with the RL-SPM relaxation on the expression layer."""
     problem = build_rl_spm(instance, integral=False)
-    solution = problem.model.solve(time_limit=time_limit)
+    solution = problem.model.solve()
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError("RL-SPM relaxation is infeasible")
     if not solution.is_optimal:
@@ -79,8 +77,6 @@ def solve_taa(
     *,
     fallback_mu: float = 0.5,
     augment: bool = True,
-    time_limit: float | None = None,
-    warm_start: bool = False,
 ) -> TAAResult:
     """Algorithm 2 (TAA) with the BL-SPM relaxation and estimator of reference."""
     for key in instance.edges:
@@ -106,7 +102,7 @@ def solve_taa(
         )
 
     problem = build_bl_spm(instance, capacities, integral=False)
-    solution = problem.model.solve(time_limit=time_limit)
+    solution = problem.model.solve()
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError("BL-SPM relaxation is infeasible")
     if not solution.is_optimal:

@@ -41,6 +41,7 @@ from tests.oracles.formulations import (
     build_spm,
     fractional_x,
 )
+from tests.oracles.reuse import no_reuse
 from tests.test_properties import random_instance
 
 
@@ -424,9 +425,9 @@ class TestFastPathOutcomes:
     @metis_settings
     def test_metis_outcome_bit_identical(self, instance):
         fast = Metis(theta=3).solve(instance, rng=7)
-        with pytest.MonkeyPatch.context() as monkeypatch:
+        with pytest.MonkeyPatch.context() as monkeypatch, no_reuse():
             reference.swap_into_metis(monkeypatch)
-            ref = Metis(theta=3, warm_start=False).solve(instance, rng=7)
+            ref = Metis(theta=3).solve(instance, rng=7)
         assert_metis_outcomes_equal(fast, ref)
 
     def test_metis_outcome_matches_reference_fixture(
@@ -434,7 +435,7 @@ class TestFastPathOutcomes:
     ):
         fast = Metis(theta=3).solve(small_sub_b4_instance, rng=7)
         reference_metis()
-        ref = Metis(theta=3, warm_start=False).solve(small_sub_b4_instance, rng=7)
+        ref = Metis(theta=3).solve(small_sub_b4_instance, rng=7)
         assert_metis_outcomes_equal(fast, ref)
 
 

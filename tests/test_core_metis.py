@@ -158,14 +158,3 @@ class TestMetis:
         )
         assert outcome.best.profit >= 0.0
 
-    def test_time_limit_plumbed_and_harmless(self, small_sub_b4_instance):
-        # A generous limit must not change the alternation's outcome.
-        bounded = Metis(theta=3, time_limit=120.0).solve(
-            small_sub_b4_instance, rng=1
-        )
-        unbounded = Metis(theta=3).solve(small_sub_b4_instance, rng=1)
-        assert bounded.best.profit == pytest.approx(unbounded.best.profit)
-
-    def test_time_limit_validated(self):
-        with pytest.raises(ValueError, match="time_limit"):
-            Metis(time_limit=0.0)

@@ -17,8 +17,10 @@ record is hashed twice:
 ``milp_batches`` counts the batches a cell sends to HiGHS (joint choice
 space above :data:`~repro.core.online.ENUMERATION_CAP`); every serving
 front has at least one cell where HiGHS decides.  The offline
-decomposition (``solve_decomposed``) solves whole-shard SPM models, never
-a batch MILP, so its cells record 0.
+decomposition (``solve_decomposed``) solves whole-shard SPM models and
+``Metis`` solves RL-SPM and BL-SPM relaxations, never a batch MILP, so
+their cells record 0.  A ``-cold`` cell runs its twin under
+:func:`~tests.oracles.reuse.no_reuse` and must hash the same.
 
 A change that alters decisions on purpose regenerates the file and names
 the changed cells in ``CHANGES.md``::
@@ -41,6 +43,7 @@ import numpy as np
 import pytest
 
 from repro.core.instance import SPMInstance
+from repro.core.metis import Metis
 from repro.core.online import IncrementalBatchCompiler, OnlineScheduler
 from repro.decomp import DecompConfig, solve_decomposed
 from repro.gateway.engine import LiveCycleEngine
@@ -54,6 +57,8 @@ from repro.state import FaultPlan, SimulatedCrash, read_wal
 from repro.state.recovery import cycle_to_record
 from repro.workload.generator import WorkloadConfig, generate_workload
 from repro.workload.request import Request, RequestSet
+
+from tests.oracles.reuse import no_reuse
 
 GOLDEN = Path(__file__).with_name("golden") / "equivalence_matrix.json"
 
@@ -307,9 +312,39 @@ def _common_peak_instance() -> SPMInstance:
     return SPMInstance.build(sub_b4(), RequestSet(requests, 4), k_paths=3)
 
 
-def _decomp_common_peak(*, warm_start: bool) -> dict:
-    config = DecompConfig(num_shards=2, warm_start=warm_start)
-    return _decomposed(_common_peak_instance(), config)
+def _decomp_common_peak() -> dict:
+    return _decomposed(_common_peak_instance(), DecompConfig(num_shards=2))
+
+
+def _cold(build):
+    """``build`` under :func:`~tests.oracles.reuse.no_reuse`."""
+
+    def cold(scratch: Path) -> dict:
+        with no_reuse():
+            return build()
+
+    return cold
+
+
+def _metis() -> dict:
+    """``Metis(theta=3)`` on a fixed 20-request sub-B4 instance."""
+    topology = sub_b4()
+    requests = generate_workload(
+        topology,
+        WorkloadConfig(num_requests=20, num_slots=6, max_duration=4),
+        rng=5,
+    )
+    instance = SPMInstance.build(topology, requests, k_paths=3)
+    outcome = Metis(theta=3).solve(instance, rng=7)
+    best = outcome.best
+    return {
+        "assignment": sorted(best.schedule.assignment.items()),
+        "source": best.source,
+        "round": best.round_index,
+        "capacities": sorted(best.capacities.items()),
+        "rounds": [dataclasses.asdict(record) for record in outcome.rounds],
+        "money": [best.profit, outcome.initial_profit],
+    }
 
 
 #: cell name -> (front, builder taking a scratch directory).
@@ -343,18 +378,14 @@ CELLS = {
     "live-sharded-4": ("ShardedLiveEngine", _live_sharded),
     "online-scheduler": ("OnlineScheduler", _online),
     "decomp-capacity-1": ("solve_decomposed", _decomp_capacity_one),
-    "decomp-common-peak": (
-        "solve_decomposed",
-        lambda tmp: _decomp_common_peak(warm_start=True),
-    ),
-    "decomp-common-peak-cold": (
-        "solve_decomposed",
-        lambda tmp: _decomp_common_peak(warm_start=False),
-    ),
+    "decomp-common-peak": ("solve_decomposed", lambda tmp: _decomp_common_peak()),
+    "decomp-common-peak-cold": ("solve_decomposed", _cold(_decomp_common_peak)),
+    "metis-sub-b4": ("Metis", lambda tmp: _metis()),
+    "metis-sub-b4-cold": ("Metis", _cold(_metis)),
 }
 
 #: Fronts that never send a batch MILP to HiGHS.
-_NO_BATCH_MILP = frozenset({"solve_decomposed"})
+_NO_BATCH_MILP = frozenset({"solve_decomposed", "Metis"})
 
 
 def run_cell(name: str) -> dict:

@@ -33,6 +33,7 @@ from repro.net.topologies import random_wan
 from repro.workload.request import Request, RequestSet
 
 from tests.oracles.lp.simplex import WarmSimplex
+from tests.oracles.reuse import no_reuse
 
 SLOTS = 6
 _TOL = 1e-9
@@ -210,8 +211,9 @@ class TestMetisWarmEquivalence:
     @given(random_instance())
     @common_settings
     def test_metis_warm_vs_cold_bitwise(self, instance):
-        warm = Metis(theta=3, warm_start=True).solve(instance, rng=7)
-        cold = Metis(theta=3, warm_start=False).solve(instance, rng=7)
+        warm = Metis(theta=3).solve(instance, rng=7)
+        with no_reuse():
+            cold = Metis(theta=3).solve(instance, rng=7)
         assert warm.best.profit == cold.best.profit
         assert warm.num_rounds == cold.num_rounds
         if cold.best.schedule is None:
@@ -251,11 +253,10 @@ class TestDecompWarmEquivalence:
     @given(random_instance(max_requests=8))
     @common_settings
     def test_decomp_warm_vs_cold_bitwise(self, instance):
-        base = DecompConfig(num_shards=2, max_rounds=3)
-        warm = solve_decomposed(instance, base)
-        cold = solve_decomposed(
-            instance, DecompConfig(num_shards=2, max_rounds=3, warm_start=False)
-        )
+        config = DecompConfig(num_shards=2, max_rounds=3)
+        warm = solve_decomposed(instance, config)
+        with no_reuse():
+            cold = solve_decomposed(instance, config)
         assert warm.profit == cold.profit
         assert warm.schedule.assignment == cold.schedule.assignment
         assert warm.rounds == cold.rounds

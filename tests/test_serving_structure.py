@@ -25,18 +25,26 @@ config and ``ShardConfig`` alone.  One SPM assembly: the online batch
 MILP is a view over ``FormulationCompiler`` — ``core/online.py`` builds
 no incidence and no COO model of its own, and an ``SPMInstance`` keeps
 one compiler.  One price loop: the offline decomposition imports nothing
-from the serving or resilience packages, ``DecompConfig`` has four
-knobs, and ``CycleBudget`` splits no slice into shares.
+from the serving or resilience packages, ``DecompConfig`` has three
+knobs, and ``CycleBudget`` splits no slice into shares.  One Metis solve
+path: certified reuse is always on, so ``Metis``, ``solve_maa``,
+``solve_taa`` and ``ResolveSession`` take no reuse switch and no
+relaxation time limit.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.core.maa import solve_maa
+from repro.core.metis import Metis
+from repro.core.taa import solve_taa
+from repro.lp.warmstart import ResolveSession
 
 _SRC = Path(repro.__file__).parent
 _SERVING = ("service", "gateway", "shard")
@@ -301,14 +309,32 @@ def test_decomposition_never_imports_serving_or_resilience(path):
     assert not offenders, f"{path.name} imports {offenders}"
 
 
-def test_decomp_config_has_four_knobs():
+def test_decomp_config_has_three_knobs():
     node = _class_def(_SRC / "decomp" / "solver.py", "DecompConfig")
     fields = [
         item.target.id
         for item in node.body
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
     ]
-    assert fields == ["num_shards", "mode", "max_rounds", "warm_start"]
+    assert fields == ["num_shards", "mode", "max_rounds"]
+
+
+@pytest.mark.parametrize(
+    "function, parameters",
+    [
+        (
+            Metis.__init__,
+            ["self", "theta", "limiter", "maa_rounds", "local_search", "prune"],
+        ),
+        (solve_maa, ["instance", "rng"]),
+        (solve_taa, ["instance", "capacities", "fallback_mu", "augment"]),
+        (ResolveSession.__init__, ["self"]),
+        (ResolveSession.solve, ["self", "compiled"]),
+    ],
+    ids=lambda value: value.__qualname__ if callable(value) else "",
+)
+def test_metis_solve_path_has_no_reuse_or_limit_knob(function, parameters):
+    assert list(inspect.signature(function).parameters) == parameters
 
 
 def test_cycle_budget_splits_no_shares():

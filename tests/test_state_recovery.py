@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import JournalError, RecoveryError, SnapshotError
+from repro.net.topologies import sub_b4
+from repro.net.topology import Topology
 from repro.service import Broker, BrokerConfig
 from repro.state import (
     FaultPlan,
@@ -47,6 +49,23 @@ _BASE = dict(
 def baseline():
     """The uninterrupted run every crashed-and-recovered run must equal."""
     return Broker(BrokerConfig(**_BASE)).run()
+
+
+def _sub_b4(price_scale: float = 1.0) -> Topology:
+    """A fresh sub-B4 object with every link price scaled by ``price_scale``."""
+    base = sub_b4()
+    topology = Topology(base.name, regions=base.regions)
+    for node in base.datacenters:
+        topology.add_datacenter(node)
+    for edge in base.edges:
+        topology.add_link(
+            edge.tail,
+            edge.head,
+            edge.weight * price_scale,
+            capacity=base.capacity(*edge.key),
+            bidirectional=False,
+        )
+    return topology
 
 
 def _config(tmp_path, **overrides):
@@ -102,10 +121,8 @@ class TestCrashEquivalenceProperty:
                 Broker(config, faults=faults).run()
             resumed = Broker(config).run(resume=True)
         assert resumed.decision_log() == baseline.decision_log()
-        # float(): a recovered cycle's profit is a float, a live one's a
-        # numpy scalar; the bits must agree.
-        assert [repr(float(cycle.profit)) for cycle in resumed.cycles] == [
-            repr(float(cycle.profit)) for cycle in baseline.cycles
+        assert [repr(cycle.profit) for cycle in resumed.cycles] == [
+            repr(cycle.profit) for cycle in baseline.cycles
         ]
         assert [cycle.purchased for cycle in resumed.cycles] == [
             cycle.purchased for cycle in baseline.cycles
@@ -315,6 +332,41 @@ class TestRecoveryGuards:
         other = _config(tmp_path, seed=99)
         with pytest.raises(RecoveryError, match="different configuration"):
             Broker(other).run(resume=True)
+
+    def test_equal_topology_object_resumes(self, tmp_path):
+        Broker(_config(tmp_path, topology=_sub_b4())).run()
+        longer = _config(tmp_path, topology=_sub_b4(), num_cycles=4)
+        assert len(Broker(longer).run(resume=True).cycles) == 4
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            lambda topology: topology.set_uniform_capacity(1),
+            lambda topology: topology.set_capacity("DC1", "DC2", 2),
+        ],
+        ids=["uniform-capacity", "one-capacity"],
+    )
+    def test_recapacitated_topology_object_refuses_resume(
+        self, tmp_path, changed
+    ):
+        topology = _sub_b4()
+        Broker(_config(tmp_path, topology=topology)).run()
+        changed(topology)
+        with pytest.raises(RecoveryError, match="different configuration"):
+            Broker(_config(tmp_path, topology=topology)).run(resume=True)
+
+    def test_repriced_topology_object_refuses_resume(self, tmp_path):
+        Broker(_config(tmp_path, topology=_sub_b4())).run()
+        repriced = _config(tmp_path, topology=_sub_b4(price_scale=2.0))
+        with pytest.raises(RecoveryError, match="different configuration"):
+            Broker(repriced).run(resume=True)
+
+    def test_named_topology_fingerprint_is_unchanged(self):
+        # The digest written by every earlier release for this config: WALs
+        # that name their topology keep resuming.
+        assert config_fingerprint(BrokerConfig(**_BASE)) == (
+            "f00a5324dbb76eb9ce511303ede18c4a"
+        )
 
     def test_resume_without_wal_rejected(self):
         with pytest.raises(ValueError, match="wal_path"):
